@@ -15,8 +15,8 @@ from .matrixmodel import (JordanPair, MatrixDeligne, decompose,
                           jordan_chevalley, matrix_dual, oracle_tensor_ss,
                           raw_tensor, realize, rescale_witness, semisimplify,
                           validate)
-from .factors import (PSI, PsiLevel, check_multiplicativity, epsilon_factor,
-                      gamma_factor, l_factor, l_factor_matrix)
+from .factors import (check_multiplicativity, epsilon_factor, gamma_factor,
+                      l_factor, l_factor_matrix)
 from .gln import (GenericRep, GLSegment, NonSuperCusp, SuperCusp,
                   banal_tnb_split, c_map, central_char, check_preservation,
                   dual_rep, j_ell, make_generic, rs_epsilon_factor,

@@ -1,9 +1,18 @@
 """Exact dense linear algebra over a FiniteField.
 
-Matrices hold numpy arrays of element indices; arithmetic goes through the
-field's add/mul lookup tables so every operation is exact.  Row reduction,
-kernels, characteristic polynomials (via Hessenberg form) and polynomial
-evaluation are enough for the whole matrix model.
+Matrices hold numpy arrays of element indices, which are base-ell digit
+strings in the polynomial basis.  Products are float64 BLAS products of
+digits.  Over a prime field an index is its residue, so A @ B is the float
+product mod ell.  Over F_{ell^k} the k digit planes of each side are
+multiplied (as one Kronecker-packed product when the packed entries fit in
+53 bits, else plane by plane), degrees 2k-2 .. k of the digit convolution
+are reduced by the field modulus, and the digits are taken mod ell.  Every
+convolution coefficient is at most k * inner_dim * (ell-1)^2, which the
+kernel asserts is below 2^53, so no float64 sum rounds.  Extension-field
+products below about 512 k^2 multiply-adds, and all other operations, use
+the field's add/mul lookup tables.  Row reduction, kernels, characteristic
+polynomials (via Hessenberg form) and polynomial evaluation are enough for
+the whole matrix model.
 """
 
 from __future__ import annotations
@@ -11,6 +20,76 @@ from __future__ import annotations
 import numpy as np
 
 from . import _poly
+
+# float64 holds every integer below 2**53 exactly
+_EXACT_BITS = 53
+# Extension-field products of at most this many multiply-adds per k^2 gather
+# the whole product cube from the tables.  On a 2-vCPU x86-64 machine with
+# single-threaded OpenBLAS 0.3.31, the BLAS route overtook the gather near
+# 430 k^2 (square n = 12 for k = 2, n = 20 for k = 4).
+_GATHER_PER_K2 = 512
+
+
+def _mod(x, ell):
+    """Least non-negative residues of an integer array (numpy's floor
+    division by a scalar is faster than its remainder on large arrays)."""
+    return x - ell * (x // ell)
+
+
+def _digit_planes(field, a):
+    """The k base-ell digits of an index array, lowest first, as float64."""
+    planes = []
+    for _ in range(field.k - 1):
+        q = a // field.ell
+        planes.append((a - field.ell * q).astype(np.float64))
+        a = q
+    planes.append(a.astype(np.float64))
+    return planes
+
+
+def _blas_product(field, A, B):
+    """Index matrix of A @ B from exact float64 products of digits."""
+    ell, k = field.ell, field.k
+    # a coefficient of the digit convolution sums at most k plane products,
+    # each entry of which is at most inner * (ell-1)^2
+    top = k * A.shape[1] * (ell - 1) ** 2
+    assert top < 2 ** _EXACT_BITS, "digit products would round in float64"
+    if k == 1:
+        prod = A.astype(np.float64) @ B.astype(np.float64)
+        return _mod(prod.astype(np.int64), ell).astype(np.int32)
+    pa, pb = _digit_planes(field, A), _digit_planes(field, B)
+    bits = top.bit_length()
+    if bits * (2 * k - 1) <= _EXACT_BITS:
+        # Kronecker substitution at X = 2^bits > top: the product of the
+        # packed matrices holds the 2k-1 convolution coefficients as base-X
+        # digits, and every partial sum stays below X^(2k-1) <= 2^53
+        X = float(1 << bits)
+        packed = []
+        for planes in (pa, pb):
+            acc = planes[-1]
+            for p in reversed(planes[:-1]):
+                acc = acc * X + p
+            packed.append(acc)
+        prod = (packed[0] @ packed[1]).astype(np.int64)
+        mask = (1 << bits) - 1
+        conv = [(prod >> (bits * s)) & mask for s in range(2 * k - 2)]
+        conv.append(prod >> (bits * (2 * k - 2)))
+    else:
+        conv = [0] * (2 * k - 1)
+        for d, x in enumerate(pa):
+            for e, y in enumerate(pb):
+                conv[d + e] = conv[d + e] + x @ y
+        conv = [c.astype(np.int64) for c in conv]
+    # x^k = -(m_0 + m_1 x + ... + m_{k-1} x^{k-1})
+    for s in range(2 * k - 2, k - 1, -1):
+        c = _mod(conv[s], ell)
+        for t, mt in enumerate(field.modulus[:k]):
+            if mt:
+                conv[s - k + t] = conv[s - k + t] - mt * c
+    out = _mod(conv[k - 1], ell)
+    for d in range(k - 2, -1, -1):
+        out = out * ell + _mod(conv[d], ell)
+    return out.astype(np.int32)
 
 
 class FMat:
@@ -121,17 +200,17 @@ class FMat:
 
     def __matmul__(self, other):
         F = self.field
-        n, k = self.a.shape
-        k2, m = other.a.shape
-        if k != k2:
+        n, inner = self.a.shape
+        inner2, m = other.a.shape
+        if inner != inner2:
             raise ValueError("shape mismatch in matmul")
-        if k == 0 or n == 0 or m == 0:
+        if inner == 0 or n == 0 or m == 0:
             return FMat(F, np.zeros((n, m), dtype=np.int32))
-        mul, add = F.np_mul, F.np_add
         A, B = self.a, other.a
-        if n * k * m <= 8192:
-            # small case: one gather for the whole product cube, then a
-            # tree reduction along the contracted axis
+        if F.k > 1 and n * inner * m <= _GATHER_PER_K2 * F.k * F.k:
+            # one gather for the whole product cube, then a tree reduction
+            # along the contracted axis
+            mul, add = F.np_mul, F.np_add
             P = mul[A[:, :, None], B[None, :, :]]
             while P.shape[1] > 1:
                 h = P.shape[1] // 2
@@ -140,10 +219,7 @@ class FMat:
                     Q = np.concatenate([Q, P[:, -1:, :]], axis=1)
                 P = Q
             return FMat(F, P[:, 0, :])
-        out = np.zeros((n, m), dtype=np.int32)
-        for t in range(k):
-            out = add[out, mul[A[:, t][:, None], B[t, :][None, :]]]
-        return FMat(F, out)
+        return FMat(F, _blas_product(F, A, B))
 
     def kron(self, other):
         F = self.field
@@ -157,16 +233,20 @@ class FMat:
         return FMat(self.field, self.a.T.copy())
 
     def power(self, e):
+        """self^e by binary powering, with no product by the identity and no
+        squaring past the top bit of e."""
         if self.nrows != self.ncols:
             raise ValueError("power of non-square matrix")
-        acc = FMat.identity(self.field, self.nrows)
-        base = self
-        while e:
+        if e == 0:
+            return FMat.identity(self.field, self.nrows)
+        acc, base = None, self
+        while True:
             if e & 1:
-                acc = acc @ base
-            base = base @ base
+                acc = base if acc is None else acc @ base
             e >>= 1
-        return acc
+            if not e:
+                return acc
+            base = base @ base
 
     # -- elimination ----------------------------------------------------------------
 

@@ -103,17 +103,6 @@ def peval(F, f, x):
     return acc
 
 
-def ppow_mod(F, f, e, m):
-    r = [1]
-    f = pmod(F, f, m)
-    while e:
-        if e & 1:
-            r = pmod(F, pmul(F, r, f), m)
-        f = pmod(F, pmul(F, f, f), m)
-        e >>= 1
-    return r
-
-
 def pxgcd(F, f, g):
     """Extended gcd; returns (d, u, v) with u*f + v*g = d, d monic."""
     r0, r1 = list(f), list(g)

@@ -65,10 +65,6 @@ class NotNilpotent(ModwdError):
     pass
 
 
-class NotSemisimpleOperator(ModwdError):
-    pass
-
-
 class EpsilonNotUnit(ModwdError):
     pass
 

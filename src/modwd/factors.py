@@ -14,8 +14,6 @@ correspondence uses the same normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .deligne import DeligneClass, Seg, dual_class, tensor_ss, normalize, seg
 from .errors import EpsilonNotUnit
 from .field import FieldElem
@@ -23,16 +21,6 @@ from .laurent import (FactorExpr, LaurentPoly, RationalFraction, UnitExpr,
                       euler_factor, is_unit, one_minus_ax)
 from .matrixmodel import MatrixDeligne, raw_tensor, realize
 from .weil import UnramifiedChar
-
-
-@dataclass(frozen=True)
-class PsiLevel:
-    """Normalization of the additive character; level 0 throughout."""
-
-    level: int = 0
-
-
-PSI = PsiLevel()
 
 
 def char_token(value: FieldElem) -> str:

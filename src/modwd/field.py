@@ -16,9 +16,20 @@ import functools
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 
-from .errors import NonPrime, QDivisibleByEll, ZeroElement
+from .errors import NeedsLargerField, NonPrime, QDivisibleByEll, ZeroElement
 
 _ADD_TABLE_MAX_ORDER = 1500
+# Largest supported field order: FMat builds Q x Q numpy add/mul tables,
+# 64 MiB each at Q = 4096 (and int64 temporaries twice that while building).
+MAX_FIELD_ORDER = 4096
+
+
+def check_field_order(ell, k):
+    """Raise NeedsLargerField when F_{ell^k} is above MAX_FIELD_ORDER,
+    without computing a large power."""
+    if k >= MAX_FIELD_ORDER.bit_length() or ell ** k > MAX_FIELD_ORDER:
+        raise NeedsLargerField(f"F({ell}^{k}) is larger than the supported "
+                               f"order {MAX_FIELD_ORDER}")
 
 
 def _is_prime(n):
@@ -149,10 +160,11 @@ class FiniteField:
                  "_add", "_neg", "_np_add", "_np_mul", "_np_neg", "_inv")
 
     def __init__(self, ell, k, modulus=None):
-        if not _is_prime(ell):
-            raise NonPrime(f"{ell} is not prime")
         if k < 1:
             raise ValueError("extension degree must be positive")
+        check_field_order(ell, k)
+        if not _is_prime(ell):
+            raise NonPrime(f"{ell} is not prime")
         self.ell = ell
         self.k = k
         self.order = ell ** k
@@ -518,12 +530,13 @@ class FieldCtx:
 def make_ctx(ell, q_residue, ext_deg=1) -> FieldCtx:
     """Build the modular context for (ell, q), extending F_{ell^k} until a
     square root of q exists (one doubling always suffices)."""
+    if ext_deg < 1:
+        raise ValueError("ext_deg must be positive")
+    check_field_order(ell, ext_deg)
     if not _is_prime(ell):
         raise NonPrime(f"{ell} is not prime")
     if q_residue % ell == 0:
         raise QDivisibleByEll(f"q={q_residue} is divisible by ell={ell}")
-    if ext_deg < 1:
-        raise ValueError("ext_deg must be positive")
     k = ext_deg
     while True:
         F = finite_field(ell, k)

@@ -24,7 +24,7 @@ from .deligne import Cyc, DeligneClass, Seg, cyc, normalize, zero_class
 from .errors import (FNotInvertible, NeedsLargerField, NotNilpotent,
                      NotSemisimple, RamifiedLine, RelationViolated,
                      ZeroElement)
-from .field import make_ctx
+from .field import check_field_order, make_ctx
 from .weil import UnramifiedChar, line_of
 
 
@@ -53,9 +53,17 @@ def validate(m: MatrixDeligne, ctx) -> bool:
     n = F.nrows
     if n == 0:
         return True
-    if (U @ F) != (F @ U).scale(ctx.q_img):
+    diagonal = F.is_diagonal()
+    if diagonal:
+        # F = diag(f), so UF = qFU reads U_ij f_j = q f_i U_ij entrywise
+        f, mul = np.diagonal(F.a), F.field.np_mul
+        related = np.array_equal(mul[U.a, f[None, :]],
+                                 mul[mul[U.a, f[:, None]], ctx.q_img.i])
+    else:
+        related = (U @ F) == (F @ U).scale(ctx.q_img)
+    if not related:
         raise RelationViolated("UF != qFU")
-    if F.is_diagonal():
+    if diagonal:
         if any(int(F.a[i, i]) == 0 for i in range(n)):
             raise FNotInvertible("zero Frobenius eigenvalue")
         return True
@@ -551,6 +559,7 @@ def oracle_tensor_ss(a: DeligneClass, b: DeligneClass) -> DeligneClass:
         pair = _admissible_pair(work.field, conds)
         if pair is not None:
             break
+        check_field_order(ctx.ell, 2 * work.k)
         nxt = make_ctx(ctx.ell, ctx.q_residue, 2 * work.k)
         table, inverse = _embedding(ctx.ell, ctx.k, nxt.k)
         work = nxt

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from modwd import make_ctx, mult_order
-from modwd.errors import NonPrime, QDivisibleByEll, ZeroElement
-from modwd.field import finite_field
+from modwd.errors import (NeedsLargerField, NonPrime, QDivisibleByEll,
+                          ZeroElement)
+from modwd.field import check_field_order, finite_field
 
 
 def brute_order(x):
@@ -32,6 +35,29 @@ def test_make_ctx_errors():
         make_ctx(6, 5)
     with pytest.raises(QDivisibleByEll):
         make_ctx(5, 10)
+
+
+def test_field_order_guard():
+    # F(5^8), which the oracle's field doubling could ask for from F(5^2),
+    # is refused before anything proportional to its order is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(NeedsLargerField):
+            make_ctx(5, 2, 8)
+        with pytest.raises(NeedsLargerField):
+            finite_field(5, 8)
+        with pytest.raises(NeedsLargerField):
+            make_ctx(2, 3, 10 ** 9)
+        with pytest.raises(NeedsLargerField):  # refused before trial division
+            make_ctx(2 ** 61 - 1, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    check_field_order(3, 6)  # F(3^6) = 729 stays supported
+    check_field_order(2, 12)
+    with pytest.raises(NeedsLargerField):
+        check_field_order(3, 8)
 
 
 def test_sqrt_and_determinism():

@@ -1,0 +1,132 @@
+"""The FMat product against a scalar reference built from the field's
+exp/log and digit arithmetic, over prime and extension fields, on both
+sides of the gather/BLAS size switch and on the digit-plane fallback."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from modwd._linalg import FMat
+from modwd.field import finite_field
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (3, 4)]
+
+
+def ref_matmul(F, A, B):
+    n, inner = A.a.shape
+    m = B.a.shape[1]
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            acc = 0
+            for t in range(inner):
+                acc = F.add_idx(acc, F.mul_idx(int(A.a[i, t]), int(B.a[t, j])))
+            out[i][j] = acc
+    return np.array(out, dtype=np.int32).reshape(n, m)
+
+
+def rand_fmat(F, n, m, rng):
+    return FMat(F, np.array([[rng.randrange(F.order) for _ in range(m)]
+                             for _ in range(n)], dtype=np.int32).reshape(n, m))
+
+
+def rand_invertible(F, n, rng):
+    while True:
+        P = rand_fmat(F, n, n, rng)
+        if P.rank() == n:
+            return P
+
+
+def check_product(F, n, inner, m, seed):
+    rng = random.Random(seed)
+    A, B = rand_fmat(F, n, inner, rng), rand_fmat(F, inner, m, rng)
+    C = A @ B
+    assert C.a.shape == (n, m) and C.a.dtype == np.int32
+    assert np.array_equal(C.a, ref_matmul(F, A, B))
+
+
+@pytest.mark.parametrize("ell,k", FIELDS)
+@pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1),
+                                   (3, 5, 2), (1, 9, 1), (9, 1, 7)])
+def test_small_and_empty_shapes(ell, k, shape):
+    check_product(finite_field(ell, k), *shape, seed=repr((ell, k, shape)))
+
+
+@pytest.mark.parametrize("ell,k", FIELDS)
+def test_both_sides_of_gather_switch(ell, k):
+    # extension-field products switch from the table gather to BLAS above
+    # 512 k^2 multiply-adds; prime fields use BLAS at every size
+    F = finite_field(ell, k)
+    edge = 512 * k * k
+    for shape in [(8, edge // 64, 8), (8, edge // 64, 9), (8, edge // 64 + 1, 8)]:
+        check_product(F, *shape, seed=repr((ell, k, shape)))
+
+
+@pytest.mark.parametrize("ell,k", FIELDS)
+def test_size_64(ell, k):
+    # at n = 64 the packed digits of F(3^4) need 11 * 7 > 53 bits, so its
+    # product takes the plane-by-plane route
+    check_product(finite_field(ell, k), 64, 64, 64, seed=repr((ell, k)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(FIELDS), st.integers(1, 24), st.integers(1, 24),
+       st.integers(1, 24), st.integers(0, 2 ** 32))
+def test_random_shapes(field, n, inner, m, seed):
+    check_product(finite_field(*field), n, inner, m, seed)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(FIELDS), st.integers(1, 12), st.integers(0, 2 ** 32))
+def test_inverse_and_kron(field, n, seed):
+    F = finite_field(*field)
+    rng = random.Random(seed)
+    A = rand_invertible(F, n, rng)
+    assert A @ A.inverse() == FMat.identity(F, n)
+    assert A.inverse() @ A == FMat.identity(F, n)
+    B, C, D = (rand_fmat(F, 2, 2, rng) for _ in range(3))
+    # mixed-product property of the Kronecker product
+    assert A.kron(B) @ FMat.identity(F, n).kron(C @ D) == A.kron(B @ C @ D)
+    assert (A.kron(B) @ A.kron(C)) == (A @ A).kron(B @ C)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from(FIELDS), st.integers(1, 8), st.integers(0, 20),
+       st.integers(0, 2 ** 32))
+def test_power_matches_repeated_products(field, n, e, seed):
+    F = finite_field(*field)
+    A = rand_fmat(F, n, n, random.Random(seed))
+    acc = FMat.identity(F, n)
+    for _ in range(e):
+        acc = acc @ A
+    assert A.power(e) == acc
+
+
+@pytest.mark.parametrize("e,products", [(0, 0), (1, 0), (2, 1), (3, 2),
+                                        (7, 4), (8, 3), (64, 6), (65, 7)])
+def test_power_product_count(monkeypatch, e, products):
+    F = finite_field(5, 2)
+    A = rand_fmat(F, 3, 3, random.Random(e))
+    calls = []
+    matmul = FMat.__matmul__
+
+    def counting(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(FMat, "__matmul__", counting)
+    P = A.power(e)
+    monkeypatch.undo()
+    assert len(calls) == products
+    expect = FMat.identity(F, 3)
+    for _ in range(e):
+        expect = expect @ A
+    assert P == expect
+
+
+def test_shape_mismatch():
+    F = finite_field(3, 2)
+    with pytest.raises(ValueError):
+        FMat.zeros(F, 2, 3) @ FMat.zeros(F, 2, 3)

@@ -147,6 +147,25 @@ def test_decompose_needs_larger_field(ctx23):
         decompose(m, ctx23)
 
 
+def test_oracle_refuses_oversized_extension(ctx34, monkeypatch):
+    # with no admissible scaling pair anywhere, the doubling loop goes
+    # F(3) -> F(9) -> F(81) and stops before asking for F(3^8)
+    from modwd import matrixmodel
+    asked = []
+    make_ctx = matrixmodel.make_ctx
+
+    def spy(ell, q, k):
+        asked.append(k)
+        return make_ctx(ell, q, k)
+
+    monkeypatch.setattr(matrixmodel, "_admissible_pair", lambda field, c: None)
+    monkeypatch.setattr(matrixmodel, "make_ctx", spy)
+    a = normalize([Cyc(line_of(chi(ctx34, 1), ctx34)[0], 1)], ctx34)
+    with pytest.raises(NeedsLargerField):
+        oracle_tensor_ss(a, a)
+    assert asked == [2, 4]
+
+
 def test_rescale_witness(ctx52):
     F = ctx52.field
     # single segment: P = diag(1, lam, lam^2)
