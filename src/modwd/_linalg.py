@@ -124,11 +124,6 @@ class FMat:
         return cls(field, a)
 
     @classmethod
-    def from_rows(cls, field, rows):
-        return cls(field, np.array(rows, dtype=np.int32).reshape(len(rows), -1)
-                   if rows else np.zeros((0, 0), dtype=np.int32))
-
-    @classmethod
     def block_diag(cls, field, blocks):
         n = sum(b.nrows for b in blocks)
         m = sum(b.ncols for b in blocks)

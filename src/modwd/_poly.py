@@ -2,7 +2,8 @@
 
 Polynomials are little-endian lists of element indices with no trailing
 zeros ([] is the zero polynomial).  These helpers back minimal/characteristic
-polynomial work in the matrix model and gcd reduction in the Laurent layer.
+polynomial work in the matrix model and the expansion of local factors for
+printing.
 """
 
 

@@ -108,7 +108,7 @@ _VERIFY_GRIDS = {
 _VERIFY_PARAMS = ((5, 2), (3, 2), (2, 3), (3, 4))
 
 
-def _run_verify(what, grid, out):
+def _run_verify(what, grid, fmt, out):
     g = _VERIFY_GRIDS[grid]
     summaries = []
     if what in ("all", "witness"):
@@ -138,11 +138,19 @@ def _run_verify(what, grid, out):
                 ell, q, max_segments=g["max_segments"], max_len=g["max_len"]))
     if what in ("all", "profile"):
         summaries.append(verify_mod.run_profile_law(nmax=g["profile_nmax"]))
-    ok = True
+    ok = all(s.passed for s in summaries)
+    verdict = "ALL PASS" if ok else "MISMATCH"
     for s in summaries:
-        out.write(s.line() + "\n")
-        ok = ok and s.passed
-    out.write(("ALL PASS" if ok else "MISMATCH") + "\n")
+        if fmt == "json":
+            out.write(json.dumps({"name": s.name, "checked": s.checked,
+                                  "passed": s.passed, "failures": s.failures,
+                                  "note": s.note}) + "\n")
+        else:
+            out.write(s.line() + "\n")
+    if fmt == "json":
+        out.write(json.dumps({"verdict": verdict}) + "\n")
+    else:
+        out.write(verdict + "\n")
     return 0 if ok else 2
 
 
@@ -155,7 +163,7 @@ def run(argv, out=None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "verify":
-            return _run_verify(args.what, args.grid, out)
+            return _run_verify(args.what, args.grid, args.format, out)
         ctx = _need_ctx(args)
         table = _load_table(args, ctx)
         if args.command == "normalize":

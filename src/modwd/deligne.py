@@ -141,8 +141,14 @@ def normalize(raw, ctx) -> DeligneClass:
         else:
             ind = cyc(ind.line, ind.r, ctx)
         counts[ind] = counts.get(ind, 0) + m
-    parts = tuple(sorted(counts.items(), key=lambda p: _indec_key(p[0])))
-    return DeligneClass(ctx, parts)
+    return _from_counts(counts, ctx)
+
+
+def _from_counts(counts, ctx) -> DeligneClass:
+    """The class with the given multiplicities of canonical
+    indecomposables."""
+    return DeligneClass(ctx, tuple(sorted(counts.items(),
+                                          key=lambda p: _indec_key(p[0]))))
 
 
 def zero_class(ctx) -> DeligneClass:
@@ -349,16 +355,17 @@ def tensor_ss(a: DeligneClass, b: DeligneClass, table=None) -> DeligneClass:
     cycles (the operator stays bijective at generic scalings).
     """
     ctx = a.ctx
-    out = []
+    counts = {}
     for A, ma in a.parts:
         for B, mb in b.parts:
             if table is None:
                 pieces = _tensor_indec_cached(A, B, ctx)
             else:
                 pieces = _tensor_indec(A, B, ctx, table)
+            # the pieces are built by seg() and cyc(), hence canonical
             for ind, m in pieces:
-                out.append((ind, m * ma * mb))
-    return normalize(out, ctx)
+                counts[ind] = counts.get(ind, 0) + m * ma * mb
+    return _from_counts(counts, ctx)
 
 
 # -- acyclic/cyclic split and the CV map --------------------------------------
@@ -433,7 +440,7 @@ class Character:
         return Character(self.unram_value * other.unram_value, fin)
 
     def is_trivial(self):
-        return self.unram_value == 1 and not self.finite
+        return self.unram_value.i == 1 and not self.finite
 
     def __repr__(self):
         parts = [repr(self.unram_value)]

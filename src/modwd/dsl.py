@@ -98,10 +98,6 @@ class _Scanner:
             raise ParseError(f"expected integer, found {v!r}", p)
         return v
 
-    def at_ident(self, value):
-        kind, v, _ = self.peek()
-        return kind == "ident" and v == value
-
     def at_punct(self, value):
         kind, v, _ = self.peek()
         return kind == "punct" and v == value

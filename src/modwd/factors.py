@@ -1,11 +1,20 @@
 """Artin-Deligne local constants L, gamma, epsilon on Deligne classes.
 
-L reads the Frobenius action on the kernel of the operator (so cycles and
-ramified segments contribute 1); gamma is a product over all irreducible
-constituents, with the banal unramified character contributing its Tate
-factor and everything else an opaque epsilon token; epsilon is the unit
-gamma * L(X) / L(q^-1 X^-1, dual), and the invertibility assertion is a
-hard error, not a convention.
+Each factor is read off the class's constituents straight into the normal
+form of laurent.py, a unit times an exponent map on reciprocal roots:
+
+- L reads the Frobenius action on the kernel of the operator: one root
+  per unramified segment, the value at its top twist, so cycles and
+  ramified segments contribute 1.  L of the dual class is read off the
+  same segments, so epsilon never builds the dual.
+- gamma is a product over all irreducible constituents, with the banal
+  unramified character contributing its Tate factor and everything else
+  an opaque epsilon token.
+- epsilon is the unit gamma * L(X) / L(q^-1 X^-1, dual), and the
+  invertibility assertion is a hard error, not a convention.
+
+The matrix route l_factor_matrix stays polynomial: it expands
+det(Id - X Frob) from a characteristic polynomial and finds no roots.
 
 The additive character psi is fixed at level 0, which makes epsilon of an
 unramified character 1; every identity checked on both sides of the
@@ -14,11 +23,11 @@ correspondence uses the same normalization.
 
 from __future__ import annotations
 
-from .deligne import DeligneClass, Seg, dual_class, tensor_ss, normalize, seg
+from .deligne import DeligneClass, Seg, tensor_ss, normalize, seg
 from .errors import EpsilonNotUnit
 from .field import FieldElem
 from .laurent import (FactorExpr, LaurentPoly, RationalFraction, UnitExpr,
-                      euler_factor, is_unit, one_minus_ax)
+                      is_unit)
 from .matrixmodel import MatrixDeligne, raw_tensor, realize
 from .weil import UnramifiedChar
 
@@ -34,15 +43,16 @@ def abstract_token(label: str, twist: int) -> str:
 def constituent_counts(a: DeligneClass):
     """Multiset of irreducible constituents: unramified character values
     with multiplicity, and (label, twist) pairs for ramified ones."""
-    ctx = a.ctx
+    field = a.ctx.field
+    q_inv = a.ctx.q_inv.i
     chars, toks = {}, {}
     for ind, m in a.parts:
         if isinstance(ind, Seg):
             base, reps = ind.irr, m
             if isinstance(base, UnramifiedChar):
                 for i in range(ind.r):
-                    u = base.t * ctx.nu_value(ind.a + i)
-                    chars[u.i] = chars.get(u.i, 0) + reps
+                    u = field.mul_idx(base.t.i, field.pow_idx(q_inv, ind.a + i))
+                    chars[u] = chars.get(u, 0) + reps
             else:
                 for i in range(ind.r):
                     key = (base.label, (ind.a + i) % base.order)
@@ -52,8 +62,8 @@ def constituent_counts(a: DeligneClass):
             reps = m * ind.r
             if isinstance(base, UnramifiedChar):
                 for j in range(ind.line.order):
-                    u = base.t * ctx.nu_value(j)
-                    chars[u.i] = chars.get(u.i, 0) + reps
+                    u = field.mul_idx(base.t.i, field.pow_idx(q_inv, j))
+                    chars[u] = chars.get(u, 0) + reps
             else:
                 for j in range(ind.line.order):
                     toks[(base.label, j)] = toks.get((base.label, j), 0) + reps
@@ -63,65 +73,58 @@ def constituent_counts(a: DeligneClass):
 def gamma_from_counts(char_counts, token_counts, ctx) -> FactorExpr:
     """gamma of a constituent multiset.
 
-    Banal unramified chi with value u contributes
-    (1-uX)/(1-u^-1 q^-1 X^-1) = (-uq) X (1-uX)/(1-uqX); consecutive orbit
-    values telescope, so the fraction is assembled from count differences.
-    Non-banal unramified and ramified constituents contribute tokens only.
+    A banal unramified chi with value u contributes
+    (1-uX)/(1-u^-1 q^-1 X^-1) = (-uq) X (1-uX)/(1-uqX); the exponents of
+    consecutive orbit values cancel in the exponent map.  Non-banal
+    unramified and ramified constituents contribute tokens only.
     """
     field = ctx.field
-    unit = UnitExpr.one(field)
     toks = {}
-    for (label, j), c in sorted(token_counts.items()):
+    for (label, j), c in token_counts.items():
         key = abstract_token(label, j)
         toks[key] = toks.get(key, 0) + c
     if ctx.o_nu == 1:
-        for u, c in sorted(char_counts.items()):
+        for u, c in char_counts.items():
             key = char_token(field.elem(u))
             toks[key] = toks.get(key, 0) + c
         return FactorExpr.from_unit(UnitExpr(field, 1, 0, toks))
-    scalar = 1
-    xpow = 0
-    num = LaurentPoly.one(field)
-    den = LaurentPoly.one(field)
     q = ctx.q_img.i
-    support = set(char_counts)
+    scalar, x_power, exponents = 1, 0, {}
     for u, c in char_counts.items():
-        support.add(field.mul_idx(u, q))
-    for v in sorted(support):
-        c = char_counts.get(v, 0)
-        if c:
-            scalar = field.mul_idx(scalar, field.pow_idx(
-                field.neg_idx(field.mul_idx(v, q)), c))
-            xpow += c
-        # exponent of (1-vX): count at v (numerators) minus count at
-        # v q^(-1) (denominators, since (1-uqX) sits at value uq)
-        e = c - char_counts.get(field.mul_idx(v, ctx.q_inv.i), 0)
-        factor = one_minus_ax(field.elem(v))
-        for _ in range(abs(e)):
-            if e > 0:
-                num = num * factor
+        uq = field.mul_idx(u, q)
+        scalar = field.mul_idx(scalar, field.pow_idx(field.neg_idx(uq), c))
+        x_power += c
+        exponents[u] = exponents.get(u, 0) + c
+        exponents[uq] = exponents.get(uq, 0) - c
+    return FactorExpr(field, UnitExpr(field, scalar, x_power, toks),
+                      RationalFraction.make(field, exponents))
+
+
+def _l_of(a: DeligneClass, dual=False) -> RationalFraction:
+    """L(X, a), or L(X, dual(a)) when dual is set, read off the unramified
+    segments: the reciprocal root of a segment is the value at its top
+    twist, and the top twist of its dual is the inverse of its bottom
+    one."""
+    field = a.ctx.field
+    q_inv = a.ctx.q_inv.i
+    exponents = {}
+    for ind, m in a.parts:
+        if isinstance(ind, Seg) and isinstance(ind.irr, UnramifiedChar):
+            if dual:
+                u = field.inv_idx(field.mul_idx(ind.irr.t.i,
+                                                field.pow_idx(q_inv, ind.a)))
             else:
-                den = den * factor
-    frac = RationalFraction.make(num, den)
-    return FactorExpr.from_rational(frac, UnitExpr(field, scalar, xpow, toks))
-
-
-def tate_l(value: FieldElem) -> RationalFraction:
-    """Tate L-factor of an unramified character: 1/(1 - value X)."""
-    return euler_factor([value])
+                u = field.mul_idx(ind.irr.t.i,
+                                  field.pow_idx(q_inv, ind.a + ind.r - 1))
+            exponents[u] = exponents.get(u, 0) - m
+    return RationalFraction.make(field, exponents)
 
 
 def l_factor(a: DeligneClass) -> RationalFraction:
     """det(Id - X Frob | Ker(U)^inertia)^(-1): one Euler factor per
     unramified segment, read off its top twist; cycles and ramified
     segments contribute 1."""
-    ctx = a.ctx
-    roots = []
-    for ind, m in a.parts:
-        if isinstance(ind, Seg) and isinstance(ind.irr, UnramifiedChar):
-            u = ind.irr.t * ctx.nu_value(ind.a + ind.r - 1)
-            roots.extend([u] * m)
-    return euler_factor(roots, field=ctx.field)
+    return _l_of(a)
 
 
 def gamma_factor(a: DeligneClass) -> FactorExpr:
@@ -129,30 +132,40 @@ def gamma_factor(a: DeligneClass) -> FactorExpr:
     return gamma_from_counts(chars, toks, a.ctx)
 
 
-def epsilon_factor(a: DeligneClass) -> FactorExpr:
-    """gamma * L(X, a) / L(q^-1 X^-1, dual(a)); always a unit."""
-    ctx = a.ctx
-    g = gamma_factor(a)
-    lf = l_factor(a)
-    ld = l_factor(dual_class(a)).subst_qinv(ctx.q_img)
-    eps = g * FactorExpr.from_rational(lf) / FactorExpr.from_rational(ld)
-    ok, _ = is_unit(eps)
-    if not ok:
+def epsilon_from(gamma, l, l_dual, ctx) -> FactorExpr:
+    """gamma * L(X) / L(q^-1 X^-1) for L = l and the dual's L = l_dual;
+    raises EpsilonNotUnit unless the result is a unit."""
+    eps = (gamma * FactorExpr.from_rational(l)
+           / FactorExpr.from_rational(l_dual).subst_qinv(ctx.q_img))
+    if not is_unit(eps)[0]:
         raise EpsilonNotUnit(f"epsilon is not a unit: {eps!r}")
     return eps
 
 
-def l_factor_matrix(m: MatrixDeligne, ctx) -> RationalFraction:
-    """The same determinant computed literally on a matrix realization."""
+def local_constants(a: DeligneClass):
+    """(L, gamma, epsilon) of a, each computed once."""
+    l, gamma = l_factor(a), gamma_factor(a)
+    return l, gamma, epsilon_from(gamma, l, _l_of(a, dual=True), a.ctx)
+
+
+def epsilon_factor(a: DeligneClass) -> FactorExpr:
+    """gamma * L(X, a) / L(q^-1 X^-1, dual(a)); always a unit."""
+    return local_constants(a)[2]
+
+
+def l_factor_matrix(m: MatrixDeligne, ctx):
+    """The same determinant computed literally on a matrix realization, as
+    the expanded fraction (num, den) = (1, det(Id - X M)) with M the
+    Frobenius on Ker(U); compare it with l_factor(a).expanded()."""
     field = m.F.field
+    one = LaurentPoly.one(field)
     K = m.U.kernel()
     if K.ncols == 0:
-        return RationalFraction.one(field)
+        return one, one
     M = K.solve_in_basis(m.F @ K)
     cp = M.charpoly()
     # det(Id - XM) = X^d charpoly(1/X); charpoly monic makes the constant 1
-    den = LaurentPoly.from_coeff_list(field, list(reversed(cp)))
-    return RationalFraction.make(LaurentPoly.one(field), den)
+    return one, LaurentPoly.from_coeff_list(field, list(reversed(cp)))
 
 
 def check_multiplicativity(n, m, psi, psi2, ctx, table=None) -> bool:
@@ -173,6 +186,6 @@ def check_multiplicativity(n, m, psi, psi2, ctx, table=None) -> bool:
     if isinstance(psi, UnramifiedChar) and isinstance(psi2, UnramifiedChar):
         matrix_side = l_factor_matrix(
             raw_tensor(realize(A, ctx), realize(B, ctx)), ctx)
-        if matrix_side != lhs:
+        if matrix_side != lhs.expanded():
             return False
     return True

@@ -412,7 +412,7 @@ class FieldElem:
 
     def _coerce(self, other):
         if isinstance(other, FieldElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements from different fields")
             return other.i
         if isinstance(other, int):
@@ -467,18 +467,15 @@ class FieldElem:
     def is_zero(self):
         return self.i == 0
 
-    def dlog(self):
-        return self.field.dlog_idx(self.i)
-
     @property
     def coeffs(self):
         return tuple(self.field.digits(self.i))
 
     def __eq__(self, other):
+        # never equal to an int: an element would equal both n and n + ell,
+        # whose hashes differ
         if isinstance(other, FieldElem):
             return self.field == other.field and self.i == other.i
-        if isinstance(other, int):
-            return self.i == other % self.field.ell
         return NotImplemented
 
     def __hash__(self):

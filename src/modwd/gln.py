@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 from .deligne import (Character, DeligneClass, cv_map, normalize, seg,
                       tensor_ss, trivial_character)
-from .errors import (EpsilonNotUnit, InvalidGenericRep, MixedLines,
-                     RamifiedCuspLine)
-from .factors import epsilon_factor, gamma_factor, gamma_from_counts, l_factor
-from .laurent import FactorExpr, RationalFraction, euler_factor, is_unit
+from .errors import InvalidGenericRep, MixedLines, RamifiedCuspLine
+from .factors import (epsilon_from, gamma_from_counts, l_factor,
+                      local_constants)
+from .laurent import FactorExpr, RationalFraction
 from .weil import Line, UnramifiedChar, dual_irr, irr_order, line_of
 
 
@@ -343,55 +343,56 @@ def _support_value_counts(pi: GenericRep):
     return counts
 
 
+def _banal_segments(pi: GenericRep):
+    """(r, a, index of t, multiplicity) of each supercuspidal segment
+    St(r, nu^a chi_t); the totally non-banal segments have no L-roots."""
+    _require_unramified(pi)
+    return tuple((s.r, s.a, s.cusp.irr.t.i, m) for s, m in pi.segs
+                 if isinstance(s.cusp, SuperCusp))
+
+
+def _pair_l(ctx, banal, banal2) -> RationalFraction:
+    """L of the pair from the banal segments of both sides."""
+    field = ctx.field
+    q_inv = ctx.q_inv.i
+    exponents = {}
+    for n, a, t, m in banal:
+        for n2, b, t2, m2 in banal2:
+            tt = field.mul_idx(t, t2)
+            top = max(n, n2) - 1 + a + b
+            for k in range(min(n, n2)):
+                u = field.mul_idx(tt, field.pow_idx(q_inv, top + k))
+                exponents[u] = exponents.get(u, 0) - m * m2
+    return RationalFraction.make(field, exponents)
+
+
+def _pair_gamma(ctx, support, support2) -> FactorExpr:
+    """Product over supercuspidal support pairs of the gamma factors of
+    the product characters."""
+    field = ctx.field
+    counts = {}
+    for u, cu in support.items():
+        for v, cv in support2.items():
+            w = field.mul_idx(u, v)
+            counts[w] = counts.get(w, 0) + cu * cv
+    return gamma_from_counts(counts, {}, ctx)
+
+
 def rs_l_factor(pi: GenericRep, pi2: GenericRep) -> RationalFraction:
     """L of the pair: totally non-banal segments contribute 1; a banal
     segment pair St(n, nu^a chi) x St(m, nu^b chi'), m <= n, contributes
     prod_k 1/(1 - value(nu^(n-1+a) chi * nu^(k+b) chi') X)."""
-    ctx = pi.ctx
-    _require_unramified(pi)
-    _require_unramified(pi2)
-    roots = []
-    for s, m in pi.segs:
-        if not isinstance(s.cusp, SuperCusp):
-            continue
-        for s2, m2 in pi2.segs:
-            if not isinstance(s2.cusp, SuperCusp):
-                continue
-            (n, a, t), (mm, b, t2) = ((s.r, s.a, s.cusp.irr.t),
-                                      (s2.r, s2.a, s2.cusp.irr.t))
-            if mm > n:
-                (n, a, t), (mm, b, t2) = (mm, b, t2), (n, a, t)
-            for k in range(mm):
-                u = t * t2 * ctx.nu_value(n - 1 + a + k + b)
-                roots.extend([u] * (m * m2))
-    return euler_factor(roots, field=ctx.field)
+    return _pair_l(pi.ctx, _banal_segments(pi), _banal_segments(pi2))
 
 
 def rs_gamma_factor(pi: GenericRep, pi2: GenericRep) -> FactorExpr:
-    """Product over supercuspidal support pairs of the gamma factors of
-    the product characters."""
-    ctx = pi.ctx
-    c1 = _support_value_counts(pi)
-    c2 = _support_value_counts(pi2)
-    field = ctx.field
-    pair_counts = {}
-    for u, cu in c1.items():
-        for v, cv in c2.items():
-            w = field.mul_idx(u, v)
-            pair_counts[w] = pair_counts.get(w, 0) + cu * cv
-    return gamma_from_counts(pair_counts, {}, ctx)
+    return _pair_gamma(pi.ctx, _support_value_counts(pi),
+                       _support_value_counts(pi2))
 
 
 def rs_epsilon_factor(pi: GenericRep, pi2: GenericRep) -> FactorExpr:
-    ctx = pi.ctx
-    g = rs_gamma_factor(pi, pi2)
-    lf = rs_l_factor(pi, pi2)
-    ld = rs_l_factor(dual_rep(pi), dual_rep(pi2)).subst_qinv(ctx.q_img)
-    eps = g * FactorExpr.from_rational(lf) / FactorExpr.from_rational(ld)
-    ok, _ = is_unit(eps)
-    if not ok:
-        raise EpsilonNotUnit(f"pair epsilon is not a unit: {eps!r}")
-    return eps
+    return epsilon_from(rs_gamma_factor(pi, pi2), rs_l_factor(pi, pi2),
+                        rs_l_factor(dual_rep(pi), dual_rep(pi2)), pi.ctx)
 
 
 def central_char(pi: GenericRep) -> Character:
@@ -406,6 +407,21 @@ def central_char(pi: GenericRep) -> Character:
 
 # -- the preservation harness ---------------------------------------------------
 
+class PairSide:
+    """What the preservation check reads off one representation, computed
+    once: its C-parameter, its supercuspidal support, and the banal
+    segments of it and of its dual."""
+
+    __slots__ = ("ctx", "c", "support", "banal", "dual_banal")
+
+    def __init__(self, pi: GenericRep):
+        self.ctx = pi.ctx
+        self.c = c_map(pi)
+        self.support = _support_value_counts(pi)
+        self.banal = _banal_segments(pi)
+        self.dual_banal = _banal_segments(dual_rep(pi))
+
+
 @dataclass
 class PreservationReport:
     rs_l: RationalFraction
@@ -414,7 +430,7 @@ class PreservationReport:
     gal_gamma: FactorExpr
     rs_eps: FactorExpr
     gal_eps: FactorExpr
-    v_side_l: RationalFraction
+    v_side_l: RationalFraction = None
 
     @property
     def l_match(self):
@@ -432,6 +448,14 @@ class PreservationReport:
     def all_match(self):
         return self.l_match and self.gamma_match and self.eps_match
 
+    def mismatch(self):
+        """The name of the first identity that fails, or None."""
+        for name, ok in (("L", self.l_match), ("gamma", self.gamma_match),
+                         ("epsilon", self.eps_match)):
+            if not ok:
+                return name
+        return None
+
     def lines(self):
         yield f"L   rs={self.rs_l!r}"
         yield f"L   gal={self.gal_l!r}  [{'MATCH' if self.l_match else 'MISMATCH'}]"
@@ -442,22 +466,28 @@ class PreservationReport:
         yield f"EPS gal={self.gal_eps!r}  [{'MATCH' if self.eps_match else 'MISMATCH'}]"
 
 
+def compare_sides(side: PairSide, side2: PairSide,
+                  table=None) -> PreservationReport:
+    """Both sides of the three preservation identities: the pair factors,
+    and the factors of the semisimple tensor of the C-parameters.  Either
+    epsilon raises EpsilonNotUnit when it is not a unit."""
+    ctx = side.ctx
+    rs_l = _pair_l(ctx, side.banal, side2.banal)
+    rs_gamma = _pair_gamma(ctx, side.support, side2.support)
+    rs_eps = epsilon_from(rs_gamma, rs_l,
+                          _pair_l(ctx, side.dual_banal, side2.dual_banal), ctx)
+    gal_l, gal_gamma, gal_eps = local_constants(
+        tensor_ss(side.c, side2.c, table))
+    return PreservationReport(rs_l, gal_l, rs_gamma, gal_gamma, rs_eps,
+                              gal_eps)
+
+
 def check_preservation(pi: GenericRep, pi2: GenericRep, table=None,
                        with_v_side=True) -> PreservationReport:
     """Both sides of the three preservation identities, plus (optionally)
     the V-side L-factor witnessing that the plain nilpotent parameter does
     not preserve L."""
-    tens = tensor_ss(c_map(pi), c_map(pi2), table)
+    report = compare_sides(PairSide(pi), PairSide(pi2), table)
     if with_v_side:
-        v_side = l_factor(tensor_ss(v_map(pi), v_map(pi2), table))
-    else:
-        v_side = None
-    return PreservationReport(
-        rs_l=rs_l_factor(pi, pi2),
-        gal_l=l_factor(tens),
-        rs_gamma=rs_gamma_factor(pi, pi2),
-        gal_gamma=gamma_factor(tens),
-        rs_eps=rs_epsilon_factor(pi, pi2),
-        gal_eps=epsilon_factor(tens),
-        v_side_l=v_side,
-    )
+        report.v_side_l = l_factor(tensor_ss(v_map(pi), v_map(pi2), table))
+    return report

@@ -1,10 +1,25 @@
-"""Laurent polynomials, reduced rational fractions, and the unit group
-where gamma and epsilon live.
+"""The group where L, gamma and epsilon live.
 
-A FactorExpr is unit * num/den with the unit part c * X^m * (product of
-opaque epsilon tokens) and num, den coprime ordinary polynomials with
-constant term 1.  This normal form is unique, so equality of local
-constants is literal structural equality.
+Every local constant modwd produces has the form
+
+    unit * prod_a (1 - aX)^(e_a),   a in F^x, finitely many e_a != 0,
+
+with the unit c * X^m * (product of opaque epsilon tokens).  A
+RationalFraction is the product over the reciprocal roots a, stored as the
+sorted tuple of (index of a, e_a); a FactorExpr is a UnitExpr times a
+RationalFraction.  Products, quotients, powers and the substitution
+X -> q^-1 X^-1 act on the exponents, the latter by
+
+    (1 - aX)^e  ->  (-a q^-1 X^-1)^e * (1 - q a^-1 X)^e,
+
+so the form is closed under all of them.  The representation is unique,
+so equality of local constants is equality of the stored tuples.
+
+The numerator prod_{e>0} (1 - aX)^e and the denominator
+prod_{e<0} (1 - aX)^-e are coprime polynomials with constant term 1.  They
+are expanded only to print, and to compare with the matrix route, which
+computes det(Id - X Frob) from a characteristic polynomial and never
+looks for roots.
 """
 
 from __future__ import annotations
@@ -15,7 +30,8 @@ from .field import FieldElem
 
 
 class LaurentPoly:
-    """Finitely supported map exponent -> nonzero field element."""
+    """Finitely supported map exponent -> nonzero field element index: the
+    expanded, printable numerator or denominator of a fraction."""
 
     __slots__ = ("field", "c")
 
@@ -24,88 +40,12 @@ class LaurentPoly:
         self.c = {e: v for e, v in (coeffs or {}).items() if v != 0}
 
     @classmethod
-    def zero(cls, field):
-        return cls(field)
-
-    @classmethod
     def one(cls, field):
         return cls(field, {0: 1})
 
     @classmethod
-    def const(cls, elem):
-        return cls(elem.field, {0: elem.i})
-
-    @classmethod
-    def monomial(cls, elem, n):
-        return cls(elem.field, {n: elem.i})
-
-    @classmethod
-    def from_coeff_list(cls, field, coeffs, shift=0):
-        return cls(field, {i + shift: c for i, c in enumerate(coeffs)})
-
-    def is_zero(self):
-        return not self.c
-
-    def min_exp(self):
-        return min(self.c) if self.c else 0
-
-    def coeff(self, e):
-        return FieldElem(self.field, self.c.get(e, 0))
-
-    def to_coeff_list(self):
-        """Write self as X^shift * p with p(0) != 0; returns (shift, p)."""
-        if not self.c:
-            return 0, []
-        lo, hi = min(self.c), max(self.c)
-        return lo, [self.c.get(e, 0) for e in range(lo, hi + 1)]
-
-    def __add__(self, other):
-        F = self.field
-        out = dict(self.c)
-        for e, v in other.c.items():
-            s = F.add_idx(out.get(e, 0), v)
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return LaurentPoly(F, out)
-
-    def __neg__(self):
-        F = self.field
-        return LaurentPoly(F, {e: F.neg_idx(v) for e, v in self.c.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        F = self.field
-        out = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                s = F.add_idx(out.get(e, 0), F.mul_idx(v1, v2))
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return LaurentPoly(F, out)
-
-    def scale(self, s):
-        if isinstance(s, FieldElem):
-            s = s.i
-        F = self.field
-        return LaurentPoly(F, {e: F.mul_idx(v, s) for e, v in self.c.items()})
-
-    def shift(self, n):
-        return LaurentPoly(self.field, {e + n: v for e, v in self.c.items()})
-
-    def subst_qinv(self, q_img):
-        """The ring map X -> q^(-1) X^(-1)."""
-        F = self.field
-        out = {}
-        for e, v in self.c.items():
-            out[-e] = F.mul_idx(v, F.pow_idx(q_img.i, -e))
-        return LaurentPoly(F, out)
+    def from_coeff_list(cls, field, coeffs):
+        return cls(field, dict(enumerate(coeffs)))
 
     def __eq__(self, other):
         return (isinstance(other, LaurentPoly) and self.field == other.field
@@ -129,80 +69,77 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-def one_minus_ax(a: FieldElem) -> LaurentPoly:
-    """The Euler-factor building block 1 - aX."""
-    F = a.field
-    return LaurentPoly(F, {0: 1, 1: F.neg_idx(a.i)})
+def _expand(field, roots) -> LaurentPoly:
+    """prod (1 - aX)^e over the (index of a, e >= 0) pairs in roots."""
+    coeffs = [1]
+    for a, e in roots:
+        for _ in range(e):
+            coeffs = _poly.pmul(field, coeffs, [1, field.neg_idx(a)])
+    return LaurentPoly.from_coeff_list(field, coeffs)
 
 
 class RationalFraction:
-    """num/den in reduced form: gcd of polynomial parts 1, den an ordinary
-    polynomial with constant term 1 (X-powers pushed into num)."""
+    """prod_a (1 - aX)^(e_a): the free abelian group on the reciprocal
+    roots a in F^x, stored as the sorted tuple of (index of a, e_a != 0)."""
 
-    __slots__ = ("field", "num", "den")
+    __slots__ = ("field", "roots")
 
-    def __init__(self, field, num, den):
+    def __init__(self, field, roots=()):
         self.field = field
-        self.num = num
-        self.den = den
+        self.roots = roots
 
     @classmethod
-    def make(cls, num: LaurentPoly, den: LaurentPoly):
-        F = num.field
-        if den.is_zero():
-            raise DivisionByZero("rational fraction with zero denominator")
-        if num.is_zero():
-            return cls(F, LaurentPoly.zero(F), LaurentPoly.one(F))
-        a, n = num.to_coeff_list()
-        b, d = den.to_coeff_list()
-        if len(n) > 1 and len(d) > 1:
-            g = _poly.pgcd(F, n, d)
-            if _poly.pdeg(g) >= 1:
-                n = _poly.pdivmod(F, n, g)[0]
-                d = _poly.pdivmod(F, d, g)[0]
-        s = F.inv_idx(d[0])
-        n = _poly.pscale(F, n, s)
-        d = _poly.pscale(F, d, s)
-        return cls(F,
-                   LaurentPoly.from_coeff_list(F, n, shift=a - b),
-                   LaurentPoly.from_coeff_list(F, d))
+    def make(cls, field, exponents):
+        """The fraction with exponent map {index of a: e_a}."""
+        return cls(field, tuple(sorted((a, e) for a, e in exponents.items()
+                                       if e)))
 
     @classmethod
     def one(cls, field):
-        return cls(field, LaurentPoly.one(field), LaurentPoly.one(field))
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly):
-        return cls.make(p, LaurentPoly.one(p.field))
+        return cls(field)
 
     def is_one(self):
-        return self.num == LaurentPoly.one(self.field) and \
-            self.den == LaurentPoly.one(self.field)
+        return not self.roots
 
-    def is_zero(self):
-        return self.num.is_zero()
+    def _combine(self, other, sign):
+        exponents = dict(self.roots)
+        for a, e in other.roots:
+            exponents[a] = exponents.get(a, 0) + sign * e
+        return RationalFraction.make(self.field, exponents)
 
     def __mul__(self, other):
-        return RationalFraction.make(self.num * other.num, self.den * other.den)
+        return self._combine(other, 1)
 
     def __truediv__(self, other):
-        if other.num.is_zero():
-            raise DivisionByZero("division by zero fraction")
-        return RationalFraction.make(self.num * other.den, self.den * other.num)
+        return self._combine(other, -1)
 
     def inverse(self):
-        return RationalFraction.one(self.field) / self
+        return self ** -1
 
-    def subst_qinv(self, q_img):
-        return RationalFraction.make(self.num.subst_qinv(q_img),
-                                     self.den.subst_qinv(q_img))
+    def __pow__(self, n):
+        if n == 0:
+            return RationalFraction.one(self.field)
+        return RationalFraction(self.field,
+                                tuple((a, e * n) for a, e in self.roots))
+
+    @property
+    def num(self) -> LaurentPoly:
+        return _expand(self.field, [(a, e) for a, e in self.roots if e > 0])
+
+    @property
+    def den(self) -> LaurentPoly:
+        return _expand(self.field, [(a, -e) for a, e in self.roots if e < 0])
+
+    def expanded(self):
+        """(num, den), the form the matrix route computes."""
+        return self.num, self.den
 
     def __eq__(self, other):
         return (isinstance(other, RationalFraction)
-                and self.num == other.num and self.den == other.den)
+                and self.field == other.field and self.roots == other.roots)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(self.roots)
 
     def __repr__(self):
         return f"({self.num!r})/({self.den!r})"
@@ -222,7 +159,8 @@ class UnitExpr:
         self.field = field
         self.scalar = scalar
         self.x_power = x_power
-        self.tokens = tuple(sorted((t, e) for t, e in dict(tokens).items() if e))
+        self.tokens = (tuple(sorted((t, e) for t, e in dict(tokens).items() if e))
+                       if tokens else ())
 
     @classmethod
     def one(cls, field):
@@ -237,9 +175,7 @@ class UnitExpr:
                         self.x_power + other.x_power, toks)
 
     def inverse(self):
-        F = self.field
-        return UnitExpr(F, F.inv_idx(self.scalar), -self.x_power,
-                        {t: -e for t, e in self.tokens})
+        return self ** -1
 
     def __pow__(self, n):
         F = self.field
@@ -279,90 +215,80 @@ class UnitExpr:
 
 
 class FactorExpr:
-    """unit * num/den with num, den coprime polynomials, num(0)=den(0)=1."""
+    """unit * frac: a UnitExpr times a RationalFraction."""
 
-    __slots__ = ("field", "unit", "num", "den")
+    __slots__ = ("field", "unit", "frac")
 
-    def __init__(self, field, unit, num, den):
+    def __init__(self, field, unit, frac):
         self.field = field
         self.unit = unit
-        self.num = num
-        self.den = den
+        self.frac = frac
 
     @classmethod
     def one(cls, field):
-        one = LaurentPoly.one(field)
-        return cls(field, UnitExpr.one(field), one, one)
+        return cls(field, UnitExpr.one(field), RationalFraction.one(field))
 
     @classmethod
     def from_unit(cls, unit: UnitExpr):
-        one = LaurentPoly.one(unit.field)
-        return cls(unit.field, unit, one, one)
+        return cls(unit.field, unit, RationalFraction.one(unit.field))
 
     @classmethod
     def from_rational(cls, rf: RationalFraction, unit=None):
-        F = rf.field
-        if rf.is_zero():
-            raise DivisionByZero("factor expressions are nonzero")
-        unit = unit or UnitExpr.one(F)
-        shift, n = rf.num.to_coeff_list()
-        c = n[0]
-        num = LaurentPoly.from_coeff_list(F, _poly.pscale(F, n, F.inv_idx(c)))
-        extra = UnitExpr(F, c, shift)
-        return cls(F, unit * extra, num, rf.den)
-
-    def fraction(self) -> RationalFraction:
-        return RationalFraction(self.field, self.num, self.den)
+        return cls(rf.field, unit or UnitExpr.one(rf.field), rf)
 
     def __mul__(self, other):
-        merged = RationalFraction.make(self.num * other.num,
-                                       self.den * other.den)
-        return FactorExpr.from_rational(merged, self.unit * other.unit)
+        return FactorExpr(self.field, self.unit * other.unit,
+                          self.frac * other.frac)
 
     def inverse(self):
-        merged = RationalFraction.make(self.den, self.num)
-        return FactorExpr.from_rational(merged, self.unit.inverse())
+        return self ** -1
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def __pow__(self, n):
-        out = FactorExpr.one(self.field)
-        base = self if n >= 0 else self.inverse()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return FactorExpr(self.field, self.unit ** n, self.frac ** n)
 
     def subst_qinv(self, q_img):
-        return FactorExpr.from_rational(
-            self.fraction().subst_qinv(q_img), self.unit.subst_qinv(q_img))
+        """X -> q^(-1)X^(-1): (1 - aX)^e becomes
+        (-a q^-1 X^-1)^e (1 - q a^-1 X)^e."""
+        F = self.field
+        q = q_img.i
+        neg_qinv = F.neg_idx(F.inv_idx(q))
+        unit = self.unit.subst_qinv(q_img)
+        scalar, x_power, exponents = unit.scalar, unit.x_power, {}
+        for a, e in self.frac.roots:
+            scalar = F.mul_idx(scalar, F.pow_idx(F.mul_idx(neg_qinv, a), e))
+            x_power -= e
+            exponents[F.mul_idx(q, F.inv_idx(a))] = e
+        return FactorExpr(F, UnitExpr(F, scalar, x_power, unit.tokens),
+                          RationalFraction.make(F, exponents))
 
     def __eq__(self, other):
         return (isinstance(other, FactorExpr) and self.unit == other.unit
-                and self.num == other.num and self.den == other.den)
+                and self.frac == other.frac)
 
     def __hash__(self):
-        return hash((self.unit, self.num, self.den))
+        return hash((self.unit, self.frac))
 
     def __repr__(self):
-        return f"unit: {self.unit!r}  frac: ({self.num!r})/({self.den!r})"
+        return f"unit: {self.unit!r}  frac: {self.frac!r}"
 
 
 def euler_factor(reciprocal_roots, field=None) -> RationalFraction:
-    """1 / prod(1 - a_i X) for the given reciprocal roots a_i."""
+    """1 / prod(1 - a_i X) for the given reciprocal roots a_i in F^x."""
     if field is None:
         if not reciprocal_roots:
             raise ValueError("euler_factor of empty list needs an explicit field")
         field = reciprocal_roots[0].field
-    den = LaurentPoly.one(field)
+    exponents = {}
     for a in reciprocal_roots:
-        den = den * one_minus_ax(a)
-    return RationalFraction.make(LaurentPoly.one(field), den)
+        exponents[a.i] = exponents.get(a.i, 0) - 1
+    return RationalFraction.make(field, exponents)
 
 
 def is_unit(f: FactorExpr):
     """True iff the fraction part is trivial; returns (flag, combined unit)."""
-    one = LaurentPoly.one(f.field)
-    if f.num == one and f.den == one:
+    if f.frac.is_one():
         return True, f.unit
     return False, None

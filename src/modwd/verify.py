@@ -15,14 +15,14 @@ from dataclasses import dataclass, field as dc_field
 
 from .deligne import (Cyc, Seg, det_class, dual_class, interval_profile,
                       normalize, tensor_ss, twist_class)
-from .factors import (check_multiplicativity, constituent_counts,
-                      epsilon_factor, gamma_factor, gamma_from_counts,
-                      l_factor)
+from .errors import EpsilonNotUnit
+from .factors import (check_multiplicativity, epsilon_factor, l_factor,
+                      l_factor_matrix)
 from .field import make_ctx
-from .gln import (GLSegment, NonSuperCusp, SuperCusp, c_map, central_char,
-                  check_preservation, dual_rep, make_generic, twist_rep,
-                  unlinked)
-from .laurent import FactorExpr, UnitExpr, euler_factor, is_unit
+from .gln import (GLSegment, NonSuperCusp, PairSide, SuperCusp, c_map,
+                  central_char, check_preservation, compare_sides, dual_rep,
+                  make_generic, twist_rep, unlinked)
+from .laurent import UnitExpr, euler_factor, is_unit
 from .matrixmodel import MatrixDeligne, decompose, oracle_tensor_ss, realize
 from .weil import UnramifiedChar, line_of
 
@@ -136,136 +136,51 @@ def run_witness(ctx=None) -> SweepSummary:
     return s
 
 
-# -- criterion 2: the preservation sweep ------------------------------------------
-
-def _pair_precompute(ctx, reps):
-    from .gln import _support_value_counts
-    data = []
-    for pi in reps:
-        C = c_map(pi)
-        banal = [(s.r, s.a, s.cusp.irr.t, m) for s, m in pi.segs
-                 if isinstance(s.cusp, SuperCusp)]
-        dual_pi = dual_rep(pi)
-        dual_banal = [(s.r, s.a, s.cusp.irr.t, m) for s, m in dual_pi.segs
-                      if isinstance(s.cusp, SuperCusp)]
-        supp = _support_value_counts(pi)
-        nsegs = sum(m for _, m in pi.segs)
-        data.append((C, banal, dual_banal, supp, nsegs))
-    return data
-
-
-def _rs_l_roots(ctx, b1, b2):
-    roots = []
-    for n, a, t, m in b1:
-        for n2, b, t2, m2 in b2:
-            (N, A, T), (M, B, T2) = (n, a, t), (n2, b, t2)
-            if M > N:
-                (N, A, T), (M, B, T2) = (n2, b, t2), (n, a, t)
-            for k in range(M):
-                roots.extend([(T * T2 * ctx.nu_value(N - 1 + A + k + B)).i] * (m * m2))
-    return sorted(roots)
-
-
-def _gal_l_roots(ctx, T, dual=False):
-    roots = []
-    for ind, m in T.parts:
-        if isinstance(ind, Seg) and isinstance(ind.irr, UnramifiedChar):
-            if dual:
-                u = ind.irr.t.inverse() * ctx.nu_value(-ind.a)
-            else:
-                u = ind.irr.t * ctx.nu_value(ind.a + ind.r - 1)
-            roots.extend([u.i] * m)
-    return sorted(roots)
-
-
-def _pair_product_counts(ctx, s1, s2):
-    field = ctx.field
-    pairc = {}
-    for u, cu in s1.items():
-        for v, cv in s2.items():
-            w = field.mul_idx(u, v)
-            pairc[w] = pairc.get(w, 0) + cu * cv
-    return pairc
-
-
-def _check_pair(ctx, d1, d2):
-    """One preservation pair from precomputed data; returns None or a
-    mismatch tag.
-
-    gamma, L and epsilon are pure functions of the constituent multiset,
-    the L-root multiset, and the dual L-root multiset respectively, and
-    both sides share those formatters; comparing the multisets (computed
-    along fully independent routes) is therefore equivalent to comparing
-    the built factors, token for token.
-    """
-    C1, b1, db1, s1, _ = d1
-    C2, b2, db2, s2, _ = d2
-    T = tensor_ss(C1, C2)
-    if _rs_l_roots(ctx, b1, b2) != _gal_l_roots(ctx, T):
-        return "L"
-    pairc = _pair_product_counts(ctx, s1, s2)
-    gal_chars, gal_toks = constituent_counts(T)
-    if gal_toks or pairc != gal_chars:
-        return "gamma"
-    if _rs_l_roots(ctx, db1, db2) != _gal_l_roots(ctx, T, dual=True):
-        return "epsilon"
-    return None
-
-
-def _check_pair_full(ctx, d1, d2):
-    """The same pair check with the factor objects actually built and
-    compared, epsilon unit checks included."""
-    C1, b1, db1, s1, _ = d1
-    C2, b2, db2, s2, _ = d2
-    field = ctx.field
-    T = tensor_ss(C1, C2)
-    rs_l = euler_factor([field.elem(r) for r in _rs_l_roots(ctx, b1, b2)],
-                        field=field)
-    gal_l = l_factor(T)
-    if rs_l != gal_l:
-        return "L"
-    rs_g = gamma_from_counts(_pair_product_counts(ctx, s1, s2), {}, ctx)
-    gal_g = gamma_factor(T)
-    if rs_g != gal_g:
-        return "gamma"
-    rs_ld = euler_factor([field.elem(r) for r in _rs_l_roots(ctx, db1, db2)],
-                         field=field).subst_qinv(ctx.q_img)
-    gal_ld = l_factor(dual_class(T)).subst_qinv(ctx.q_img)
-    rs_e = rs_g * FactorExpr.from_rational(rs_l) / FactorExpr.from_rational(rs_ld)
-    gal_e = gal_g * FactorExpr.from_rational(gal_l) / FactorExpr.from_rational(gal_ld)
-    if not is_unit(rs_e)[0] or not is_unit(gal_e)[0]:
-        return "epsilon-not-unit"
-    if rs_e != gal_e:
-        return "epsilon"
-    return None
-
+# -- the sweep driver ----------------------------------------------------------------
 
 _POOL_STATE = {}
 
 
+def _sweep(init, init_args, chunk, processes):
+    """Run chunk over the rows 0..n-1 of a sweep, n = init(*init_args).
+
+    init fills _POOL_STATE in the parent, which then checks every row
+    itself when processes <= 1; otherwise each worker runs init too and
+    the rows are interleaved into 2 * processes buckets, so that workers
+    see equal loads when early rows cost more.  chunk(rows) returns
+    (checked, failures); the result is (n, checked, failures).
+    """
+    n = init(*init_args)
+    if processes <= 1:
+        return (n, *chunk(range(n)))
+    buckets = [range(w, n, 2 * processes) for w in range(2 * processes)]
+    with multiprocessing.Pool(processes, initializer=init,
+                              initargs=init_args) as pool:
+        results = pool.map(chunk, buckets)
+    return n, sum(r[0] for r in results), [f for r in results for f in r[1]]
+
+
+# -- criterion 2: the preservation sweep ------------------------------------------
+
 def _presv_init(ell, q, max_segments, max_len, max_k):
     ctx = make_ctx(ell, q)
     reps = enumerate_generic_reps(ctx, max_segments, max_len, max_k)
-    _POOL_STATE["ctx"] = ctx
-    _POOL_STATE["data"] = _pair_precompute(ctx, reps)
+    _POOL_STATE["sides"] = [PairSide(pi) for pi in reps]
+    return len(reps)
 
 
 def _presv_rows(rows):
-    """Check all pairs (i, j >= i) for the given rows; pairs where both
-    representations have at most two segments additionally go through the
-    full factor-object comparison."""
-    ctx = _POOL_STATE["ctx"]
-    data = _POOL_STATE["data"]
+    """Check all pairs (i, j >= i) for the given rows with the comparison
+    check_preservation makes, both epsilon unit checks included."""
+    sides = _POOL_STATE["sides"]
     checked = 0
     fails = []
     for i in rows:
-        di = data[i]
-        small_i = di[4] <= 2
-        for j in range(i, len(data)):
-            dj = data[j]
-            tag = _check_pair(ctx, di, dj)
-            if tag is None and small_i and dj[4] <= 2:
-                tag = _check_pair_full(ctx, di, dj)
+        for j in range(i, len(sides)):
+            try:
+                tag = compare_sides(sides[i], sides[j]).mismatch()
+            except EpsilonNotUnit:
+                tag = "epsilon-not-unit"
             checked += 1
             if tag:
                 fails.append((i, j, tag))
@@ -276,24 +191,11 @@ def run_preservation(ell, q, max_segments=3, max_len=4, max_k=1,
                      processes=1) -> SweepSummary:
     """All ordered-up-to-symmetry pairs of grid representations: L, gamma
     and epsilon must agree on both sides, token-exactly."""
-    name = f"preservation sweep ({ell},{q})"
-    args = (ell, q, max_segments, max_len, max_k)
-    if processes <= 1:
-        _presv_init(*args)
-        n = len(_POOL_STATE["data"])
-        checked, fails = _presv_rows(range(n))
-        s = SweepSummary(name, checked, fails, note=f"{n} reps")
-        return s
-    ctx = make_ctx(ell, q)
-    n = len(enumerate_generic_reps(ctx, max_segments, max_len, max_k))
-    # interleave rows so workers see equal loads (early rows have more pairs)
-    buckets = [list(range(w, n, 2 * processes)) for w in range(2 * processes)]
-    with multiprocessing.Pool(processes, initializer=_presv_init,
-                              initargs=args) as pool:
-        results = pool.map(_presv_rows, buckets)
-    checked = sum(r[0] for r in results)
-    fails = [f for r in results for f in r[1]]
-    return SweepSummary(name, checked, fails, note=f"{n} reps")
+    n, checked, fails = _sweep(_presv_init,
+                               (ell, q, max_segments, max_len, max_k),
+                               _presv_rows, processes)
+    return SweepSummary(f"preservation sweep ({ell},{q})", checked, fails,
+                        note=f"{n} reps")
 
 
 # -- criterion 3: multiplicativity -------------------------------------------------
@@ -322,6 +224,7 @@ def _roundtrip_init(ell, q, max_dim):
     ctx = make_ctx(ell, q)
     _POOL_STATE["ctx"] = ctx
     _POOL_STATE["classes"] = enumerate_line_classes(ctx, max_dim)
+    return len(_POOL_STATE["classes"])
 
 
 def _roundtrip_chunk(idxs):
@@ -340,21 +243,10 @@ def _roundtrip_chunk(idxs):
 def run_roundtrip(ell, q, max_dim=12, processes=1) -> SweepSummary:
     """decompose(realize(a)) = a for every class on the trivial-character
     line up to max_dim."""
-    name = f"classification roundtrip ({ell},{q})"
-    if processes <= 1:
-        _roundtrip_init(ell, q, max_dim)
-        n = len(_POOL_STATE["classes"])
-        checked, fails = _roundtrip_chunk(range(n))
-        return SweepSummary(name, checked, fails, note=f"dim<={max_dim}")
-    ctx = make_ctx(ell, q)
-    n = len(enumerate_line_classes(ctx, max_dim))
-    buckets = [list(range(w, n, processes)) for w in range(processes)]
-    with multiprocessing.Pool(processes, initializer=_roundtrip_init,
-                              initargs=(ell, q, max_dim)) as pool:
-        results = pool.map(_roundtrip_chunk, buckets)
-    checked = sum(r[0] for r in results)
-    fails = [f for r in results for f in r[1]]
-    return SweepSummary(name, checked, fails, note=f"dim<={max_dim}")
+    _, checked, fails = _sweep(_roundtrip_init, (ell, q, max_dim),
+                               _roundtrip_chunk, processes)
+    return SweepSummary(f"classification roundtrip ({ell},{q})", checked,
+                        fails, note=f"dim<={max_dim}")
 
 
 def run_random_transport(ell, q, count=1000, max_dim=10, seed=20240901) -> SweepSummary:
@@ -400,37 +292,25 @@ def run_random_transport(ell, q, count=1000, max_dim=10, seed=20240901) -> Sweep
 
 
 def _lmatrix_chunk(idxs):
-    from .factors import l_factor_matrix
     ctx = _POOL_STATE["ctx"]
     classes = _POOL_STATE["classes"]
     checked = 0
     fails = []
     for i in idxs:
         a = classes[i]
-        if l_factor_matrix(realize(a, ctx), ctx) != l_factor(a):
+        if l_factor_matrix(realize(a, ctx), ctx) != l_factor(a).expanded():
             fails.append(repr(a))
         checked += 1
     return checked, fails
 
 
 def run_l_matrix_agreement(ell, q, max_dim=12, processes=1) -> SweepSummary:
-    """l_factor computed from normal forms equals the literal kernel and
-    characteristic-polynomial computation on realizations."""
-    name = f"L formal vs matrix ({ell},{q})"
-    if processes <= 1:
-        _roundtrip_init(ell, q, max_dim)
-        n = len(_POOL_STATE["classes"])
-        checked, fails = _lmatrix_chunk(range(n))
-        return SweepSummary(name, checked, fails, note=f"dim<={max_dim}")
-    ctx = make_ctx(ell, q)
-    n = len(enumerate_line_classes(ctx, max_dim))
-    buckets = [list(range(w, n, processes)) for w in range(processes)]
-    with multiprocessing.Pool(processes, initializer=_roundtrip_init,
-                              initargs=(ell, q, max_dim)) as pool:
-        results = pool.map(_lmatrix_chunk, buckets)
-    checked = sum(r[0] for r in results)
-    fails = [f for r in results for f in r[1]]
-    return SweepSummary(name, checked, fails, note=f"dim<={max_dim}")
+    """l_factor computed from normal forms, expanded, equals the literal
+    kernel and characteristic-polynomial computation on realizations."""
+    _, checked, fails = _sweep(_roundtrip_init, (ell, q, max_dim),
+                               _lmatrix_chunk, processes)
+    return SweepSummary(f"L formal vs matrix ({ell},{q})", checked, fails,
+                        note=f"dim<={max_dim}")
 
 
 # -- criterion 5: tensor against the matrix oracle ---------------------------------

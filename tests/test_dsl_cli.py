@@ -141,6 +141,18 @@ def test_cli_verify_witness():
     assert out.strip().endswith("ALL PASS")
 
 
+def test_cli_verify_json():
+    import json
+    rc, out = capture(["verify", "profile", "--format", "json"])
+    assert rc == 0
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert docs[0] == {"name": "interval profile laws", "checked": 40,
+                       "passed": True, "failures": [], "note": ""}
+    assert docs[-1] == {"verdict": "ALL PASS"}
+    rc, text = capture(["verify", "profile"])
+    assert text == "PASS interval profile laws: 40 checks\nALL PASS\n"
+
+
 def test_cli_byte_stable_across_processes(tmp_path):
     # golden-file stability: fresh interpreter runs produce identical bytes
     import subprocess, sys, os

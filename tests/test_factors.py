@@ -4,8 +4,7 @@ from modwd import (Cyc, RamifiedAbstract, Seg, UnramifiedChar,
                    check_multiplicativity, epsilon_factor, euler_factor,
                    gamma_factor, is_unit, l_factor, l_factor_matrix, normalize,
                    raw_tensor, realize, tensor_ss)
-from modwd.laurent import (FactorExpr, LaurentPoly, RationalFraction, UnitExpr,
-                           one_minus_ax)
+from modwd.laurent import FactorExpr, LaurentPoly, RationalFraction, UnitExpr
 from modwd.matrixmodel import MatrixDeligne, decompose
 from modwd._linalg import FMat
 from modwd.weil import line_of
@@ -44,7 +43,7 @@ def test_gamma_banal_character(ctx52):
     F = ctx52.field
     g = gamma_factor(normalize([Seg(chi(ctx52, 1), 1, 0)], ctx52))
     expect = FactorExpr.from_rational(
-        RationalFraction.make(one_minus_ax(F.one), one_minus_ax(ctx52.q_img)),
+        euler_factor([ctx52.q_img]) / euler_factor([F.one]),
         UnitExpr(F, F.neg_idx(ctx52.q_img.i), 1))
     assert g == expect
 
@@ -134,14 +133,15 @@ def test_l_factor_matrix_examples(ctx52):
         normalize([Seg(chi(ctx52, 2), 3, 0)], ctx52),
     ]
     for a in cases:
-        assert l_factor_matrix(realize(a, ctx52), ctx52) == l_factor(a)
+        assert l_factor_matrix(realize(a, ctx52), ctx52) == \
+            l_factor(a).expanded()
     # U invertible -> 1
     m = realize(normalize([Cyc(line, 2)], ctx52), ctx52)
-    assert l_factor_matrix(m, ctx52).is_one()
+    assert l_factor_matrix(m, ctx52) == (LaurentPoly.one(F), LaurentPoly.one(F))
     # U = 0, F = diag(t) -> 1/(1 - tX)
     t = F.from_int(2)
     m = MatrixDeligne(FMat.diag(F, [t.i]), FMat.zeros(F, 1, 1))
-    assert l_factor_matrix(m, ctx52) == euler_factor([t])
+    assert l_factor_matrix(m, ctx52) == euler_factor([t]).expanded()
 
 
 def test_check_multiplicativity_examples(ctx52, ctx23):
@@ -162,7 +162,7 @@ def test_l_matrix_agrees_on_raw_tensor(ctx52):
     a = normalize([Seg(chi(ctx52, 1), 3, 0)], ctx52)
     b = normalize([Seg(chi(ctx52, 1), 2, 0)], ctx52)
     mat = l_factor_matrix(raw_tensor(realize(a, ctx52), realize(b, ctx52)), ctx52)
-    assert mat == l_factor(tensor_ss(a, b))
+    assert mat == l_factor(tensor_ss(a, b)).expanded()
 
 
 def test_epsilon_duality_identity(ctx52):
@@ -174,8 +174,21 @@ def test_epsilon_duality_identity(ctx52):
     eps = epsilon_factor(a)
     lf = FactorExpr.from_rational(l_factor(a))
     ld = FactorExpr.from_rational(
-        l_factor(dual_class(a)).subst_qinv(ctx52.q_img))
+        l_factor(dual_class(a))).subst_qinv(ctx52.q_img)
     assert eps == g * lf / ld
+
+
+def test_epsilon_matches_dual_class_route(ctx52, ctx23):
+    # epsilon reads L of the dual off the class's own segments; building
+    # the dual class and taking its L must give the same epsilon
+    from modwd import dual_class
+    from modwd.verify import enumerate_line_classes
+    for ctx in (ctx52, ctx23):
+        for a in enumerate_line_classes(ctx, 6):
+            ld = FactorExpr.from_rational(
+                l_factor(dual_class(a))).subst_qinv(ctx.q_img)
+            lf = FactorExpr.from_rational(l_factor(a))
+            assert epsilon_factor(a) == gamma_factor(a) * lf / ld
 
 
 def test_l_matrix_agreement_full_population():

@@ -22,12 +22,23 @@ def brute_order(x):
 
 def test_make_ctx_examples():
     ctx = make_ctx(5, 2, 1)
-    assert ctx.q_img == 2 and ctx.o_nu == 4
+    assert ctx.q_img == ctx.field.from_int(2) and ctx.o_nu == 4
     assert brute_order(ctx.q_img) == 4
     ctx = make_ctx(3, 4, 1)
-    assert ctx.q_img == 1 and ctx.o_nu == 1
+    assert ctx.q_img == ctx.field.one and ctx.o_nu == 1
     ctx = make_ctx(2, 3, 1)
-    assert ctx.q_img == 1 and ctx.o_nu == 1
+    assert ctx.q_img == ctx.field.one and ctx.o_nu == 1
+
+
+def test_elements_never_equal_ints():
+    # an int equal modulo ell cannot share the int's hash, so elements
+    # compare unequal to every int, and eq agrees with set membership
+    for F in (make_ctx(5, 2).field, make_ctx(3, 2, 1).field):
+        for x in F.elements():
+            for n in range(-1, 6):
+                assert x != n and not x == n
+                assert x not in {n}
+        assert F.one == F.from_int(1) and F.one in {F.from_int(1)}
 
 
 def test_make_ctx_errors():

@@ -50,8 +50,10 @@ def test_fraction_group_laws(ctx52):
     f = euler_factor([F.from_int(2)])
     assert f * RationalFraction.one(F) == f
     assert (f / f).is_one()
+    assert (f * f.inverse()).is_one()
+    assert f ** 2 == f * f and (f ** 0).is_one()
     with pytest.raises(DivisionByZero):
-        f / RationalFraction.make(LaurentPoly.zero(F), LaurentPoly.one(F))
+        UnitExpr(F, 0)
 
 
 def test_unit_group(ctx52):
@@ -73,8 +75,7 @@ def test_is_unit_examples(ctx52):
     assert ok and unit.is_one()
     # (1 - u X)/(1 - u X) * (-(tX)^o)^r  ->  unit (-1)^r t^(o r) X^(o r)
     o, r = 4, 3
-    mono = FactorExpr.from_rational(RationalFraction.make(
-        LaurentPoly(F, {o: (-(t ** o)).i}), LaurentPoly.one(F)))
+    mono = FactorExpr.from_unit(UnitExpr(F, -(t ** o), o))
     combined = trivial * mono ** r
     ok, unit = is_unit(combined)
     assert ok
@@ -93,24 +94,100 @@ def test_normal_form_canonical(ctx52):
     assert g1 == g2 and hash(g1) == hash(g2)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 24)),
-                min_size=0, max_size=4),
-       st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 24)),
-                min_size=1, max_size=4))
-def test_subst_qinv_is_involutive(num_terms, den_terms):
+# random factors over F(5^2): signed multisets of reciprocal roots (element
+# indices 1..24, each entering the numerator or the denominator) and units
+roots_st = st.lists(st.tuples(st.integers(1, 24), st.booleans()), max_size=6)
+unit_st = st.tuples(st.integers(1, 24), st.integers(-4, 4),
+                    st.integers(-2, 2))
+hyp = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def build(F, signed_roots, unit=(1, 0, 0)):
+    """unit * prod (1 - aX)^(+-1), one linear factor at a time."""
+    scalar, xpow, tok = unit
+    out = FactorExpr.from_unit(UnitExpr(F, scalar, xpow, {"eps(a)": tok}))
+    for a, upstairs in signed_roots:
+        f = FactorExpr.from_rational(euler_factor([F.elem(a)]))
+        out = out / f if upstairs else out * f
+    return out
+
+
+def net_roots(F, signed_roots):
+    """(numerator roots, denominator roots) after cancellation, as
+    multisets of field elements."""
+    from collections import Counter
+    up = Counter(a for a, upstairs in signed_roots if upstairs)
+    down = Counter(a for a, upstairs in signed_roots if not upstairs)
+    return ([F.elem(a) for a in (up - down).elements()],
+            [F.elem(a) for a in (down - up).elements()])
+
+
+def as_poly(F, coeffs):
+    return LaurentPoly(F, {e: c.i for e, c in coeffs.items()})
+
+
+@hyp
+@given(roots_st, unit_st)
+def test_printed_fraction_matches_expand_product(signed_roots, unit):
+    F = make_ctx(5, 2).field
+    fe = build(F, signed_roots, unit)
+    up, down = net_roots(F, signed_roots)
+    num, den = as_poly(F, expand_product(up, F)), as_poly(F, expand_product(down, F))
+    assert fe.frac.num == num and fe.frac.den == den
+    assert repr(fe).endswith(f"frac: ({num!r})/({den!r})")
+
+
+@hyp
+@given(roots_st, unit_st, roots_st, unit_st)
+def test_mul_div_roundtrip(roots, unit, roots2, unit2):
+    F = make_ctx(5, 2).field
+    f, g = build(F, roots, unit), build(F, roots2, unit2)
+    assert f * g / g == f
+    assert f * g == g * f
+
+
+@hyp
+@given(roots_st, unit_st)
+def test_equal_factors_hash_equal(signed_roots, unit):
+    F = make_ctx(5, 2).field
+    f = build(F, signed_roots, unit)
+    g = build(F, list(reversed(signed_roots)), unit)
+    assert f == g and hash(f) == hash(g)
+    assert f.frac == g.frac and hash(f.frac) == hash(g.frac)
+
+
+@hyp
+@given(roots_st, unit_st)
+def test_subst_qinv_is_involutive(signed_roots, unit):
+    ctx = make_ctx(5, 2)
+    fe = build(ctx.field, signed_roots, unit)
+    assert fe.subst_qinv(ctx.q_img).subst_qinv(ctx.q_img) == fe
+
+
+@hyp
+@given(roots_st, st.integers(1, 24), st.integers(-4, 4), st.integers(1, 24))
+def test_subst_qinv_matches_evaluation(signed_roots, scalar, xpow, x):
+    # f(q^-1 x^-1), evaluated factor by factor, equals the substituted
+    # expression evaluated at x wherever no denominator vanishes
     ctx = make_ctx(5, 2)
     F = ctx.field
-    num = LaurentPoly(F, dict(num_terms))
-    den = LaurentPoly(F, dict(den_terms))
+    x = F.elem(x)
+    y = (ctx.q_img * x).inverse()
+    value = F.elem(scalar) * y ** xpow
+    for a, upstairs in signed_roots:
+        lin = F.one - F.elem(a) * y
+        if lin.is_zero():
+            return
+        value = value * lin if upstairs else value / lin
+    g = build(F, signed_roots, (scalar, xpow, 0)).subst_qinv(ctx.q_img)
+    num = sum((F.elem(c) * x ** e for e, c in g.frac.num.c.items()), F.zero)
+    den = sum((F.elem(c) * x ** e for e, c in g.frac.den.c.items()), F.zero)
     if den.is_zero():
         return
-    rf = RationalFraction.make(num, den)
-    twice = rf.subst_qinv(ctx.q_img).subst_qinv(ctx.q_img)
-    assert twice == rf
+    assert g.unit.scalar_elem() * x ** g.unit.x_power * num / den == value
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(st.integers(1, 24), st.integers(-4, 4), st.integers(1, 24))
 def test_subst_qinv_unit(scalar, xpow, root):
     ctx = make_ctx(5, 2)
