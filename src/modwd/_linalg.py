@@ -171,12 +171,6 @@ class FMat:
     def __repr__(self):
         return f"FMat({self.nrows}x{self.ncols} over {self.field!r})"
 
-    def submatrix(self, rows, cols):
-        return FMat(self.field, self.a[np.ix_(np.asarray(rows, dtype=np.intp),
-                                              np.asarray(cols, dtype=np.intp))]
-                    if len(rows) and len(cols)
-                    else np.zeros((len(rows), len(cols)), dtype=np.int32))
-
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other):

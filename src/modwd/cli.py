@@ -73,6 +73,8 @@ def _build_parser():
 def _need_ctx(args):
     if args.ell is None or args.q is None:
         raise ModwdError("this command needs --ell and --q")
+    if args.field_deg < 1:
+        raise ModwdError("--field-deg must be positive")
     return make_ctx(args.ell, args.q, args.field_deg)
 
 

@@ -21,6 +21,8 @@ declared label or an inline chi/irr atom.
 
 from __future__ import annotations
 
+import re
+
 from .deligne import Cyc, Seg, normalize
 from .errors import ParseError
 from .gln import GLSegment, NonSuperCusp, SuperCusp, make_generic
@@ -98,6 +100,14 @@ class _Scanner:
             raise ParseError(f"expected integer, found {v!r}", p)
         return v
 
+    def expect_int_at_least(self, least, message):
+        """An integer of at least `least`; ParseError(message) below it."""
+        pos = self.peek()[2]
+        v = self.expect_int()
+        if v < least:
+            raise ParseError(message, pos)
+        return v
+
     def at_punct(self, value):
         kind, v, _ = self.peek()
         return kind == "punct" and v == value
@@ -171,11 +181,12 @@ class Parser:
             self.s.expect_punct(",")
             self.s.expect_ident("dim")
             self.s.expect_punct("=")
-            dim = self.s.expect_int()
+            dim = self.s.expect_int_at_least(1, "dimension must be positive")
             self.s.expect_punct(",")
             self.s.expect_ident("ord")
             self.s.expect_punct("=")
-            order = self.s.expect_int()
+            order = self.s.expect_int_at_least(1,
+                                               "twist order must be positive")
             self.s.expect_punct(",")
             self.s.expect_ident("dual")
             self.s.expect_punct("=")
@@ -200,7 +211,8 @@ class Parser:
             self.s.expect_punct(";")
             self.s.expect_ident("r")
             self.s.expect_punct("=")
-            r = self.s.expect_int()
+            r = self.s.expect_int_at_least(1,
+                                           "segment length must be positive")
             a = 0
             if self.s.at_punct(";"):
                 self.s.next()
@@ -219,7 +231,7 @@ class Parser:
             self.s.expect_punct(";")
             self.s.expect_ident("r")
             self.s.expect_punct("=")
-            r = self.s.expect_int()
+            r = self.s.expect_int_at_least(1, "cycle length must be positive")
             self.s.expect_punct(")")
             return Cyc(line_of(psi, self.ctx)[0], r)
         raise ParseError(f"expected seg or cyc, found {v!r}", p)
@@ -235,7 +247,7 @@ class Parser:
             mult = 1
             if self.s.at_punct("*"):
                 self.s.next()
-                mult = self.s.expect_int()
+                mult = self.s.expect_int_at_least(0, "negative multiplicity")
             items.append((ind, mult))
             if self.s.at_punct(","):
                 self.s.next()
@@ -298,7 +310,7 @@ class Parser:
             mult = 1
             if self.s.at_punct("*"):
                 self.s.next()
-                mult = self.s.expect_int()
+                mult = self.s.expect_int_at_least(0, "negative multiplicity")
             items.append((seg, mult))
             if self.s.at_punct(","):
                 self.s.next()
@@ -368,6 +380,10 @@ def load_fusion_table(text, ctx) -> FusionTable:
 
 # -- matrix dumps -------------------------------------------------------------
 
+_DIM = re.compile(r"dim\s+([0-9]+)")
+_CELL = re.compile(r"\[-?[0-9]+(,-?[0-9]+)*\]")
+
+
 def format_matrix(m: MatrixDeligne, ctx) -> str:
     field = ctx.field
 
@@ -392,9 +408,10 @@ def parse_matrix(text, ctx) -> MatrixDeligne:
     i = 0
     if i < len(lines) and lines[i].startswith("ctx "):
         i += 1
-    if i >= len(lines) or not lines[i].startswith("dim "):
-        raise ParseError("matrix dump must declare 'dim <n>'", 0)
-    n = int(lines[i].split()[1])
+    declared = _DIM.fullmatch(lines[i]) if i < len(lines) else None
+    if declared is None:
+        raise ParseError("matrix dump must declare 'dim <n>'", i)
+    n = int(declared.group(1))
     i += 1
 
     def read_block(tag):
@@ -408,9 +425,12 @@ def parse_matrix(text, ctx) -> MatrixDeligne:
                 raise ParseError("matrix dump truncated", i)
             row = []
             for cell in lines[i].split():
-                if not (cell.startswith("[") and cell.endswith("]")):
+                if not _CELL.fullmatch(cell):
                     raise ParseError(f"bad matrix cell {cell!r}", i)
                 coeffs = [int(x) for x in cell[1:-1].split(",")]
+                if len(coeffs) > field.k:
+                    raise ParseError(f"matrix cell {cell!r} has more than "
+                                     f"{field.k} coefficients", i)
                 row.append(field.from_coeffs(
                     coeffs + [0] * (field.k - len(coeffs))).i)
             if len(row) != n:

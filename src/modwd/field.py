@@ -157,7 +157,8 @@ class FiniteField:
     """The field F_{ell^k}, with elements indexed by 0 .. ell^k - 1."""
 
     __slots__ = ("ell", "k", "order", "modulus", "exp", "log", "gen_idx",
-                 "_add", "_neg", "_np_add", "_np_mul", "_np_neg", "_inv")
+                 "_add", "_neg", "_np_add", "_np_mul", "_np_neg", "_inv",
+                 "_hash")
 
     def __init__(self, ell, k, modulus=None):
         if k < 1:
@@ -169,6 +170,8 @@ class FiniteField:
         self.k = k
         self.order = ell ** k
         self.modulus = tuple(modulus) if modulus else _least_irreducible(ell, k)
+        # fields key the per-context caches, so hash once
+        self._hash = hash((ell, k, self.modulus))
         self._build_tables()
         self._np_add = None
         self._np_mul = None
@@ -390,7 +393,7 @@ class FiniteField:
                 and self.modulus == other.modulus)
 
     def __hash__(self):
-        return hash((self.ell, self.k, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"F({self.ell}^{self.k})"
@@ -504,6 +507,16 @@ class FieldCtx:
     o_nu: int
     sqrt_q: FieldElem
     q_inv: FieldElem = dc_field(compare=False, default=None)
+    _hash: int = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # contexts key the per-context caches, so hash the compared fields
+        # once, as the generated __hash__ would on every lookup
+        object.__setattr__(self, "_hash", hash(
+            (self.field, self.q_residue, self.q_img, self.o_nu, self.sqrt_q)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def ell(self):

@@ -3,12 +3,13 @@
 A MatrixDeligne is a pair (F, U) over the context field with UF = qFU,
 F invertible and semisimple (inertia acts trivially, so F determines the
 Weil action).  realize() builds the normal-form blocks; decompose() is the
-inverse, assembled from the classification proofs: split by Frobenius
-eigenvalue orbits, read segment multiplicities off rank persistence of the
-nilpotent transition maps, and cycle lengths off the unipotent part of the
-holonomy around each orbit.  oracle_tensor_ss() tensors realizations at
-generic operator scalings and decomposes, which is the independent check
-for every formal tensor rule.
+inverse.  It splits by Frobenius eigenvalue orbits and reads the classes
+off ranks alone: segment multiplicities off the ranks of the path maps
+between eigenspace slices, and cycle lengths off the ranks of powers of
+the nilpotent part of the holonomy around each orbit.  semisimplify()
+takes the Jordan-Holder multiset of that decomposition.
+oracle_tensor_ss() tensors realizations at generic operator scalings and
+decomposes, which is the independent check for every formal tensor rule.
 """
 
 from __future__ import annotations
@@ -248,9 +249,29 @@ def _lines_of_values(vals, ctx, field):
     return sorted(out, key=lambda p: field.dlog_idx(p[0]))
 
 
+def _path_ranks(steps, c, d, less, top):
+    """Ranks, less `less`, of the products steps[c+j-1] @ ... @ steps[c]
+    (indices mod len(steps)) for j = 0 .. top + 1, the empty product being
+    the identity of size d; zero from the first zero on."""
+    out, M = [d - less], None
+    while out[-1] and len(out) <= top + 1:
+        step = steps[(c + len(out) - 1) % len(steps)]
+        M = step if M is None else step @ M
+        out.append(M.rank() - less)
+    return out + [0] * (top + 2 - len(out))
+
+
 def decompose(m: MatrixDeligne, ctx, check=True) -> DeligneClass:
     """The unique normalized class with realize(decompose(m)) equivalent
-    to m."""
+    to m.
+
+    On the line of one Frobenius eigenvalue orbit, U maps each eigenspace
+    slice into the next, so the transitions form a representation of the
+    cyclic quiver on the o slices, a sum of segments and cycles.  Segment
+    multiplicities are second differences of the ranks of path maps, and
+    cycle lengths are second differences of the ranks of powers of the
+    nilpotent part of the holonomy on the cycle summands.
+    """
     field = m.F.field
     n = m.F.nrows
     if n == 0:
@@ -258,107 +279,57 @@ def decompose(m: MatrixDeligne, ctx, check=True) -> DeligneClass:
     if check:
         validate(m, ctx)
     ranges, G, _ = _adapted(m, ctx)
-    lines = _lines_of_values(list(ranges), ctx, field)
     o = ctx.o_nu
+    lines, shifted = [], np.zeros_like(G.a)
+    for t0, slice_vals in _lines_of_values(list(ranges), ctx, field):
+        spans = [ranges.get(v, (0, 0)) for v in slice_vals]
+        trans = []
+        for c in range(o):
+            (lo, hi), (lo2, hi2) = spans[c], spans[(c + 1) % o]
+            shifted[lo2:hi2, lo:hi] = G.a[lo2:hi2, lo:hi]
+            trans.append(FMat(field, G.a[lo2:hi2, lo:hi]))
+        lines.append((t0, trans))
+    if not np.array_equal(shifted, G.a):
+        raise RelationViolated("operator does not shift eigenspaces")
     out = []
-    for t0, slice_vals in lines:
-        idxs = []
-        for v in slice_vals:
-            lo, hi = ranges.get(v, (0, 0))
-            idxs.append(np.arange(lo, hi, dtype=np.intp))
-        trans = [G.submatrix(idxs[(c + 1) % o], idxs[c]) for c in range(o)]
-        # U must shift each slice into the next one
-        for c in range(o):
-            if idxs[c].size:
-                block = G.a[:, idxs[c]]
-                nzrows = set(np.nonzero(block)[0].tolist())
-                if not nzrows <= set(idxs[(c + 1) % o].tolist()):
-                    raise RelationViolated("operator does not shift eigenspaces")
-
-        # holonomies H_c around the orbit from prefix/suffix products
-        prefixes = [FMat.identity(field, idxs[0].size)]
-        for c in range(o - 1):
-            prefixes.append(trans[c] @ prefixes[-1])
-        suffixes = [None] * o
-        suffixes[o - 1] = trans[o - 1]
-        for c in range(o - 2, -1, -1):
-            suffixes[c] = suffixes[c + 1] @ trans[c]
-        H0 = None
-        W_bases, B0 = [], None
-        for c in range(o):
-            d = idxs[c].size
-            if d == 0:
-                W_bases.append(FMat.zeros(field, 0, 0))
-                continue
-            H = suffixes[0] if c == 0 else prefixes[c] @ suffixes[c]
-            if c == 0:
-                H0 = H
-            if H.is_zero():
-                W_bases.append(FMat.identity(field, d))
-                if c == 0:
-                    B0 = FMat.zeros(field, d, 0)
-                continue
-            Hd = H.power(d)
-            W_bases.append(Hd.kernel())
-            if c == 0:
-                B0 = Hd.column_space_basis()
-        # nilpotent part: transition maps between generalized kernels
-        ntrans = []
-        for c in range(o):
-            W, W2 = W_bases[c], W_bases[(c + 1) % o]
-            if W.ncols == 0 or W2.ncols == 0:
-                ntrans.append(FMat.zeros(field, W2.ncols, W.ncols))
-                continue
-            if W.ncols == idxs[c].size and W2.ncols == idxs[(c + 1) % o].size:
-                ntrans.append(trans[c])
-                continue
-            ntrans.append(W2.solve_in_basis(trans[c] @ W))
-        dims = [W.ncols for W in W_bases]
-        jmax = sum(dims)
-        ranks = {}
-        for c in range(o):
-            ranks[(c, 0)] = dims[c]
-            M = None
-            for j in range(1, jmax + 2):
-                step = ntrans[(c + j - 1) % o]
-                M = step if M is None else step @ M
-                r = M.rank()
-                ranks[(c, j)] = r
-                if r == 0:
-                    break
-
-        def R(c, j):
-            return ranks.get((c % o, j), 0)
-
+    for t0, trans in lines:
+        dims = [T.ncols for T in trans]
+        H0 = trans[0]
+        for T in trans[1:]:
+            H0 = T @ H0
+        # the image of H0^d0 is the slice-0 part of the cycle summands
+        B0 = (FMat.zeros(field, dims[0], 0) if H0.is_zero()
+              else H0.power(dims[0]).column_space_basis())
+        b = B0.ncols
+        # every transition maps the cycle summands isomorphically, so they
+        # add b to the rank of every path map, and b cancels in the second
+        # differences
+        jmax = sum(dims) - o * b
+        R = [_path_ranks(trans, c, dims[c], b, jmax) for c in range(o)]
         base_char = UnramifiedChar(field.elem(t0))
         for c in range(o):
             for r in range(1, jmax + 1):
-                mult = R(c, r - 1) - R(c - 1, r) - R(c, r) + R(c - 1, r + 1)
+                mult = R[c][r - 1] - R[c - 1][r] - R[c][r] + R[c - 1][r + 1]
                 if mult < 0:
                     raise RuntimeError("negative segment multiplicity")
                 if mult:
                     out.append((Seg(base_char, r, c), mult))
-        # bijective part: cycle lengths from the unipotent part of the
-        # holonomy on the canonical slice
-        if B0 is not None and B0.ncols:
-            Hb = B0.solve_in_basis(H0 @ B0)
-            jp = _jc_newton(Hb)
-            T = jp.D.inverse() @ Hb
-            M = T - FMat.identity(field, T.nrows)
-            rs = {0: B0.ncols}
-            Mp = None
-            for s in range(1, B0.ncols + 2):
-                Mp = M if Mp is None else Mp @ M
-                rs[s] = Mp.rank()
-                if rs[s] == 0:
-                    break
-            line = line_of(base_char, ctx)[0]
-            for s in range(1, B0.ncols + 1):
-                mult = rs.get(s - 1, 0) - 2 * rs.get(s, 0) + rs.get(s + 1, 0)
-                if mult < 0:
-                    raise RuntimeError("negative cycle multiplicity")
-                if mult:
-                    out.append((Cyc(line, s), mult))
+        if not b:
+            continue
+        Hb = B0.solve_in_basis(H0 @ B0)
+        # over a finite field the radical of chi_Hb is separable, so on the
+        # generalized eigenspace of each eigenvalue y it is (Hb - y) times
+        # a unit commuting with Hb: its powers have the ranks of the powers
+        # of the nilpotent part of Hb
+        Nb = Hb.poly_eval(_poly.radical(field, Hb.charpoly()))
+        rs = _path_ranks([Nb], 0, b, 0, b)
+        line = line_of(base_char, ctx)[0]
+        for s in range(1, b + 1):
+            mult = rs[s - 1] - 2 * rs[s] + rs[s + 1]
+            if mult < 0:
+                raise RuntimeError("negative cycle multiplicity")
+            if mult:
+                out.append((Cyc(line, s), mult))
     cls = normalize(out, ctx)
     if cls.dim() != n:
         raise RuntimeError("decomposition lost dimension; input not in the model")
@@ -366,43 +337,16 @@ def decompose(m: MatrixDeligne, ctx, check=True) -> DeligneClass:
 
 
 def semisimplify(m: MatrixDeligne, ctx) -> DeligneClass:
-    """Jordan-Holder multiset of irreducible Deligne subquotients:
-    characters from the generalized kernel of the operator (which forgets
-    the nilpotent structure) and one C(Z) per holonomy eigen-line."""
-    field = m.F.field
-    n = m.F.nrows
-    if n == 0:
-        return zero_class(ctx)
-    validate(m, ctx)
-    ranges, G, _ = _adapted(m, ctx)
-    lines = _lines_of_values(list(ranges), ctx, field)
-    o = ctx.o_nu
+    """Jordan-Holder multiset of irreducible Deligne subquotients, read off
+    decompose(m): a segment of length r gives its r characters and a cycle
+    of length r gives r copies of C(Z)."""
     out = []
-    for t0, slice_vals in lines:
-        idxs = []
-        for v in slice_vals:
-            lo, hi = ranges.get(v, (0, 0))
-            idxs.append(np.arange(lo, hi, dtype=np.intp))
-        trans = [G.submatrix(idxs[(c + 1) % o], idxs[c]) for c in range(o)]
-        base_char = UnramifiedChar(field.elem(t0))
-        line = line_of(base_char, ctx)[0]
-        for c in range(o):
-            d = idxs[c].size
-            if d == 0:
-                continue
-            H = FMat.identity(field, d)
-            for s in range(o):
-                H = trans[(c + s) % o] @ H
-            Hd = H.power(d)
-            wdim = d - Hd.rank()
-            if wdim:
-                out.append((Seg(base_char, 1, c), wdim))
-            if c == 0 and d - wdim:
-                out.append((Cyc(line, 1), d - wdim))
-    cls = normalize(out, ctx)
-    if cls.dim() != n:
-        raise RuntimeError("semisimplification lost dimension")
-    return cls
+    for ind, mult in decompose(m, ctx).parts:
+        if isinstance(ind, Seg):
+            out += [(Seg(ind.irr, 1, ind.a + i), mult) for i in range(ind.r)]
+        else:
+            out.append((Cyc(ind.line, 1), ind.r * mult))
+    return normalize(out, ctx)
 
 
 def rescale_witness(m: MatrixDeligne, lam, ctx) -> FMat:

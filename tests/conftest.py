@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from modwd import make_ctx
+
+# the same examples on every run, and no per-example time limit: some
+# examples build fields or multiply matrices on first use
+settings.register_profile("modwd", deadline=None, derandomize=True)
+settings.load_profile("modwd")
 
 
 @pytest.fixture(scope="session")

@@ -264,7 +264,7 @@ def test_det_matches_matrix_determinant(ctx52):
         assert det_class(a).unram_value == detF
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(1, 2)),
                 min_size=0, max_size=3))
 def test_normalize_idempotent_random(parts):

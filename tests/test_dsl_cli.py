@@ -1,6 +1,9 @@
 import io
+import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modwd import realize, tensor_ss
 from modwd.cli import run
@@ -167,3 +170,105 @@ def test_cli_byte_stable_across_processes(tmp_path):
         b"L= ([1,0]@F(5^2))/([1,0]@F(5^2) + [1,0]@F(5^2)*X)\n"
     )
     assert runs[0].startswith(golden)
+
+
+# -- fuzzing: bad input ends in a named error, never a traceback -------------
+
+def assert_clean_exit(rc, out):
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        assert re.search(r"^error [A-Za-z]+: ", out, re.M), out
+
+
+# mostly valid values, so that some inputs get past the parser
+INTS = st.sampled_from(["1", "1", "2", "2", "3", "0", "-1"])
+ELEM = st.one_of(INTS, st.lists(INTS, max_size=3).map(
+    lambda cs: "[" + ",".join(cs) + "]"))
+IRR = st.one_of(
+    st.builds("chi(t={})".format, ELEM),
+    st.builds("irr(psi, dim={}, ord={}, dual=psiv)".format, INTS, INTS))
+INDEC = st.one_of(st.builds("seg({}; r={}; a={})".format, IRR, INTS, INTS),
+                  st.builds("cyc(line({}); r={})".format, IRR, INTS))
+GLSEG = st.one_of(
+    st.builds("st(r={}; cusp={}; a={})".format, INTS, IRR, INTS),
+    st.builds("stk(line={}, k={}; r={})".format, IRR, INTS, INTS))
+TOKENS = st.lists(st.sampled_from(
+    ["{", "}", "(", ")", "[", "]", ",", ";", "=", "*", "@", "^", "->", "seg",
+     "cyc", "chi", "irr", "line", "t", "r", "a", "dim", "ord", "dual", "F",
+     "prod", "st", "stk", "cusp", "k", "psi", "-1", "0", "1", "2", "5", "%"]),
+    max_size=12).map(" ".join)
+
+
+def listed(term, prefix=""):
+    return st.lists(st.builds("{}*{}".format, term, INTS), max_size=3).map(
+        lambda ts: prefix + "{ " + ", ".join(ts) + " }")
+
+
+CTX_ARGS = st.one_of(st.just(("5", "2", "1")), st.tuples(
+    st.sampled_from(["2", "3", "4", "5"]),
+    st.sampled_from(["0", "1", "2", "3"]),
+    st.sampled_from(["-1", "0", "1", "2"])))
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(["normalize", "dual", "cv", "factors", "realize",
+                        "correspond"]),
+       st.one_of(listed(INDEC), listed(GLSEG, "prod"), TOKENS), CTX_ARGS)
+def test_cli_fuzz_dsl(command, text, ctx_args):
+    ell, q, deg = ctx_args
+    assert_clean_exit(*capture([command, text, "--ell", ell, "--q", q,
+                                "--field-deg", deg]))
+
+
+def cell(coeffs):
+    return "[" + ",".join(str(c) for c in coeffs) + "]"
+
+
+@st.composite
+def matrix_dumps(draw):
+    """Dumps at (5,2) of dim <= 4, with at most one line corrupted.  Half
+    have F = diag(f) with f in the orbit of 1 and U supported where
+    U_ij f_j = q f_i U_ij, so that they satisfy the Deligne relation."""
+    n = draw(st.integers(0, 4))
+    coeffs = st.lists(st.integers(-1, 5), min_size=1, max_size=2)
+    if draw(st.booleans()):
+        F = [[draw(coeffs) for _ in range(n)] for _ in range(n)]
+        U = [[draw(coeffs) for _ in range(n)] for _ in range(n)]
+    else:
+        f = draw(st.lists(st.sampled_from([1, 3, 4, 2]), min_size=n,
+                          max_size=n))
+        F = [[[f[i] if i == j else 0] for j in range(n)] for i in range(n)]
+        U = [[draw(coeffs) if f[j] == 2 * f[i] % 5 else [0]
+              for j in range(n)] for i in range(n)]
+    lines = [f"dim {n}", "F:"] + [" ".join(map(cell, row)) for row in F]
+    lines += ["U:"] + [" ".join(map(cell, row)) for row in U]
+    k = draw(st.integers(0, len(lines) - 1))
+    corruption = draw(st.sampled_from(
+        [None] * 8 + ["", "dim -1", "dim x", "[a]", "[]", "[1,]",
+         "1 [2", "[1,2,3]"]))
+    if corruption is not None:
+        lines[k] = corruption
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=500)
+@given(matrix_dumps())
+def test_cli_fuzz_matrix_dump(text):
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        assert_clean_exit(*capture(["decompose", "--ell", "5", "--q", "2"]))
+
+
+def test_cli_reports_bad_input():
+    cases = [
+        (["normalize", "{ seg(chi(t=1); r=0) }"], "ParseError"),
+        (["normalize", "{ seg(chi(t=1); r=1)*-1 }"], "ParseError"),
+        (["normalize", "{ }", "--field-deg", "0"], "ModwdError"),
+        (["dual", "{ seg(irr(p, dim=1, ord=0, dual=p); r=1) }"], "ParseError"),
+    ]
+    for argv, code in cases:
+        rc, out = capture(argv + ["--ell", "5", "--q", "2"])
+        assert rc == 1 and out.startswith(f"error {code}: "), out
+    for dump in ("dim x\n", "dim 1\nF:\n[a]\nU:\n[0]\n"):
+        with mock.patch("sys.stdin", io.StringIO(dump)):
+            rc, out = capture(["decompose", "--ell", "5", "--q", "2"])
+        assert rc == 1 and out.startswith("error ParseError: "), out

@@ -100,7 +100,7 @@ def test_order_matches_brute_everywhere():
                 assert mult_order(x) == brute_order(x)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 24), st.integers(0, 24), st.integers(0, 24))
 def test_field_axioms_f25(i, j, k):
     F = finite_field(5, 2)
@@ -113,7 +113,7 @@ def test_field_axioms_f25(i, j, k):
         assert a * a.inverse() == F.one
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 8), st.integers(0, 8))
 def test_field_axioms_f9(i, j):
     F = finite_field(3, 2)

@@ -99,7 +99,7 @@ def test_normal_form_canonical(ctx52):
 roots_st = st.lists(st.tuples(st.integers(1, 24), st.booleans()), max_size=6)
 unit_st = st.tuples(st.integers(1, 24), st.integers(-4, 4),
                     st.integers(-2, 2))
-hyp = settings(max_examples=60, deadline=None, derandomize=True)
+hyp = settings(max_examples=60)
 
 
 def build(F, signed_roots, unit=(1, 0, 0)):
@@ -187,7 +187,7 @@ def test_subst_qinv_matches_evaluation(signed_roots, scalar, xpow, x):
     assert g.unit.scalar_elem() * x ** g.unit.x_power * num / den == value
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(st.integers(1, 24), st.integers(-4, 4), st.integers(1, 24))
 def test_subst_qinv_unit(scalar, xpow, root):
     ctx = make_ctx(5, 2)

@@ -71,14 +71,14 @@ def test_size_64(ell, k):
     check_product(finite_field(ell, k), 64, 64, 64, seed=repr((ell, k)))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.sampled_from(FIELDS), st.integers(1, 24), st.integers(1, 24),
        st.integers(1, 24), st.integers(0, 2 ** 32))
 def test_random_shapes(field, n, inner, m, seed):
     check_product(finite_field(*field), n, inner, m, seed)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(st.sampled_from(FIELDS), st.integers(1, 12), st.integers(0, 2 ** 32))
 def test_inverse_and_kron(field, n, seed):
     F = finite_field(*field)
@@ -92,7 +92,7 @@ def test_inverse_and_kron(field, n, seed):
     assert (A.kron(B) @ A.kron(C)) == (A @ A).kron(B @ C)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=20)
 @given(st.sampled_from(FIELDS), st.integers(1, 8), st.integers(0, 20),
        st.integers(0, 2 ** 32))
 def test_power_matches_repeated_products(field, n, e, seed):

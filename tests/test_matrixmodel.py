@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from modwd import (Cyc, Seg, UnramifiedChar, jordan_chevalley, normalize,
@@ -118,6 +119,8 @@ def test_decompose_random_shuffles(ctx52):
         [(Seg(chi(ctx52, 1), 2, 0), 1), (Seg(chi(ctx52, 1), 1, 2), 2)],
         [(Cyc(line1, 1), 1), (Seg(chi(ctx52, 2), 2, 1), 1)],
         [(Cyc(line2, 2), 1), (Cyc(line1, 1), 1)],
+        # a wrapped segment and a length-2 cycle on one line
+        [(Cyc(line1, 2), 1), (Seg(chi(ctx52, 1), 6, 1), 1)],
     ]
     for parts in cases:
         a = normalize(parts, ctx52)
@@ -257,6 +260,9 @@ def test_decompose_dimension_guard(ctx52):
     m = MatrixDeligne(FMat.diag(F, [1, 1]), FMat(F, [[0, 1], [0, 0]]))
     with pytest.raises(RelationViolated):
         decompose(m, ctx52)
+    # without validation the shift guard rejects it
+    with pytest.raises(RelationViolated):
+        decompose(m, ctx52, check=False)
 
 
 def test_decompose_multiline(ctx52):
@@ -273,3 +279,36 @@ def test_decompose_multiline(ctx52):
     P = rand_invertible(F, m.dim, rng)
     mc = MatrixDeligne(P @ m.F @ P.inverse(), P @ m.U @ P.inverse())
     assert decompose(mc, ctx52) == a
+
+
+def cycle_quiver(ctx, hol):
+    """(F, U) at o = 4 on four d-dim slices, slice c with Frobenius
+    eigenvalue q^-c, identity transitions 0 -> 1 -> 2 -> 3 and the
+    transition hol from slice 3 back to slice 0."""
+    F, d = ctx.field, hol.nrows
+    U = np.zeros((4 * d, 4 * d), dtype=np.int32)
+    for c in range(3):
+        U[(c + 1) * d:(c + 2) * d, c * d:(c + 1) * d] = np.eye(d)
+    U[:d, 3 * d:] = hol.a
+    return MatrixDeligne(
+        FMat.diag(F, [ctx.nu_value(c).i for c in range(4) for _ in range(d)]),
+        FMat(F, U))
+
+
+def test_decompose_holonomy_outside_field(ctx52):
+    # the holonomy A, companion matrix of x^2 - g, has its eigenvalues in
+    # F(5^4) only
+    F = ctx52.field
+    line = line_of(chi(ctx52, 1), ctx52)[0]
+    A = FMat(F, [[0, F.gen_idx], [1, 0]])
+    m = cycle_quiver(ctx52, A)
+    assert decompose(m, ctx52) == normalize([(Cyc(line, 1), 2)], ctx52)
+    # a Jordan block of A over A: two cycles of length 2
+    hol = FMat(F, np.block([[A.a, np.eye(2, dtype=np.int32)],
+                            [np.zeros((2, 2), dtype=np.int32), A.a]]))
+    m = cycle_quiver(ctx52, hol)
+    assert decompose(m, ctx52) == normalize([(Cyc(line, 2), 2)], ctx52)
+    assert semisimplify(m, ctx52) == normalize([(Cyc(line, 1), 4)], ctx52)
+    P = rand_invertible(F, m.dim, random.Random(31))
+    mc = MatrixDeligne(P @ m.F @ P.inverse(), P @ m.U @ P.inverse())
+    assert decompose(mc, ctx52) == normalize([(Cyc(line, 2), 2)], ctx52)
