@@ -10,7 +10,8 @@ are reduced by the field modulus, and the digits are taken mod ell.  Every
 convolution coefficient is at most k * inner_dim * (ell-1)^2, which the
 kernel asserts is below 2^53, so no float64 sum rounds.  Extension-field
 products below about 512 k^2 multiply-adds, and all other operations, use
-the field's add/mul lookup tables.  Row reduction, kernels, characteristic
+the field's elementwise add_arr and mul_arr, which index its O(Q) tables
+with the intp index arrays directly.  Row reduction, kernels, characteristic
 polynomials (via Hessenberg form) and polynomial evaluation are enough for
 the whole matrix model.
 """
@@ -56,7 +57,7 @@ def _blas_product(field, A, B):
     assert top < 2 ** _EXACT_BITS, "digit products would round in float64"
     if k == 1:
         prod = A.astype(np.float64) @ B.astype(np.float64)
-        return _mod(prod.astype(np.int64), ell).astype(np.int32)
+        return _mod(prod.astype(np.int64), ell).astype(np.intp)
     pa, pb = _digit_planes(field, A), _digit_planes(field, B)
     bits = top.bit_length()
     if bits * (2 * k - 1) <= _EXACT_BITS:
@@ -89,7 +90,7 @@ def _blas_product(field, A, B):
     out = _mod(conv[k - 1], ell)
     for d in range(k - 2, -1, -1):
         out = out * ell + _mod(conv[d], ell)
-    return out.astype(np.int32)
+    return out.astype(np.intp)
 
 
 class FMat:
@@ -99,7 +100,7 @@ class FMat:
 
     def __init__(self, field, a):
         self.field = field
-        self.a = np.asarray(a, dtype=np.int32)
+        self.a = np.asarray(a, dtype=np.intp)
         if self.a.ndim != 2:
             raise ValueError("FMat needs a 2-d array")
 
@@ -107,18 +108,18 @@ class FMat:
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
-        return cls(field, np.zeros((nrows, ncols), dtype=np.int32))
+        return cls(field, np.zeros((nrows, ncols), dtype=np.intp))
 
     @classmethod
     def identity(cls, field, n):
-        a = np.zeros((n, n), dtype=np.int32)
+        a = np.zeros((n, n), dtype=np.intp)
         np.fill_diagonal(a, 1)
         return cls(field, a)
 
     @classmethod
     def diag(cls, field, idx_values):
         n = len(idx_values)
-        a = np.zeros((n, n), dtype=np.int32)
+        a = np.zeros((n, n), dtype=np.intp)
         for i, v in enumerate(idx_values):
             a[i, i] = v
         return cls(field, a)
@@ -127,7 +128,7 @@ class FMat:
     def block_diag(cls, field, blocks):
         n = sum(b.nrows for b in blocks)
         m = sum(b.ncols for b in blocks)
-        a = np.zeros((n, m), dtype=np.int32)
+        a = np.zeros((n, m), dtype=np.intp)
         r = c = 0
         for b in blocks:
             a[r:r + b.nrows, c:c + b.ncols] = b.a
@@ -174,7 +175,7 @@ class FMat:
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other):
-        return FMat(self.field, self.field.np_add[self.a, other.a])
+        return FMat(self.field, self.field.add_arr(self.a, other.a))
 
     def __neg__(self):
         return FMat(self.field, self.field.np_neg[self.a])
@@ -185,7 +186,7 @@ class FMat:
     def scale(self, s):
         if hasattr(s, "i"):
             s = s.i
-        return FMat(self.field, self.field.np_mul[self.a, np.int32(s)])
+        return FMat(self.field, self.field.mul_arr(self.a, s))
 
     def __matmul__(self, other):
         F = self.field
@@ -194,16 +195,15 @@ class FMat:
         if inner != inner2:
             raise ValueError("shape mismatch in matmul")
         if inner == 0 or n == 0 or m == 0:
-            return FMat(F, np.zeros((n, m), dtype=np.int32))
+            return FMat(F, np.zeros((n, m), dtype=np.intp))
         A, B = self.a, other.a
         if F.k > 1 and n * inner * m <= _GATHER_PER_K2 * F.k * F.k:
             # one gather for the whole product cube, then a tree reduction
             # along the contracted axis
-            mul, add = F.np_mul, F.np_add
-            P = mul[A[:, :, None], B[None, :, :]]
+            P = F.mul_arr(A[:, :, None], B[None, :, :])
             while P.shape[1] > 1:
                 h = P.shape[1] // 2
-                Q = add[P[:, 0:2 * h:2, :], P[:, 1:2 * h:2, :]]
+                Q = F.add_arr(P[:, 0:2 * h:2, :], P[:, 1:2 * h:2, :])
                 if P.shape[1] & 1:
                     Q = np.concatenate([Q, P[:, -1:, :]], axis=1)
                 P = Q
@@ -214,7 +214,7 @@ class FMat:
         F = self.field
         n1, m1 = self.a.shape
         n2, m2 = other.a.shape
-        out = F.np_mul[self.a[:, None, :, None], other.a[None, :, None, :]]
+        out = F.mul_arr(self.a[:, None, :, None], other.a[None, :, None, :])
         return FMat(F, out.reshape(n1 * n2, m1 * m2))
 
     @property
@@ -244,7 +244,6 @@ class FMat:
         F = self.field
         R = self.a.copy()
         n, m = R.shape
-        mul, add, neg = F.np_mul, F.np_add, F.np_neg
         pivots = []
         r = 0
         for c in range(m):
@@ -257,12 +256,13 @@ class FMat:
             if p != r:
                 R[[r, p]] = R[[p, r]]
             inv = F.inv_idx(int(R[r, c]))
-            R[r] = mul[R[r], np.int32(inv)]
+            R[r] = F.mul_arr(R[r], inv)
             col = R[:, c].copy()
             col[r] = 0
             rows = np.nonzero(col)[0]
             if rows.size:
-                R[rows] = add[R[rows], mul[neg[col[rows]][:, None], R[r][None, :]]]
+                R[rows] = F.add_arr(R[rows], F.mul_arr(F.np_neg[col[rows]][:, None],
+                                                       R[r][None, :]))
             pivots.append(c)
             r += 1
         return FMat(F, R), pivots
@@ -276,7 +276,7 @@ class FMat:
         R, pivots = self.rref()
         m = self.ncols
         free = [c for c in range(m) if c not in pivots]
-        out = np.zeros((m, len(free)), dtype=np.int32)
+        out = np.zeros((m, len(free)), dtype=np.intp)
         for j, fc in enumerate(free):
             out[fc, j] = 1
             for i, pc in enumerate(pivots):
@@ -287,7 +287,7 @@ class FMat:
         """Columns of self forming a basis of the column space."""
         _, pivots = self.rref()
         return FMat(self.field, self.a[:, pivots].copy()
-                    if pivots else np.zeros((self.nrows, 0), dtype=np.int32))
+                    if pivots else np.zeros((self.nrows, 0), dtype=np.intp))
 
     def inverse(self):
         F = self.field
@@ -322,7 +322,6 @@ class FMat:
         if n == 0:
             return [1]
         H = self.a.copy()
-        mul, add, neg = F.np_mul, F.np_add, F.np_neg
         for j in range(n - 2):
             nz = np.nonzero(H[j + 1:, j])[0]
             if nz.size == 0:
@@ -335,8 +334,8 @@ class FMat:
             for i in range(j + 2, n):
                 if H[i, j]:
                     f = F.mul_idx(int(H[i, j]), inv)
-                    H[i] = add[H[i], mul[np.int32(F.neg_idx(f)), H[j + 1]]]
-                    H[:, j + 1] = add[H[:, j + 1], mul[np.int32(f), H[:, i]]]
+                    H[i] = F.add_arr(H[i], F.mul_arr(F.neg_idx(f), H[j + 1]))
+                    H[:, j + 1] = F.add_arr(H[:, j + 1], F.mul_arr(f, H[:, i]))
         # recurrence on leading principal minors of the Hessenberg form
         polys = [[1]]
         for k in range(1, n + 1):
@@ -356,12 +355,12 @@ class FMat:
         return polys[n]
 
     def poly_eval(self, coeffs):
-        """Evaluate a polynomial (little-endian index list) at this matrix."""
-        F = self.field
-        n = self.nrows
-        acc = FMat.zeros(F, n, n)
-        for c in reversed(coeffs):
-            acc = acc @ self
-            if c:
-                acc = acc + FMat.identity(F, n).scale(c)
+        """Evaluate a polynomial (little-endian index list) at this matrix,
+        by Horner's rule from c_d M + c_(d-1): d - 1 products at degree d."""
+        one = FMat.identity(self.field, self.nrows)
+        if len(coeffs) < 2:
+            return one.scale(coeffs[0] if coeffs else 0)
+        acc = self.scale(coeffs[-1]) + one.scale(coeffs[-2])
+        for c in reversed(coeffs[:-2]):
+            acc = acc @ self + one.scale(c)
         return acc

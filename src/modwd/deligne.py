@@ -227,7 +227,7 @@ def _rank_mod(rows, ell):
     return rank
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def interval_profile(n, m, ell):
     """Multiset of intervals [c,d] in the decomposition over F_ell of the
     graded nilpotent N(n) (x) Id + Id (x) N(m), by rank persistence.
@@ -317,7 +317,7 @@ def _orbit_cycle_counts(entries, twists, ctx):
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8192)
 def _tensor_indec_cached(A, B, ctx):
     return tuple(_tensor_indec(A, B, ctx, None))
 

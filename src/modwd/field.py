@@ -2,7 +2,12 @@
 
 A FiniteField is F_ell[x]/(m) for the lexicographically least monic
 irreducible m of degree k; elements are encoded as integer indices
-(base-ell digit strings), with exp/log tables for multiplication.  The
+(base-ell digit strings).  Two pairs of tables turn a field operation
+into one integer addition between lookups, for scalars and for numpy
+index arrays alike: x * y = exp[log x + log y], where log 0 lies beyond
+every sum of two nonzero logs and exp reads 0 there, and
+x + y = narrow[wide x + wide y], where wide reads the digits of x in base
+2 ell - 1, in which two digit strings add without carries.  The
 FieldCtx bundles the image of the residual cardinality q, the
 multiplicative order o(nu) of that image, and a fixed square root of q.
 
@@ -16,11 +21,13 @@ import functools
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 
+import numpy as np
+
 from .errors import NeedsLargerField, NonPrime, QDivisibleByEll, ZeroElement
 
-_ADD_TABLE_MAX_ORDER = 1500
-# Largest supported field order: FMat builds Q x Q numpy add/mul tables,
-# 64 MiB each at Q = 4096 (and int64 temporaries twice that while building).
+# Largest supported field order.  Building exp walks the Q - 1 powers of
+# the generator in Python, and narrow has (2 ell - 1)^k entries: 531,441
+# (130 Q) at F(2^12).
 MAX_FIELD_ORDER = 4096
 
 
@@ -156,9 +163,9 @@ def _least_irreducible(p, k):
 class FiniteField:
     """The field F_{ell^k}, with elements indexed by 0 .. ell^k - 1."""
 
-    __slots__ = ("ell", "k", "order", "modulus", "exp", "log", "gen_idx",
-                 "_add", "_neg", "_np_add", "_np_mul", "_np_neg", "_inv",
-                 "_hash")
+    __slots__ = ("ell", "k", "order", "modulus", "gen_idx", "exp", "log",
+                 "_wide", "_narrow", "_neg", "_np_exp", "_np_log", "_np_wide",
+                 "_np_narrow", "np_neg", "_hash")
 
     def __init__(self, ell, k, modulus=None):
         if k < 1:
@@ -173,9 +180,6 @@ class FiniteField:
         # fields key the per-context caches, so hash once
         self._hash = hash((ell, k, self.modulus))
         self._build_tables()
-        self._np_add = None
-        self._np_mul = None
-        self._np_neg = None
 
     # -- index <-> digits ---------------------------------------------------
 
@@ -208,7 +212,7 @@ class FiniteField:
         return self._enc(prod)
 
     def _build_tables(self):
-        Q = self.order
+        Q, ell = self.order, self.ell
         # least primitive element by index order
         primes = _factor(Q - 1)
         g = None
@@ -225,31 +229,33 @@ class FiniteField:
                 g = cand
                 break
         self.gen_idx = g
-        exp = [1] * (Q - 1)
+        powers = [1] * (Q - 1)
         for e in range(1, Q - 1):
-            exp[e] = self._raw_mul(exp[e - 1], g)
-        log = [-1] * Q
-        for e, v in enumerate(exp):
-            log[v] = e
-        self.exp = exp
-        self.log = log
-        if Q <= _ADD_TABLE_MAX_ORDER:
-            add = []
-            for i in range(Q):
-                di = self.digits(i)
-                row = [0] * Q
-                for j in range(Q):
-                    dj = self.digits(j)
-                    row[j] = self._enc([(x + y) % self.ell for x, y in zip(di, dj)])
-                add.append(row)
-            self._add = add
-        else:
-            self._add = None
-        self._inv = [0] * Q
-        for i in range(1, Q):
-            self._inv[i] = exp[(Q - 1 - log[i]) % (Q - 1)]
-        self._neg = [self._enc([(-x) % self.ell for x in self.digits(i)])
-                     for i in range(Q)]
+            powers[e] = self._raw_mul(powers[e - 1], g)
+        # log 0 = 2(Q-1) exceeds every sum of two nonzero logs, and exp is
+        # periodic below 2(Q-1) and 0 from there up to 4(Q-1), so
+        # exp[log x + log y] is x * y for all x, y
+        log = np.empty(Q, dtype=np.intp)
+        log[powers] = np.arange(Q - 1)
+        log[0] = 2 * (Q - 1)
+        exp = np.array(powers * 2 + [0] * (2 * Q - 1), dtype=np.intp)
+        # wide reads the base-ell digits of x in base 2 ell - 1, where two of
+        # them add without carries; narrow takes each digit of such a sum
+        # mod ell, so narrow[wide x + wide y] is x + y
+        base = 2 * ell - 1
+        idx = np.arange(Q, dtype=np.intp)
+        sums = np.arange(base ** self.k, dtype=np.intp)
+        wide, narrow, neg = (np.zeros_like(a) for a in (idx, sums, idx))
+        for j in range(self.k):
+            d = idx // ell ** j % ell
+            wide += d * base ** j
+            neg += (-d % ell) * ell ** j
+            narrow += (sums // base ** j % base % ell) * ell ** j
+        self._np_exp, self._np_log = exp, log
+        self._np_wide, self._np_narrow, self.np_neg = wide, narrow, neg
+        self.exp, self.log = exp.tolist(), log.tolist()
+        self._wide, self._narrow, self._neg = (
+            wide.tolist(), narrow.tolist(), neg.tolist())
 
     def _pow_raw(self, i, e):
         acc, base = 1, i
@@ -263,28 +269,21 @@ class FiniteField:
     # -- index arithmetic ----------------------------------------------------
 
     def add_idx(self, i, j):
-        if self._add is not None:
-            return self._add[i][j]
-        di, dj = self.digits(i), self.digits(j)
-        return self._enc([(x + y) % self.ell for x, y in zip(di, dj)])
+        return self._narrow[self._wide[i] + self._wide[j]]
 
     def neg_idx(self, i):
         return self._neg[i]
 
     def sub_idx(self, i, j):
-        if self._add is not None:
-            return self._add[i][self._neg[j]]
-        return self.add_idx(i, self._neg[j])
+        return self._narrow[self._wide[i] + self._wide[self._neg[j]]]
 
     def mul_idx(self, i, j):
-        if i == 0 or j == 0:
-            return 0
-        return self.exp[(self.log[i] + self.log[j]) % (self.order - 1)]
+        return self.exp[self.log[i] + self.log[j]]
 
     def inv_idx(self, i):
         if i == 0:
             raise ZeroElement("zero is not invertible")
-        return self._inv[i]
+        return self.exp[self.order - 1 - self.log[i]]
 
     def pow_idx(self, i, e):
         if i == 0:
@@ -320,49 +319,15 @@ class FiniteField:
         r1, r2 = e // 2, (e // 2 + (Q - 1) // 2) % (Q - 1)
         return [self.exp[x] for x in sorted((r1, r2))]
 
-    # -- numpy tables (built on first use) ------------------------------------
+    # -- index arrays -------------------------------------------------------------
 
-    @property
-    def np_add(self):
-        if self._np_add is None:
-            import numpy as np
-            Q = self.order
-            if self._add is not None:
-                self._np_add = np.array(self._add, dtype=np.int32)
-            else:
-                idx = np.arange(Q, dtype=np.int64)
-                digs = []
-                e = idx.copy()
-                for _ in range(self.k):
-                    digs.append(e % self.ell)
-                    e //= self.ell
-                tab = np.zeros((Q, Q), dtype=np.int64)
-                mult = 1
-                for d in digs:
-                    tab += ((d[:, None] + d[None, :]) % self.ell) * mult
-                    mult *= self.ell
-                self._np_add = tab.astype(np.int32)
-        return self._np_add
+    def add_arr(self, x, y):
+        """Elementwise sum of broadcastable index arrays (or ints)."""
+        return self._np_narrow[self._np_wide[x] + self._np_wide[y]]
 
-    @property
-    def np_mul(self):
-        if self._np_mul is None:
-            import numpy as np
-            Q = self.order
-            lg = np.array(self.log, dtype=np.int64)
-            ex = np.array(self.exp, dtype=np.int64)
-            tab = np.zeros((Q, Q), dtype=np.int64)
-            nz = np.arange(1, Q)
-            tab[1:, 1:] = ex[(lg[nz][:, None] + lg[nz][None, :]) % (Q - 1)]
-            self._np_mul = tab.astype(np.int32)
-        return self._np_mul
-
-    @property
-    def np_neg(self):
-        if self._np_neg is None:
-            import numpy as np
-            self._np_neg = np.array(self._neg, dtype=np.int32)
-        return self._np_neg
+    def mul_arr(self, x, y):
+        """Elementwise product of broadcastable index arrays (or ints)."""
+        return self._np_exp[self._np_log[x] + self._np_log[y]]
 
     # -- element construction --------------------------------------------------
 
@@ -399,7 +364,7 @@ class FiniteField:
         return f"F({self.ell}^{self.k})"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def finite_field(ell, k):
     return FiniteField(ell, k)
 

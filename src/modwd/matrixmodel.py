@@ -48,18 +48,25 @@ class JordanPair:
 def validate(m: MatrixDeligne, ctx) -> bool:
     """Check the Deligne relation UF = qFU, invertibility and
     semisimplicity of F.  Raises on violation, returns True when ok."""
+    _checked_charpoly(m, ctx)
+    return True
+
+
+def _checked_charpoly(m: MatrixDeligne, ctx):
+    """validate's checks; returns chi_F for decompose to reuse, or None
+    when F is empty or diagonal."""
     F, U = m.F, m.U
     if F.nrows != F.ncols or U.a.shape != F.a.shape:
         raise ValueError("F and U must be square of equal size")
     n = F.nrows
     if n == 0:
-        return True
+        return None
     diagonal = F.is_diagonal()
     if diagonal:
         # F = diag(f), so UF = qFU reads U_ij f_j = q f_i U_ij entrywise
-        f, mul = np.diagonal(F.a), F.field.np_mul
-        related = np.array_equal(mul[U.a, f[None, :]],
-                                 mul[mul[U.a, f[:, None]], ctx.q_img.i])
+        f, mul = np.diagonal(F.a), F.field.mul_arr
+        related = np.array_equal(mul(U.a, f[None, :]),
+                                 mul(mul(U.a, f[:, None]), ctx.q_img.i))
     else:
         related = (U @ F) == (F @ U).scale(ctx.q_img)
     if not related:
@@ -67,13 +74,14 @@ def validate(m: MatrixDeligne, ctx) -> bool:
     if diagonal:
         if any(int(F.a[i, i]) == 0 for i in range(n)):
             raise FNotInvertible("zero Frobenius eigenvalue")
-        return True
+        return None
     if F.rank() != n:
         raise FNotInvertible("Frobenius matrix is singular")
-    rad = _poly.radical(F.field, F.charpoly())
+    cp = F.charpoly()
+    rad = _poly.radical(F.field, cp)
     if not F.poly_eval(rad).is_zero():
         raise NotSemisimple("Frobenius matrix is not semisimple")
-    return True
+    return cp
 
 
 # -- Jordan-Chevalley ----------------------------------------------------------
@@ -115,14 +123,14 @@ def jordan_chevalley(U: FMat, ctx=None) -> JordanPair:
 # -- realization ----------------------------------------------------------------
 
 def _cycle_matrix(field, o):
-    a = np.zeros((o, o), dtype=np.int32)
+    a = np.zeros((o, o), dtype=np.intp)
     for k in range(o):
         a[(k + 1) % o, k] = 1
     return FMat(field, a)
 
 
 def _shift_matrix(field, r):
-    a = np.zeros((r, r), dtype=np.int32)
+    a = np.zeros((r, r), dtype=np.intp)
     for j in range(r - 1):
         a[j + 1, j] = 1
     return FMat(field, a)
@@ -181,8 +189,9 @@ def matrix_dual(m: MatrixDeligne) -> MatrixDeligne:
 
 # -- decomposition ----------------------------------------------------------------
 
-def _adapted(m: MatrixDeligne, ctx):
-    """Change of basis grouping Frobenius eigenspaces.
+def _adapted(m: MatrixDeligne, ctx, cp=None):
+    """Change of basis grouping Frobenius eigenspaces; cp is chi_F when
+    the caller already has it.
 
     Returns (ranges, G, P) with ranges: eigenvalue index -> (lo, hi) column
     range, G = U in the adapted basis, P the basis (None when F is already
@@ -197,14 +206,15 @@ def _adapted(m: MatrixDeligne, ctx):
         vals = sorted(groups)
         perm = np.array([i for v in vals for i in groups[v]], dtype=np.intp)
         G = FMat(field, m.U.a[np.ix_(perm, perm)])
-        Pm = FMat(field, np.eye(n, dtype=np.int32)[:, perm])
+        Pm = FMat(field, np.eye(n, dtype=np.intp)[:, perm])
         ranges = {}
         lo = 0
         for v in vals:
             ranges[v] = (lo, lo + len(groups[v]))
             lo += len(groups[v])
         return ranges, G, Pm
-    cp = m.F.charpoly()
+    if cp is None:
+        cp = m.F.charpoly()
     roots, rem = _poly.roots_with_multiplicity(field, cp)
     if rem:
         raise NeedsLargerField("Frobenius eigenvalues lie outside the field")
@@ -276,9 +286,8 @@ def decompose(m: MatrixDeligne, ctx, check=True) -> DeligneClass:
     n = m.F.nrows
     if n == 0:
         return zero_class(ctx)
-    if check:
-        validate(m, ctx)
-    ranges, G, _ = _adapted(m, ctx)
+    cp = _checked_charpoly(m, ctx) if check else None
+    ranges, G, _ = _adapted(m, ctx, cp)
     o = ctx.o_nu
     lines, shifted = [], np.zeros_like(G.a)
     for t0, slice_vals in _lines_of_values(list(ranges), ctx, field):
@@ -420,7 +429,7 @@ def rescale_witness(m: MatrixDeligne, lam, ctx) -> FMat:
 
 # -- the tensor oracle ------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _embedding(ell, k_small, k_big):
     """Index tables for the embedding F_{ell^k_small} -> F_{ell^k_big}
     sending x to the first root (in index order) of the small modulus."""
@@ -511,7 +520,7 @@ def oracle_tensor_ss(a: DeligneClass, b: DeligneClass) -> DeligneClass:
         raise NeedsLargerField("no admissible scaling pair found")
     lam, mu = pair
     if table is not None:
-        emb = np.array(table, dtype=np.int32)
+        emb = np.array(table, dtype=np.intp)
         ma = MatrixDeligne(FMat(work.field, emb[ma.F.a]), FMat(work.field, emb[ma.U.a]))
         mb = MatrixDeligne(FMat(work.field, emb[mb.F.a]), FMat(work.field, emb[mb.U.a]))
     scaled = raw_tensor(MatrixDeligne(ma.F, ma.U.scale(lam)),

@@ -82,7 +82,7 @@ class Line:
         return f"line({self.base!r})"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def _line_of_char(ctx, t_idx):
     field = ctx.field
     o = ctx.o_nu

@@ -1,12 +1,20 @@
+import itertools
+import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modwd import make_ctx, mult_order
+from modwd import deligne, field, make_ctx, matrixmodel, mult_order, weil
+from modwd._linalg import FMat
 from modwd.errors import (NeedsLargerField, NonPrime, QDivisibleByEll,
                           ZeroElement)
-from modwd.field import check_field_order, finite_field
+from modwd.field import FiniteField, check_field_order, finite_field
+
+SMALL_FIELDS = [(ell, k) for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31,
+                                     37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79)
+                for k in range(1, 7) if ell ** k <= 81]
 
 
 def brute_order(x):
@@ -134,3 +142,69 @@ def test_modulus_is_least_irreducible():
     assert finite_field(5, 2).modulus == (2, 0, 1)
     # over F_2: x^2, x^2+1 reducible; x^2+x reducible; x^2+x+1 irreducible
     assert finite_field(2, 2).modulus == (1, 1, 1)
+
+
+def check_scalar_ops(F, pairs):
+    # references: digit-wise addition mod ell and schoolbook multiplication
+    # reduced by the modulus
+    for i, j in pairs:
+        di, dj = F.digits(i), F.digits(j)
+        assert F.add_idx(i, j) == F._enc([x + y for x, y in zip(di, dj)])
+        assert F.sub_idx(i, j) == F._enc([x - y for x, y in zip(di, dj)])
+        assert F.mul_idx(i, j) == F._raw_mul(i, j)
+
+
+@pytest.mark.parametrize("ell,k", SMALL_FIELDS)
+def test_tables_every_pair(ell, k):
+    F = FiniteField(ell, k)
+    Q = F.order
+    check_scalar_ops(F, itertools.product(range(Q), repeat=2))
+    for i in range(1, Q):
+        assert F.mul_idx(i, F.inv_idx(i)) == 1
+    x, y = np.arange(Q)[:, None], np.arange(Q)[None, :]
+    assert F.add_arr(x, y).tolist() == [[F.add_idx(i, j) for j in range(Q)]
+                                        for i in range(Q)]
+    assert F.mul_arr(x, y).tolist() == [[F.mul_idx(i, j) for j in range(Q)]
+                                        for i in range(Q)]
+
+
+@pytest.mark.parametrize("ell,k", [(3, 6), (2, 12)])
+def test_tables_sampled_pairs(ell, k):
+    F = FiniteField(ell, k)
+    rng = random.Random(F.order)
+    pairs = [(rng.randrange(F.order), rng.randrange(F.order))
+             for _ in range(2000)]
+    check_scalar_ops(F, pairs)
+    x, y = np.array(pairs).T
+    assert F.add_arr(x, y).tolist() == [F.add_idx(i, j) for i, j in pairs]
+    assert F.mul_arr(x, y).tolist() == [F.mul_idx(i, j) for i, j in pairs]
+
+
+def peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_memory():
+    # the bounds sit far below what Q x Q add/mul tables take: 14.7 MiB to
+    # build F(3^6), 448 MiB for these operations over F(2^12)
+    assert peak_mib(lambda: FiniteField(3, 6)) < 4
+
+    def ops():
+        F = FiniteField(2, 12)
+        rng = random.Random(12)
+        A, B = (FMat(F, [[rng.randrange(F.order) for _ in range(8)]
+                         for _ in range(8)]) for _ in range(2))
+        return A + B, A @ B, A.rank(), A.kron(B), A.scale(F.gen_idx)
+
+    assert peak_mib(ops) < 64
+
+
+def test_caches_are_bounded():
+    for fn in (field.finite_field, weil._line_of_char, deligne.interval_profile,
+               deligne._tensor_indec_cached, matrixmodel._embedding):
+        assert fn.cache_info().maxsize is not None

@@ -43,7 +43,7 @@ def check_product(F, n, inner, m, seed):
     rng = random.Random(seed)
     A, B = rand_fmat(F, n, inner, rng), rand_fmat(F, inner, m, rng)
     C = A @ B
-    assert C.a.shape == (n, m) and C.a.dtype == np.int32
+    assert C.a.shape == (n, m) and C.a.dtype == np.intp
     assert np.array_equal(C.a, ref_matmul(F, A, B))
 
 
@@ -104,11 +104,8 @@ def test_power_matches_repeated_products(field, n, e, seed):
     assert A.power(e) == acc
 
 
-@pytest.mark.parametrize("e,products", [(0, 0), (1, 0), (2, 1), (3, 2),
-                                        (7, 4), (8, 3), (64, 6), (65, 7)])
-def test_power_product_count(monkeypatch, e, products):
-    F = finite_field(5, 2)
-    A = rand_fmat(F, 3, 3, random.Random(e))
+def count_products(monkeypatch, fn):
+    """fn() and the number of FMat products it made."""
     calls = []
     matmul = FMat.__matmul__
 
@@ -117,12 +114,36 @@ def test_power_product_count(monkeypatch, e, products):
         return matmul(self, other)
 
     monkeypatch.setattr(FMat, "__matmul__", counting)
-    P = A.power(e)
+    out = fn()
     monkeypatch.undo()
-    assert len(calls) == products
+    return out, len(calls)
+
+
+@pytest.mark.parametrize("e,products", [(0, 0), (1, 0), (2, 1), (3, 2),
+                                        (7, 4), (8, 3), (64, 6), (65, 7)])
+def test_power_product_count(monkeypatch, e, products):
+    F = finite_field(5, 2)
+    A = rand_fmat(F, 3, 3, random.Random(e))
+    P, count = count_products(monkeypatch, lambda: A.power(e))
+    assert count == products
     expect = FMat.identity(F, 3)
     for _ in range(e):
         expect = expect @ A
+    assert P == expect
+
+
+@pytest.mark.parametrize("coeffs,products", [([], 0), ([7], 0), ([4, 1], 0),
+                                             ([0, 0, 1], 1), ([3, 0, 9, 1], 2),
+                                             ([1, 2, 0, 5, 0, 1], 4)])
+def test_poly_eval_product_count(monkeypatch, coeffs, products):
+    # Horner's rule from c_d M + c_(d-1) makes d - 1 products at degree d
+    F = finite_field(5, 2)
+    A = rand_fmat(F, 3, 3, random.Random(len(coeffs)))
+    P, count = count_products(monkeypatch, lambda: A.poly_eval(coeffs))
+    assert count == products
+    expect = FMat.zeros(F, 3, 3)
+    for i, c in enumerate(coeffs):
+        expect = expect + A.power(i).scale(c)
     assert P == expect
 
 

@@ -132,6 +132,25 @@ def test_decompose_random_shuffles(ctx52):
             assert decompose(mc, ctx52) == a
 
 
+def test_decompose_computes_charpoly_once(ctx52, monkeypatch):
+    # validate's semisimplicity test and the eigenspace split share chi_F
+    a = normalize([Seg(chi(ctx52, 1), 2, 0), Seg(chi(ctx52, 2), 3, 1)], ctx52)
+    m = realize(a, ctx52)
+    P = rand_invertible(ctx52.field, m.dim, random.Random(5))
+    Pi = P.inverse()
+    mc = MatrixDeligne(P @ m.F @ Pi, P @ m.U.scale(3) @ Pi)
+    calls = []
+    charpoly = FMat.charpoly
+
+    def counting(self):
+        calls.append(1)
+        return charpoly(self)
+
+    monkeypatch.setattr(FMat, "charpoly", counting)
+    assert decompose(mc, ctx52) == a
+    assert len(calls) == 1
+
+
 def test_decompose_nilpotent_scaling_invariance(ctx52):
     a = normalize([(Seg(chi(ctx52, 1), 3, 0), 1), (Seg(chi(ctx52, 1), 1, 1), 1)],
                   ctx52)
