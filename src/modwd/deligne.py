@@ -6,17 +6,24 @@ A class is a normalized multiset of indecomposables: segments
 Krull-Schmidt makes the multiset well defined, so all operations here are
 multiset combinatorics plus the modular interval profile of a tensor of
 two shift operators.
+
+Indecomposables are canonical by construction: seg() and cyc() are the
+only code that reduces twists and picks line representatives, and every
+operation here builds its parts with them and hands them to merge(), the
+only code that merges and sorts.  normalize() is the entry point for raw
+input (parsed text, semisimplified or field-mapped parts).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import ContainsCyc, MixedLines
 from .field import FieldElem
 from .weil import (Line, UnramifiedChar, dual_irr, fuse, irr_dim, irr_order,
-                   line_of, line_product)
+                   line_key, line_of, line_product)
 
 
 @dataclass(frozen=True)
@@ -70,16 +77,8 @@ def cyc(line_or_irr, r, ctx) -> Cyc:
 
 def _indec_key(ind):
     if isinstance(ind, Seg):
-        base = ind.irr
-        variant, r, a = 0, ind.r, ind.a
-    else:
-        base = ind.line.base
-        variant, r, a = 1, ind.r, 0
-    if isinstance(base, UnramifiedChar):
-        lk = (0, base.t.field.dlog_idx(base.t.i))
-    else:
-        lk = (1, base.label)
-    return (lk, variant, r, a)
+        return (line_key(ind.irr), 0, ind.r, ind.a)
+    return (line_key(ind.line.base), 1, ind.r, 0)
 
 
 class DeligneClass:
@@ -91,9 +90,6 @@ class DeligneClass:
     def __init__(self, ctx, parts):
         self.ctx = ctx
         self.parts = parts
-
-    def items(self):
-        return self.parts
 
     def dim(self):
         return sum(ind.dim(self.ctx) * m for ind, m in self.parts)
@@ -125,8 +121,10 @@ class DeligneClass:
 
 
 def normalize(raw, ctx) -> DeligneClass:
-    """Canonical sorted multiset: twists reduced, lines canonicalized."""
-    counts = {}
+    """The class of raw input: indecomposables or (indecomposable,
+    multiplicity) pairs whose twists and line representatives may be
+    unreduced.  Each part is canonicalized by seg() or cyc(), then merged."""
+    parts = []
     for entry in raw:
         if isinstance(entry, tuple):
             ind, m = entry
@@ -140,13 +138,16 @@ def normalize(raw, ctx) -> DeligneClass:
             ind = seg(ind.irr, ind.r, ind.a, ctx)
         else:
             ind = cyc(ind.line, ind.r, ctx)
+        parts.append((ind, m))
+    return merge(parts, ctx)
+
+
+def merge(parts, ctx) -> DeligneClass:
+    """The class holding the given (canonical indecomposable, multiplicity)
+    pairs, equal indecomposables merged."""
+    counts = {}
+    for ind, m in parts:
         counts[ind] = counts.get(ind, 0) + m
-    return _from_counts(counts, ctx)
-
-
-def _from_counts(counts, ctx) -> DeligneClass:
-    """The class with the given multiplicities of canonical
-    indecomposables."""
     return DeligneClass(ctx, tuple(sorted(counts.items(),
                                           key=lambda p: _indec_key(p[0]))))
 
@@ -156,7 +157,7 @@ def zero_class(ctx) -> DeligneClass:
 
 
 def dsum(a: DeligneClass, b: DeligneClass) -> DeligneClass:
-    return normalize(list(a.parts) + list(b.parts), a.ctx)
+    return merge(a.parts + b.parts, a.ctx)
 
 
 def dual_class(a: DeligneClass) -> DeligneClass:
@@ -172,7 +173,7 @@ def dual_class(a: DeligneClass) -> DeligneClass:
             out.append((seg(dual_irr(ind.irr), ind.r, (-ind.a - ind.r + 1) % o, ctx), m))
         else:
             out.append((cyc(ind.line.dual(ctx), ind.r, ctx), m))
-    return normalize(out, ctx)
+    return merge(out, ctx)
 
 
 def twist_class(a: DeligneClass, nu_power=0, chi: UnramifiedChar = None) -> DeligneClass:
@@ -194,7 +195,7 @@ def twist_class(a: DeligneClass, nu_power=0, chi: UnramifiedChar = None) -> Deli
             if chi is not None:
                 line = line_product(line, line_of(chi, ctx)[0], ctx)
             out.append((cyc(line, ind.r, ctx), m))
-    return normalize(out, ctx)
+    return merge(out, ctx)
 
 
 # -- modular interval profile of [0,n-1] (x) [0,m-1] -------------------------
@@ -342,7 +343,7 @@ def _tensor_indec(A, B, ctx, table):
         twists = [i + j for i in range(A.line.order) for j in range(B.line.order)]
         orbits = _orbit_cycle_counts(entries, twists, ctx)
     for (c, d), pm in profile:
-        for line, mu in sorted(orbits.items(), key=lambda p: p[0].key()):
+        for line, mu in orbits.items():
             out.append((cyc(line, d - c + 1, ctx), pm * mu))
     return out
 
@@ -355,7 +356,7 @@ def tensor_ss(a: DeligneClass, b: DeligneClass, table=None) -> DeligneClass:
     cycles (the operator stays bijective at generic scalings).
     """
     ctx = a.ctx
-    counts = {}
+    out = []
     for A, ma in a.parts:
         for B, mb in b.parts:
             if table is None:
@@ -363,63 +364,52 @@ def tensor_ss(a: DeligneClass, b: DeligneClass, table=None) -> DeligneClass:
             else:
                 pieces = _tensor_indec(A, B, ctx, table)
             # the pieces are built by seg() and cyc(), hence canonical
-            for ind, m in pieces:
-                counts[ind] = counts.get(ind, 0) + m * ma * mb
-    return _from_counts(counts, ctx)
+            out += [(ind, m * ma * mb) for ind, m in pieces]
+    return merge(out, ctx)
 
 
 # -- acyclic/cyclic split and the CV map --------------------------------------
+
+def _orbit_blocks(a: DeligneClass):
+    """Group the sorted parts of a nilpotent class by (line, r), in one
+    pass.  Yields (block, b): b full twist orbits lie in the block, its
+    least multiplicity when it covers all o twists and 0 otherwise."""
+    for (base, _), block in itertools.groupby(
+            a.parts, key=lambda p: (p[0].irr, p[0].r)):
+        block = tuple(block)
+        full = len(block) == irr_order(base, a.ctx)
+        yield block, min(m for _, m in block) if full else 0
+
 
 def split_cyclic(a: DeligneClass):
     """Split a single-line nilpotent class into (acyclic, cyclic) parts:
     per length r, the cyclic part receives b_r = min_k mult(r, k) full
     twist orbits."""
-    ctx = a.ctx
     if not a.is_nilpotent():
         raise ContainsCyc("split_cyclic expects a nilpotent class")
-    if a.is_zero():
-        return zero_class(ctx), zero_class(ctx)
-    lines = {_indec_key(ind)[0] for ind, _ in a.parts}
-    if len(lines) > 1:
+    # the parts are sorted by line first
+    if a.parts and a.parts[0][0].irr != a.parts[-1][0].irr:
         raise MixedLines("split_cyclic expects a single line")
-    base = a.parts[0][0].irr
-    o = irr_order(base, ctx)
-    by_r = {}
-    for ind, m in a.parts:
-        by_r.setdefault(ind.r, {})[ind.a] = m
     acyc, cycl = [], []
-    for r, twists in sorted(by_r.items()):
-        b = min(twists.get(k, 0) for k in range(o))
-        for k in range(o):
-            m = twists.get(k, 0)
-            if m - b:
-                acyc.append((Seg(base, r, k), m - b))
-            if b:
-                cycl.append((Seg(base, r, k), b))
-    return normalize(acyc, ctx), normalize(cycl, ctx)
+    for block, b in _orbit_blocks(a):
+        acyc += [(ind, m - b) for ind, m in block if m > b]
+        if b:
+            cycl += [(ind, b) for ind, _ in block]
+    return DeligneClass(a.ctx, tuple(acyc)), DeligneClass(a.ctx, tuple(cycl))
 
 
 def cv_map(a: DeligneClass) -> DeligneClass:
     """Replace each full cyclic orbit block of length r by [0,r-1](x)C(Z);
     the acyclic part is kept verbatim.  Injective on nilpotent classes."""
-    ctx = a.ctx
     if not a.is_nilpotent():
         raise ContainsCyc("cv_map expects a nilpotent class (a V-parameter)")
-    by_line = {}
-    for ind, m in a.parts:
-        by_line.setdefault(_indec_key(ind)[0], []).append((ind, m))
     out = []
-    for _, parts in sorted(by_line.items()):
-        piece = normalize(parts, ctx)
-        acyc, cycl = split_cyclic(piece)
-        out.extend(acyc.parts)
-        by_r = {}
-        for ind, m in cycl.parts:
-            by_r[ind.r] = m  # uniform over twists by construction
-        line = line_of(parts[0][0].irr, ctx)[0]
-        for r, b in sorted(by_r.items()):
-            out.append((Cyc(line, r), b))
-    return normalize(out, ctx)
+    for block, b in _orbit_blocks(a):
+        out += [(ind, m - b) for ind, m in block if m > b]
+        if b:
+            ind = block[0][0]
+            out.append((cyc(ind.irr, ind.r, a.ctx), b))
+    return merge(out, a.ctx)
 
 
 # -- determinant --------------------------------------------------------------

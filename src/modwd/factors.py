@@ -23,7 +23,7 @@ correspondence uses the same normalization.
 
 from __future__ import annotations
 
-from .deligne import DeligneClass, Seg, tensor_ss, normalize, seg
+from .deligne import DeligneClass, Seg, tensor_ss, seg
 from .errors import EpsilonNotUnit
 from .field import FieldElem
 from .laurent import (FactorExpr, LaurentPoly, RationalFraction, UnitExpr,
@@ -173,13 +173,13 @@ def check_multiplicativity(n, m, psi, psi2, ctx, table=None) -> bool:
     nu^k psi'), cross-checked against the matrix kernel computation."""
     if m > n:
         raise ValueError("check_multiplicativity expects m <= n")
-    A = normalize([seg(psi, n, 0, ctx)], ctx)
-    B = normalize([seg(psi2, m, 0, ctx)], ctx)
+    A = DeligneClass(ctx, ((seg(psi, n, 0, ctx), 1),))
+    B = DeligneClass(ctx, ((seg(psi2, m, 0, ctx), 1),))
     lhs = l_factor(tensor_ss(A, B, table))
     rhs = RationalFraction.one(ctx.field)
     for k in range(m):
-        left = normalize([seg(psi, 1, n - 1, ctx)], ctx)
-        right = normalize([seg(psi2, 1, k, ctx)], ctx)
+        left = DeligneClass(ctx, ((seg(psi, 1, n - 1, ctx), 1),))
+        right = DeligneClass(ctx, ((seg(psi2, 1, k, ctx), 1),))
         rhs = rhs * l_factor(tensor_ss(left, right, table))
     if lhs != rhs:
         return False

@@ -443,7 +443,8 @@ class FieldElem:
         # never equal to an int: an element would equal both n and n + ell,
         # whose hashes differ
         if isinstance(other, FieldElem):
-            return self.field == other.field and self.i == other.i
+            return self.i == other.i and (other.field is self.field
+                                          or other.field == self.field)
         return NotImplemented
 
     def __hash__(self):

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deligne import (Character, DeligneClass, cv_map, normalize, seg,
+from .deligne import (Character, DeligneClass, cv_map, merge, seg,
                       tensor_ss, trivial_character)
 from .errors import InvalidGenericRep, MixedLines, RamifiedCuspLine
 from .factors import (epsilon_from, gamma_from_counts, l_factor,
                       local_constants)
 from .laurent import FactorExpr, RationalFraction
-from .weil import Line, UnramifiedChar, dual_irr, irr_order, line_of
+from .weil import (Line, UnramifiedChar, dual_irr, irr_order, line_key,
+                   line_of)
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ def cusp_chi_line(cusp, ctx) -> Line:
 
 
 def _cusp_key(cusp, ctx):
-    lk = cusp_chi_line(cusp, ctx).key()
+    lk = line_key(cusp_chi_line(cusp, ctx).base)
     if isinstance(cusp, NonSuperCusp):
         return (lk, 1, cusp.k)
     return (lk, 0, 0)
@@ -120,9 +121,6 @@ class GenericRep:
     def __init__(self, ctx, segs):
         self.ctx = ctx
         self.segs = segs
-
-    def items(self):
-        return self.segs
 
     def gl_rank(self):
         ctx = self.ctx
@@ -213,7 +211,7 @@ def banal_tnb_split(pi: GenericRep):
     """Split a single-line generic representation into banal x totally
     non-banal factors."""
     ctx = pi.ctx
-    lines = {cusp_chi_line(s.cusp, ctx).key() for s, _ in pi.segs}
+    lines = {line_key(cusp_chi_line(s.cusp, ctx).base) for s, _ in pi.segs}
     if len(lines) > 1:
         raise MixedLines("banal_tnb_split expects a single supercuspidal line")
     banal = [(s, m) for s, m in pi.segs if isinstance(s.cusp, SuperCusp)]
@@ -274,7 +272,7 @@ def v_map(pi: GenericRep) -> DeligneClass:
             w = m * ctx.ell ** s.cusp.k
             for j in range(line.order):
                 out.append((seg(line.base, s.r, j, ctx), w))
-    return normalize(out, ctx)
+    return merge(out, ctx)
 
 
 def c_map(pi: GenericRep) -> DeligneClass:

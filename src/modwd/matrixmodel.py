@@ -21,7 +21,8 @@ import numpy as np
 
 from . import _poly
 from ._linalg import FMat
-from .deligne import Cyc, DeligneClass, Seg, cyc, normalize, zero_class
+from .deligne import (Cyc, DeligneClass, Seg, cyc, merge, normalize,
+                      zero_class)
 from .errors import (FNotInvertible, NeedsLargerField, NotNilpotent,
                      NotSemisimple, RamifiedLine, RelationViolated,
                      ZeroElement)
@@ -339,7 +340,8 @@ def decompose(m: MatrixDeligne, ctx, check=True) -> DeligneClass:
                 raise RuntimeError("negative cycle multiplicity")
             if mult:
                 out.append((Cyc(line, s), mult))
-    cls = normalize(out, ctx)
+    # slice-indexed parts on canonical bases are canonical
+    cls = merge(out, ctx)
     if cls.dim() != n:
         raise RuntimeError("decomposition lost dimension; input not in the model")
     return cls

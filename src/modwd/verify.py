@@ -13,8 +13,9 @@ import multiprocessing
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .deligne import (Cyc, Seg, det_class, dual_class, interval_profile,
-                      normalize, tensor_ss, twist_class)
+from .deligne import (Cyc, DeligneClass, Seg, cyc, det_class, dual_class,
+                      interval_profile, normalize, seg, tensor_ss,
+                      twist_class)
 from .errors import EpsilonNotUnit
 from .factors import (check_multiplicativity, epsilon_factor, l_factor,
                       l_factor_matrix)
@@ -87,30 +88,37 @@ def enumerate_generic_reps(ctx, max_segments=3, max_len=4, max_k=1):
     return reps
 
 
+def _trivial_line_pool(ctx, seg_rmax, cyc_rmax):
+    """Canonical indecomposables on the line of the trivial character, in
+    class order: segments by (r, a), then cycles by r."""
+    chi1 = UnramifiedChar(ctx.field.one)
+    return ([seg(chi1, r, a, ctx) for r in range(1, seg_rmax + 1)
+             for a in range(ctx.o_nu)]
+            + [cyc(chi1, r, ctx) for r in range(1, cyc_rmax + 1)])
+
+
 def enumerate_line_classes(ctx, max_dim=12):
     """All normalized classes of dimension <= max_dim supported on the
-    line of the trivial character."""
-    chi1 = UnramifiedChar(ctx.field.one)
-    line = line_of(chi1, ctx)[0]
-    o = ctx.o_nu
-    pool = []
-    for r in range(1, max_dim + 1):
-        for a in range(o):
-            pool.append((Seg(chi1, r, a), r))
-    for r in range(1, max_dim // o + 1):
-        pool.append((Cyc(line, r), r * o))
+    line of the trivial character, in the depth-first order of their
+    non-decreasing sequences of pool indices.  The pool is in class order,
+    so the runs of such a sequence are the sorted parts of its class."""
+    pool = [(ind, ind.dim(ctx))
+            for ind in _trivial_line_pool(ctx, max_dim, max_dim // ctx.o_nu)]
     out = []
 
-    def extend(prefix, start, budget):
+    def extend(parts, start, budget):
         for i in range(start, len(pool)):
             ind, d = pool[i]
             if d > budget:
                 continue
-            cand = prefix + [ind]
-            out.append(normalize(cand, ctx))
+            if i == start and parts:
+                cand = parts[:-1] + ((ind, parts[-1][1] + 1),)
+            else:
+                cand = parts + ((ind, 1),)
+            out.append(DeligneClass(ctx, cand))
             extend(cand, i, budget - d)
 
-    extend([], 0, max_dim)
+    extend((), 0, max_dim)
     return out
 
 
@@ -319,17 +327,11 @@ def run_tensor_oracle(ell, q, rmax=4) -> SweepSummary:
     """tensor_ss == oracle_tensor_ss on all indecomposable pairs with
     r <= rmax on the trivial-character line."""
     ctx = make_ctx(ell, q)
-    chi1 = UnramifiedChar(ctx.field.one)
-    line = line_of(chi1, ctx)[0]
-    indecs = []
-    for r in range(1, rmax + 1):
-        for a in range(ctx.o_nu):
-            indecs.append(Seg(chi1, r, a))
-        indecs.append(Cyc(line, r))
+    indecs = _trivial_line_pool(ctx, rmax, rmax)
     s = SweepSummary(f"tensor vs oracle ({ell},{q})")
     for i, A in enumerate(indecs):
         for B in indecs[i:]:
-            a, b = normalize([A], ctx), normalize([B], ctx)
+            a, b = DeligneClass(ctx, ((A, 1),)), DeligneClass(ctx, ((B, 1),))
             s.checked += 1
             if tensor_ss(a, b) != oracle_tensor_ss(a, b):
                 s.failures.append((repr(A), repr(B)))
@@ -360,7 +362,7 @@ def run_epsilon(ell, q, max_dim=12, classes=None) -> SweepSummary:
         for t_idx in sorted({1, field.gen_idx}):
             t = field.elem(t_idx)
             for r in range(1, 4):
-                a = normalize([Cyc(line_of(UnramifiedChar(t), ctx)[0], r)], ctx)
+                a = DeligneClass(ctx, ((cyc(UnramifiedChar(t), r, ctx), 1),))
                 unit = is_unit(epsilon_factor(a))[1]
                 want = UnitExpr(field, ((-field.one) ** r * t ** (o * r)).i, o * r)
                 s.checked += 1

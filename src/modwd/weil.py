@@ -70,16 +70,18 @@ class Line:
     base: object
     order: int
 
-    def key(self):
-        if isinstance(self.base, UnramifiedChar):
-            return (0, self.base.t.field.dlog_idx(self.base.t.i))
-        return (1, self.base.label)
-
     def dual(self, ctx):
         return line_of(dual_irr(self.base), ctx)[0]
 
     def __repr__(self):
         return f"line({self.base!r})"
+
+
+def line_key(base):
+    """Sort key of the line with canonical representative base."""
+    if isinstance(base, UnramifiedChar):
+        return (0, base.t.field.dlog_idx(base.t.i))
+    return (1, base.label)
 
 
 @functools.lru_cache(maxsize=4096)

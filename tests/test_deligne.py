@@ -227,6 +227,46 @@ def test_cv_injective_on_population(ctx23):
         images[img] = a
 
 
+def _cv_by_normalize(a):
+    """The CV map by its definition: per line and length r, b full twist
+    orbits (the least multiplicity over the o twists) become b copies of
+    the cycle of length r; everything is normalized from raw parts."""
+    ctx = a.ctx
+    by_line = {}
+    for ind, m in a.parts:
+        by_line.setdefault(line_of(ind.irr, ctx)[0], []).append((ind, m))
+    out = []
+    for line, parts in by_line.items():
+        piece = normalize(parts, ctx)
+        mult = {(ind.r, ind.a): m for ind, m in piece.parts}
+        for r in sorted({r for r, _ in mult}):
+            b = min(mult.get((r, k), 0) for k in range(line.order))
+            for k in range(line.order):
+                if mult.get((r, k), 0) > b:
+                    out.append((Seg(line.base, r, k), mult[(r, k)] - b))
+            if b:
+                out.append((Cyc(line, r), b))
+    return normalize(out, ctx)
+
+
+@pytest.mark.parametrize("ell,q", [(5, 2), (2, 3)])
+def test_split_and_cv_match_reference(ell, q):
+    # every nilpotent class of dim <= 7 on the trivial line, alone and
+    # (where the field has a second line) next to one on another line
+    from modwd.verify import enumerate_line_classes
+    ctx = make_ctx(ell, q)
+    pop = [a for a in enumerate_line_classes(ctx, 7) if a.is_nilpotent()]
+    g = UnramifiedChar(ctx.field.elem(ctx.field.gen_idx))
+    two_lines = line_of(g, ctx)[0] != line_of(chi(ctx, 1), ctx)[0]
+    for i, a in enumerate(pop):
+        acyc, cycl = split_cyclic(a)
+        assert dsum(acyc, cycl) == a
+        assert cv_map(a) == dsum(acyc, cv_map(cycl)) == _cv_by_normalize(a)
+        if two_lines:
+            mixed = dsum(a, twist_class(pop[7 * i % len(pop)], chi=g))
+            assert cv_map(mixed) == _cv_by_normalize(mixed)
+
+
 def test_det_examples(ctx52):
     F = ctx52.field
     c1 = chi(ctx52, 1)

@@ -260,6 +260,15 @@ def test_oracle_matches_formal_small(ctx52, ctx32, ctx23):
         c1 = UnramifiedChar(ctx.field.one)
         line = line_of(c1, ctx)[0]
         indecs = [Seg(c1, 1, 0), Seg(c1, 2, 0), Cyc(line, 1), Cyc(line, 2)]
+        if ctx is not ctx23:
+            # a second unramified line: the generator lies outside <q>, and
+            # its dual lies on a third line, so a tensor that fuses with the
+            # wrong base of a cycle line shows here
+            g = UnramifiedChar(ctx.field.elem(ctx.field.gen_idx))
+            g_line = line_of(g, ctx)[0]
+            assert g_line not in (line, g_line.dual(ctx))
+            indecs += [Seg(g, 1, 0), Seg(g, 2, 1), Cyc(g_line, 1),
+                       Cyc(g_line, 2)]
         for i, A in enumerate(indecs):
             for B in indecs[i:]:
                 a, b = normalize([A], ctx), normalize([B], ctx)

@@ -1,4 +1,15 @@
-from modwd.verify import run_preservation, run_roundtrip
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from modwd import Cyc, Seg, UnramifiedChar, make_ctx, normalize
+from modwd.verify import (enumerate_line_classes, run_preservation,
+                          run_roundtrip)
+from modwd.weil import line_of
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_sweep_serial_and_pooled_agree():
@@ -13,3 +24,44 @@ def test_preservation_sweep_counts_every_pair():
     s = run_preservation(3, 2, max_segments=1, max_len=2, processes=2)
     n = int(s.note.split()[0])
     assert s.passed and s.checked == n * (n + 1) // 2
+
+
+def _line_classes_by_normalize(ctx, max_dim):
+    """The enumerator by its definition: normalize every prefix of a
+    depth-first walk over raw segments and cycles of the trivial line."""
+    chi1 = UnramifiedChar(ctx.field.one)
+    line = line_of(chi1, ctx)[0]
+    o = ctx.o_nu
+    pool = [(Seg(chi1, r, a), r) for r in range(1, max_dim + 1)
+            for a in range(o)]
+    pool += [(Cyc(line, r), r * o) for r in range(1, max_dim // o + 1)]
+    out = []
+
+    def extend(prefix, start, budget):
+        for i in range(start, len(pool)):
+            ind, d = pool[i]
+            if d <= budget:
+                out.append(normalize(prefix + [ind], ctx))
+                extend(prefix + [ind], i, budget - d)
+
+    extend([], 0, max_dim)
+    return out
+
+
+@pytest.mark.parametrize("ell,q", [(5, 2), (2, 3), (3, 2), (3, 4)])
+def test_enumerate_line_classes_matches_reference(ell, q):
+    ctx = make_ctx(ell, q)
+    got = enumerate_line_classes(ctx, 8)
+    want = _line_classes_by_normalize(ctx, 8)
+    assert [repr(a) for a in got] == [repr(a) for a in want]
+    assert got == want
+
+
+def test_benchmark_tracing_installs():
+    # perfbench/tracing.py wraps modwd functions by name and reads the
+    # cache_info() of its lru_caches; a rename or a dropped cache breaks it
+    code = ("import sys; sys.path[:0] = ['src', 'perfbench']; "
+            "import tracing; tracing.install()")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
