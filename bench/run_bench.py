@@ -1,0 +1,210 @@
+"""Matrix-oracle rows of the modwd BENCH file.
+
+    python3 bench/run_bench.py --n N [--src PATH]
+
+writes BENCH_<N>.json at the repository root.  It imports modwd from
+PATH (default: src/ of this checkout), so one copy of this script can
+measure another checkout, e.g. a clone of an earlier commit.  Rows:
+
+- `decompose_transported_us`: CPU microseconds per `decompose` of a
+  transported realization P (lam U) P^-1, P F P^-1, over 2,000 seeded
+  classes drawn from `enumerate_line_classes` at (5,2), dim <= 12; the
+  transport is built before timing.  `decompose_realized_us` times
+  `decompose(realize(a))` of the same classes, and `realize_us` the
+  realization alone.
+- `charpoly_us` at n = 12, 32 and 64 and `rref_us` at 12 x 12, over
+  F(5^2), on seeded random matrices.
+- `criterion_4_s`: the sweeps of `test_criterion_4_classification_roundtrip`,
+  run in this process (two pool workers for the full roundtrips, as in
+  the test), wall and CPU seconds.
+
+Each row but criterion 4 is the median of REPEAT passes, with every
+pass reported.  Times are CPU seconds of this process, which the host's
+speed changes move along with wall time; compare two files only when
+both were written on the same machine, one after the other.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CLASSES = 2000
+SEED = 20261018
+REPEAT = 5
+
+
+def _git_sha(src: Path):
+    """HEAD of the work tree holding src, with "+dirty" when src differs
+    from it; None outside git."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(src), *args], check=True,
+                              capture_output=True, text=True).stdout.strip()
+    try:
+        sha = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--", ".")
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return sha + ("+dirty" if dirty else "")
+
+
+def _src_digest(src: Path):
+    h = hashlib.sha256()
+    for p in sorted((src / "modwd").glob("*.py")):
+        h.update(p.name.encode() + b"\0" + p.read_bytes())
+    return h.hexdigest()
+
+
+def _cpu():
+    t = os.times()
+    return t.user + t.system + t.children_user + t.children_system
+
+
+def _median_row(passes, **extra):
+    return dict(extra, median=statistics.median(passes), passes=passes)
+
+
+def _rand_fmat(FMat, field, n, m, rng):
+    return FMat(field, [[rng.randrange(field.order) for _ in range(m)]
+                        for _ in range(n)])
+
+
+def _check(ok, what):
+    if not ok:
+        raise RuntimeError(f"wrong result: {what}")
+
+
+def bench_decompose():
+    from modwd import make_ctx, realize
+    from modwd._linalg import FMat
+    from modwd.matrixmodel import MatrixDeligne, decompose
+    from modwd.verify import enumerate_line_classes
+
+    ctx = make_ctx(5, 2)
+    field = ctx.field
+    pool = enumerate_line_classes(ctx, 12)
+    rng = random.Random(SEED)
+    sample = [pool[rng.randrange(len(pool))] for _ in range(CLASSES)]
+    moved = []
+    for a in sample:
+        m = realize(a, ctx)
+        lam = rng.randrange(1, field.order)
+        while True:
+            P = _rand_fmat(FMat, field, m.dim, m.dim, rng)
+            if P.rank() == m.dim:
+                break
+        Pi = P.inverse()
+        moved.append((a, MatrixDeligne(P @ m.F @ Pi, P @ m.U.scale(lam) @ Pi)))
+    rows = {"realize_us": [], "decompose_realized_us": [],
+            "decompose_transported_us": []}
+    for _ in range(REPEAT):
+        t0 = time.process_time()
+        ms = [realize(a, ctx) for a in sample]
+        t1 = time.process_time()
+        for a, m in zip(sample, ms):
+            _check(decompose(m, ctx) == a, repr(a))
+        t2 = time.process_time()
+        for a, mc in moved:
+            _check(decompose(mc, ctx) == a, f"transported {a!r}")
+        t3 = time.process_time()
+        rows["realize_us"].append((t1 - t0) / CLASSES * 1e6)
+        rows["decompose_realized_us"].append((t2 - t1) / CLASSES * 1e6)
+        rows["decompose_transported_us"].append((t3 - t2) / CLASSES * 1e6)
+    mean_dim = sum(a.dim() for a in sample) / CLASSES
+    return {k: _median_row(v, context="(5,2)", classes=CLASSES,
+                           mean_dim=mean_dim)
+            for k, v in rows.items()}
+
+
+def bench_kernels():
+    from modwd._linalg import FMat
+    from modwd.field import finite_field
+
+    field = finite_field(5, 2)
+    rng = random.Random(SEED)
+    out = {}
+
+    def per_call(fn, mats):
+        passes = []
+        for _ in range(REPEAT):
+            t0 = time.process_time()
+            for M in mats:
+                fn(M)
+            passes.append((time.process_time() - t0) / len(mats) * 1e6)
+        return passes
+
+    out["charpoly_us"] = {
+        str(n): _median_row(per_call(FMat.charpoly, [
+            _rand_fmat(FMat, field, n, n, rng) for _ in range(count)]),
+            field="F(5^2)", matrices=count)
+        for n, count in ((12, 200), (32, 20), (64, 5))}
+    out["rref_us"] = {"12": _median_row(per_call(FMat.rref, [
+        _rand_fmat(FMat, field, 12, 12, rng) for _ in range(500)]),
+        field="F(5^2)", matrices=500)}
+    return out
+
+
+def bench_criterion_4():
+    """The sweeps of test_criterion_4_classification_roundtrip."""
+    from modwd.verify import run_random_transport, run_roundtrip
+
+    w0, c0 = time.perf_counter(), _cpu()
+    summaries = [run_roundtrip(5, 2, max_dim=12, processes=2),
+                 run_roundtrip(2, 3, max_dim=12, processes=2),
+                 run_random_transport(5, 2, count=500),
+                 run_random_transport(2, 3, count=500)]
+    wall, cpu = time.perf_counter() - w0, _cpu() - c0
+    _check(all(s.passed for s in summaries),
+           "; ".join(s.line() for s in summaries if not s.passed))
+    return {"wall_s": wall, "cpu_s": cpu,
+            "checks": sum(s.checked for s in summaries), "budget_s": 60.0}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--n", required=True, help="suffix of BENCH_<n>.json")
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="directory holding the modwd package to measure")
+    args = ap.parse_args(argv)
+    src = args.src.resolve()
+    if not (src / "modwd").is_dir():
+        ap.error(f"no modwd package under {src}")
+    sys.path.insert(0, str(src))
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    import numpy as np
+
+    rows = bench_decompose()
+    rows.update(bench_kernels())
+    rows["criterion_4_s"] = bench_criterion_4()
+    record = {
+        "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                "numpy": np.__version__, "git_sha": _git_sha(src),
+                "src_sha256": _src_digest(src),
+                "unit": "CPU microseconds unless a row says otherwise"},
+        "rows": rows,
+    }
+    path = ROOT / f"BENCH_{args.n}.json"
+    path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+    for name in ("decompose_transported_us", "decompose_realized_us"):
+        print(f"{name:28s} {rows[name]['median']:10.1f}")
+    for n, row in rows["charpoly_us"].items():
+        print(f"charpoly_us n={n:<17s} {row['median']:10.1f}")
+    print(f"{'rref_us n=12':28s} {rows['rref_us']['12']['median']:10.1f}")
+    c4 = rows["criterion_4_s"]
+    print(f"{'criterion_4_s':28s} {c4['wall_s']:10.1f} wall, {c4['cpu_s']:.1f} CPU")
+
+
+if __name__ == "__main__":
+    main()

@@ -272,16 +272,12 @@ class FMat:
 
     def kernel(self):
         """Columns form a basis of the right kernel."""
-        F = self.field
         R, pivots = self.rref()
-        m = self.ncols
-        free = [c for c in range(m) if c not in pivots]
-        out = np.zeros((m, len(free)), dtype=np.intp)
-        for j, fc in enumerate(free):
-            out[fc, j] = 1
-            for i, pc in enumerate(pivots):
-                out[pc, j] = F.neg_idx(int(R.a[i, fc]))
-        return FMat(F, out)
+        free = np.setdiff1d(np.arange(self.ncols), pivots)
+        out = np.zeros((self.ncols, free.size), dtype=np.intp)
+        out[free, np.arange(free.size)] = 1
+        out[pivots] = self.field.np_neg[R.a[:len(pivots), free]]
+        return FMat(self.field, out)
 
     def column_space_basis(self):
         """Columns of self forming a basis of the column space."""

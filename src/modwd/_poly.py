@@ -55,22 +55,18 @@ def pmul(F, f, g):
 
 
 def pdivmod(F, f, g):
+    """(q, r) with f = q g + r, deg r < deg g, in one schoolbook pass."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    f = list(f)
-    q = [0] * max(0, len(f) - len(g) + 1)
+    r, dg = list(f), len(g) - 1
     inv_lead = F.inv_idx(g[-1])
-    while len(f) >= len(g) and pnorm(f):
-        f = pnorm(f)
-        if len(f) < len(g):
-            break
-        s = F.mul_idx(f[-1], inv_lead)
-        d = len(f) - len(g)
-        q[d] = s
-        for i, c in enumerate(g):
-            f[d + i] = F.sub_idx(f[d + i], F.mul_idx(s, c))
-        f = f[:-1]
-    return pnorm(q), pnorm(f)
+    q = [0] * max(0, len(r) - dg)
+    for d in range(len(q) - 1, -1, -1):
+        if r[d + dg]:
+            s = q[d] = F.mul_idx(r[d + dg], inv_lead)
+            for i in range(dg):
+                r[d + i] = F.sub_idx(r[d + i], F.mul_idx(s, g[i]))
+    return pnorm(q), pnorm(r[:dg])
 
 
 def pmod(F, f, g):
@@ -165,8 +161,17 @@ def radical(F, f):
     return pmonic(F, pmul(F, w, r))
 
 
+def _deflate(F, f, x):
+    """(q, f(x)) with f = (X - x) q + f(x), by synthetic division."""
+    q, acc = [0] * (len(f) - 1), 0
+    for k in range(len(f) - 1, 0, -1):
+        acc = q[k - 1] = F.add_idx(F.mul_idx(acc, x), f[k])
+    return q, F.add_idx(F.mul_idx(acc, x), f[0])
+
+
 def roots_with_multiplicity(F, f):
-    """All roots of f in F with multiplicities, by deflation.
+    """All roots of f in F with multiplicities, by deflation: the remainder
+    of each synthetic division by X - x is f(x).
 
     Returns (roots, remainder_degree): remainder_degree > 0 signals
     irreducible factors of degree >= 2 (roots outside the field).
@@ -174,16 +179,14 @@ def roots_with_multiplicity(F, f):
     f = pmonic(F, f)
     out = []
     for x in range(F.order):
+        mult = 0
+        while pdeg(f) > 0:
+            q, fx = _deflate(F, f, x)
+            if fx:
+                break
+            f, mult = q, mult + 1
+        if mult:
+            out.append((x, mult))
         if pdeg(f) <= 0:
             break
-        if peval(F, f, x) == 0:
-            mult = 0
-            lin = [F.neg_idx(x), 1]
-            while True:
-                q, r = pdivmod(F, f, lin)
-                if r:
-                    break
-                f = q
-                mult += 1
-            out.append((x, mult))
     return out, pdeg(f)

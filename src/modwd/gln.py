@@ -324,19 +324,20 @@ def _support_value_counts(pi: GenericRep):
     """Supercuspidal support as value -> multiplicity (ell^k weighted)."""
     ctx = pi.ctx
     _require_unramified(pi)
+    field, q_inv = ctx.field, ctx.q_inv.i
     counts = {}
     for s, m in pi.segs:
         if isinstance(s.cusp, SuperCusp):
-            t = s.cusp.irr.t
+            t = s.cusp.irr.t.i
             for i in range(s.r):
-                u = (t * ctx.nu_value(s.a + i)).i
+                u = field.mul_idx(t, field.pow_idx(q_inv, s.a + i))
                 counts[u] = counts.get(u, 0) + m
         else:
-            t = s.cusp.line.base.t
+            t = s.cusp.line.base.t.i
             w = m * ctx.ell ** s.cusp.k
             for i in range(s.r):
                 for j in range(s.cusp.line.order):
-                    u = (t * ctx.nu_value(i + j)).i
+                    u = field.mul_idx(t, field.pow_idx(q_inv, i + j))
                     counts[u] = counts.get(u, 0) + w
     return counts
 

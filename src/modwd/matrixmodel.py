@@ -10,6 +10,11 @@ the nilpotent part of the holonomy around each orbit.  semisimplify()
 takes the Jordan-Holder multiset of that decomposition.
 oracle_tensor_ss() tensors realizations at generic operator scalings and
 decomposes, which is the independent check for every formal tensor rule.
+
+decompose() checks each property of a non-diagonal F once: invertibility
+by chi_F(0) != 0, and semisimplicity and the eigenspace split together by
+spectral projectors (_adapted).  validate() tests semisimplicity by the
+radical of chi_F.
 """
 
 from __future__ import annotations
@@ -48,14 +53,18 @@ class JordanPair:
 
 def validate(m: MatrixDeligne, ctx) -> bool:
     """Check the Deligne relation UF = qFU, invertibility and
-    semisimplicity of F.  Raises on violation, returns True when ok."""
-    _checked_charpoly(m, ctx)
+    semisimplicity of F (the radical of chi_F vanishes at F, whether or
+    not chi_F splits).  Raises on violation, returns True when ok."""
+    cp = _checked_charpoly(m, ctx)
+    if cp is not None:
+        _require_semisimple(m.F, cp)
     return True
 
 
 def _checked_charpoly(m: MatrixDeligne, ctx):
-    """validate's checks; returns chi_F for decompose to reuse, or None
-    when F is empty or diagonal."""
+    """The relation and invertibility checks; returns chi_F for the
+    caller to reuse, or None when F is empty or diagonal (and so already
+    semisimple).  F is singular iff chi_F(0) = 0."""
     F, U = m.F, m.U
     if F.nrows != F.ncols or U.a.shape != F.a.shape:
         raise ValueError("F and U must be square of equal size")
@@ -76,13 +85,15 @@ def _checked_charpoly(m: MatrixDeligne, ctx):
         if any(int(F.a[i, i]) == 0 for i in range(n)):
             raise FNotInvertible("zero Frobenius eigenvalue")
         return None
-    if F.rank() != n:
-        raise FNotInvertible("Frobenius matrix is singular")
     cp = F.charpoly()
-    rad = _poly.radical(F.field, cp)
-    if not F.poly_eval(rad).is_zero():
-        raise NotSemisimple("Frobenius matrix is not semisimple")
+    if cp[0] == 0:
+        raise FNotInvertible("Frobenius matrix is singular")
     return cp
+
+
+def _require_semisimple(F: FMat, cp):
+    if not F.poly_eval(_poly.radical(F.field, cp)).is_zero():
+        raise NotSemisimple("Frobenius matrix is not semisimple")
 
 
 # -- Jordan-Chevalley ----------------------------------------------------------
@@ -194,9 +205,18 @@ def _adapted(m: MatrixDeligne, ctx, cp=None):
     """Change of basis grouping Frobenius eigenspaces; cp is chi_F when
     the caller already has it.
 
-    Returns (ranges, G, P) with ranges: eigenvalue index -> (lo, hi) column
-    range, G = U in the adapted basis, P the basis (None when F is already
-    diagonal and only a permutation was applied).
+    Returns (ranges, G, P, Pinv) with ranges: eigenvalue index -> (lo, hi)
+    column range, P the adapted basis, Pinv its inverse and G = Pinv U P.
+
+    A diagonal F only needs a permutation.  Otherwise, when chi_F splits
+    with distinct roots v, let A_v = F - v.  F is semisimple iff the
+    product of all A_v is zero, and then E_v = prod_{w != v} A_w / (v - w)
+    is the projector onto the v-eigenspace along the others.  rref gives
+    E_v = C_v R_v with C_v the pivot columns of E_v and R_v the nonzero
+    rows of its echelon form; E_v E_w = delta_vw E_v gives R_v C_w =
+    delta_vw Id, so P = [C_v] and Pinv = [R_v] stacked.  When chi_F does
+    not split, the radical test runs first, so a non-semisimple F raises
+    NotSemisimple before NeedsLargerField.
     """
     field = m.F.field
     n = m.F.nrows
@@ -207,33 +227,48 @@ def _adapted(m: MatrixDeligne, ctx, cp=None):
         vals = sorted(groups)
         perm = np.array([i for v in vals for i in groups[v]], dtype=np.intp)
         G = FMat(field, m.U.a[np.ix_(perm, perm)])
-        Pm = FMat(field, np.eye(n, dtype=np.intp)[:, perm])
+        eye = np.eye(n, dtype=np.intp)
         ranges = {}
         lo = 0
         for v in vals:
             ranges[v] = (lo, lo + len(groups[v]))
             lo += len(groups[v])
-        return ranges, G, Pm
+        return ranges, G, FMat(field, eye[:, perm]), FMat(field, eye[perm])
     if cp is None:
         cp = m.F.charpoly()
     roots, rem = _poly.roots_with_multiplicity(field, cp)
     if rem:
+        _require_semisimple(m.F, cp)
         raise NeedsLargerField("Frobenius eigenvalues lie outside the field")
     vals = sorted(v for v, _ in roots)
     mults = dict(roots)
-    bases = []
-    ranges = {}
-    lo = 0
-    for v in vals:
-        E = (m.F - FMat.identity(field, n).scale(v)).kernel()
-        if E.ncols != mults[v]:
+    A = [m.F - FMat.identity(field, n).scale(v) for v in vals]
+    # prefix[k] = A_0 ... A_(k-1) and suffix[k] = A_k ... A_(s-1), None
+    # standing for the identity; s >= 2 past the test, as F is not scalar
+    s = len(vals)
+    prefix, suffix = [None, A[0]], [None] * (s + 1)
+    for Av in A[1:]:
+        prefix.append(prefix[-1] @ Av)
+    if not prefix[s].is_zero():
+        raise NotSemisimple("Frobenius matrix is not semisimple")
+    for k in range(s - 1, 0, -1):
+        suffix[k] = A[k] if suffix[k + 1] is None else A[k] @ suffix[k + 1]
+    cols, rows, ranges, lo = [], [], {}, 0
+    for k, v in enumerate(vals):
+        left, right = prefix[k], suffix[k + 1]
+        E = right if left is None else left if right is None else left @ right
+        R, pivots = E.rref()
+        if len(pivots) != mults[v]:
             raise NotSemisimple("eigenspace smaller than multiplicity")
-        bases.append(E)
-        ranges[v] = (lo, lo + E.ncols)
-        lo += E.ncols
-    P = FMat.hstack(bases)
-    G = P.inverse() @ m.U @ P
-    return ranges, G, P
+        c = 1
+        for w in vals[:k] + vals[k + 1:]:
+            c = field.mul_idx(c, field.sub_idx(v, w))
+        cols.append(field.mul_arr(E.a[:, pivots], field.inv_idx(c)))
+        rows.append(R.a[:len(pivots)])
+        ranges[v] = (lo, lo + len(pivots))
+        lo += len(pivots)
+    P, Pinv = FMat(field, np.hstack(cols)), FMat(field, np.vstack(rows))
+    return ranges, Pinv @ m.U @ P, P, Pinv
 
 
 def _lines_of_values(vals, ctx, field):
@@ -288,7 +323,7 @@ def decompose(m: MatrixDeligne, ctx, check=True) -> DeligneClass:
     if n == 0:
         return zero_class(ctx)
     cp = _checked_charpoly(m, ctx) if check else None
-    ranges, G, _ = _adapted(m, ctx, cp)
+    ranges, G, _, _ = _adapted(m, ctx, cp)
     o = ctx.o_nu
     lines, shifted = [], np.zeros_like(G.a)
     for t0, slice_vals in _lines_of_values(list(ranges), ctx, field):
@@ -373,7 +408,7 @@ def rescale_witness(m: MatrixDeligne, lam, ctx) -> FMat:
         raise ZeroElement("rescaling by zero")
     if not m.U.power(n).is_zero():
         raise NotNilpotent("rescale_witness needs a nilpotent operator")
-    ranges, G, P = _adapted(m, ctx)
+    ranges, G, P, Pinv = _adapted(m, ctx)
     blocks = [np.arange(lo, hi, dtype=np.intp) for lo, hi in
               sorted(ranges.values())]
 
@@ -426,7 +461,7 @@ def rescale_witness(m: MatrixDeligne, lam, ctx) -> FMat:
         scalings.extend([field.pow_idx(lam_idx, i)] * Si.ncols)
     B = FMat.hstack(cols)
     Pm = B @ FMat.diag(field, scalings) @ B.inverse()
-    return P @ Pm @ P.inverse()
+    return P @ Pm @ Pinv
 
 
 # -- the tensor oracle ------------------------------------------------------------

@@ -151,3 +151,40 @@ def test_shape_mismatch():
     F = finite_field(3, 2)
     with pytest.raises(ValueError):
         FMat.zeros(F, 2, 3) @ FMat.zeros(F, 2, 3)
+
+
+def ref_kernel(A):
+    """Kernel basis by the earlier entry-by-entry loop over the free
+    columns of rref(A)."""
+    F = A.field
+    R, pivots = A.rref()
+    free = [c for c in range(A.ncols) if c not in pivots]
+    out = np.zeros((A.ncols, len(free)), dtype=np.intp)
+    for j, fc in enumerate(free):
+        out[fc, j] = 1
+        for i, pc in enumerate(pivots):
+            out[pc, j] = F.neg_idx(int(R.a[i, fc]))
+    return out
+
+
+@pytest.mark.parametrize("ell,k", FIELDS)
+def test_kernel_matches_reference(ell, k):
+    F = finite_field(ell, k)
+    rng = random.Random(f"kernel:{ell}:{k}")
+    mats = [FMat.zeros(F, 3, 4), FMat.zeros(F, 0, 3), FMat.zeros(F, 3, 0),
+            rand_invertible(F, 5, rng), rand_fmat(F, 2, 6, rng)]
+    for _ in range(30):
+        # rank r < min(n, m): a product through an r-dimensional space
+        n, m = rng.randrange(1, 10), rng.randrange(1, 10)
+        r = rng.randrange(0, min(n, m) + 1)
+        mats.append(rand_fmat(F, n, r, rng) @ rand_fmat(F, r, m, rng))
+    for A in mats:
+        K = A.kernel()
+        assert K.a.dtype == np.intp
+        assert np.array_equal(K.a, ref_kernel(A))
+        assert K.ncols == A.ncols - A.rank()
+        if K.ncols:
+            assert (A @ K).is_zero()
+    # no pivot: every column is free; no free column: an empty basis
+    assert FMat.zeros(F, 3, 4).kernel() == FMat.identity(F, 4)
+    assert mats[3].kernel().a.shape == (5, 0)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from modwd import (Cyc, Seg, UnramifiedChar, jordan_chevalley, normalize,
                    oracle_tensor_ss, raw_tensor, realize, rescale_witness,
                    semisimplify, tensor_ss, validate)
+from modwd import _poly, matrixmodel
 from modwd._linalg import FMat
 from modwd.errors import (FNotInvertible, NeedsLargerField, NotNilpotent,
-                          RamifiedLine, RelationViolated)
+                          NotSemisimple, RamifiedLine, RelationViolated)
 from modwd.matrixmodel import MatrixDeligne, decompose, matrix_dual
 from modwd.weil import RamifiedAbstract, line_of
 
@@ -149,6 +151,97 @@ def test_decompose_computes_charpoly_once(ctx52, monkeypatch):
     monkeypatch.setattr(FMat, "charpoly", counting)
     assert decompose(mc, ctx52) == a
     assert len(calls) == 1
+
+
+def transported(a, ctx, rng, lam=1):
+    """realize(a) moved by a random invertible P, with U scaled by lam."""
+    m = realize(a, ctx)
+    P = rand_invertible(ctx.field, m.dim, rng)
+    Pi = P.inverse()
+    return MatrixDeligne(P @ m.F @ Pi, P @ m.U.scale(lam) @ Pi)
+
+
+def test_adapted_projector_basis(ctx52, ctx32):
+    # the pivot columns C_v of the spectral projectors and the nonzero rows
+    # R_v of their echelon forms are inverse bases
+    for ctx in (ctx52, ctx32):
+        F = ctx.field
+        c1 = chi(ctx, 1)
+        g = UnramifiedChar(F.elem(F.gen_idx))
+        a = normalize([(Seg(c1, 3, 0), 1), (Cyc(line_of(c1, ctx)[0], 1), 1),
+                       (Seg(g, 2, 1), 2)], ctx)
+        rng = random.Random(repr((ctx.ell, ctx.q_residue)))
+        for lam in (1, 2):
+            mc = transported(a, ctx, rng, lam)
+            ranges, G, P, Pinv = matrixmodel._adapted(mc, ctx)
+            assert Pinv @ P == FMat.identity(F, mc.dim)
+            assert G == Pinv @ mc.U @ P
+            # F is the scalar v on the columns of range v
+            spectrum = [v for v, (lo, hi) in sorted(ranges.items(),
+                                                    key=lambda item: item[1])
+                        for _ in range(lo, hi)]
+            assert Pinv @ mc.F @ P == FMat.diag(F, spectrum)
+
+
+def count_calls(monkeypatch, owner, names):
+    """Record the calling function of each call to owner.<name>."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def counting(*args, _orig=getattr(owner, name), _name=name):
+            calls[_name].append(sys._getframe(1).f_code.co_name)
+            return _orig(*args)
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_transported_decompose_checks_each_property_once(ctx52, monkeypatch):
+    # invertibility comes from chi_F(0), semisimplicity from the product of
+    # the F - v, and the split from the spectral projectors: no inverse, no
+    # kernel, no radical, one charpoly, and ranks only of path maps, which
+    # are the classification itself
+    c1, c2 = chi(ctx52, 1), chi(ctx52, 2)
+    a = normalize([(Seg(c1, 3, 0), 1), (Seg(c1, 1, 2), 2), (Seg(c2, 2, 1), 1)],
+                  ctx52)
+    mc = transported(a, ctx52, random.Random(7), 3)
+    linalg = count_calls(monkeypatch, FMat,
+                         ("charpoly", "rank", "kernel", "inverse"))
+    poly = count_calls(monkeypatch, _poly, ("radical",))
+    assert decompose(mc, ctx52) == a
+    assert linalg["charpoly"] == ["_checked_charpoly"]
+    assert not linalg["kernel"] and not linalg["inverse"]
+    assert linalg["rank"] and set(linalg["rank"]) == {"_path_ranks"}
+    assert not poly["radical"]
+
+
+def test_decompose_error_precedence(ctx52, ctx23, monkeypatch):
+    F = ctx52.field
+    zero = FMat.zeros(F, 2, 2)
+    # singular and not semisimple: invertibility is checked first
+    nil = MatrixDeligne(FMat(F, [[0, 1], [0, 0]]), zero)
+    for fn in (decompose, validate):
+        with pytest.raises(FNotInvertible):
+            fn(nil, ctx52)
+    # chi_F = (x - 1)^2 splits; F is a Jordan block
+    jordan = MatrixDeligne(FMat(F, [[1, 1], [0, 1]]), zero)
+    # chi_F = (x^2 + x + 1)^2 = x^4 + x^2 + 1 over F_2 has no root; F is
+    # its companion matrix, whose minimal polynomial is chi_F
+    F2 = ctx23.field
+    comp = np.zeros((4, 4), dtype=np.intp)
+    comp[1:, :3] = np.eye(3, dtype=np.intp)
+    comp[:, 3] = [1, 0, 1, 0]
+    unsplit = MatrixDeligne(FMat(F2, comp), FMat.zeros(F2, 4, 4))
+    for m, ctx in ((jordan, ctx52), (unsplit, ctx23)):
+        for fn in (decompose, validate):
+            with pytest.raises(NotSemisimple):
+                fn(m, ctx)
+    # semisimple with chi_F = x^2 + x + 1 over F_2: the radical test runs
+    # once, then the field is too small
+    split_free = MatrixDeligne(FMat(F2, [[0, 1], [1, 1]]), FMat.zeros(F2, 2, 2))
+    assert validate(split_free, ctx23)
+    calls = count_calls(monkeypatch, _poly, ("radical",))
+    with pytest.raises(NeedsLargerField):
+        decompose(split_free, ctx23)
+    assert calls["radical"] == ["_require_semisimple"]
 
 
 def test_decompose_nilpotent_scaling_invariance(ctx52):
