@@ -14,6 +14,9 @@ measure another checkout, e.g. a clone of an earlier commit.  Rows:
   realization alone.
 - `charpoly_us` at n = 12, 32 and 64 and `rref_us` at 12 x 12, over
   F(5^2), on seeded random matrices.
+- `field_build_ms`: CPU milliseconds to build F(3^6), F(7^3) and F(2^12)
+  with `FiniteField(ell, k)` (not the cached `finite_field`): the modulus
+  search and the tables.
 - `criterion_4_s`: the sweeps of `test_criterion_4_classification_roundtrip`,
   run in this process (two pool workers for the full roundtrips, as in
   the test), wall and CPU seconds.
@@ -154,6 +157,20 @@ def bench_kernels():
     return out
 
 
+def bench_fields():
+    from modwd.field import FiniteField
+
+    out = {}
+    for ell, k in ((3, 6), (7, 3), (2, 12)):
+        passes = []
+        for _ in range(REPEAT):
+            t0 = time.process_time()
+            FiniteField(ell, k)
+            passes.append((time.process_time() - t0) * 1e3)
+        out[f"{ell}^{k}"] = _median_row(passes, order=ell ** k)
+    return out
+
+
 def bench_criterion_4():
     """The sweeps of test_criterion_4_classification_roundtrip."""
     from modwd.verify import run_random_transport, run_roundtrip
@@ -186,6 +203,7 @@ def main(argv=None):
 
     rows = bench_decompose()
     rows.update(bench_kernels())
+    rows["field_build_ms"] = bench_fields()
     rows["criterion_4_s"] = bench_criterion_4()
     record = {
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
@@ -202,6 +220,8 @@ def main(argv=None):
     for n, row in rows["charpoly_us"].items():
         print(f"charpoly_us n={n:<17s} {row['median']:10.1f}")
     print(f"{'rref_us n=12':28s} {rows['rref_us']['12']['median']:10.1f}")
+    for name, row in rows["field_build_ms"].items():
+        print(f"{f'field_build_ms F({name})':28s} {row['median']:10.1f}")
     c4 = rows["criterion_4_s"]
     print(f"{'criterion_4_s':28s} {c4['wall_s']:10.1f} wall, {c4['cpu_s']:.1f} CPU")
 

@@ -1,9 +1,11 @@
 """Coefficient-list polynomial arithmetic over a FiniteField.
 
 Polynomials are little-endian lists of element indices with no trailing
-zeros ([] is the zero polynomial).  These helpers back minimal/characteristic
-polynomial work in the matrix model and the expansion of local factors for
-printing.
+zeros ([] is the zero polynomial).  This is the one F_ell[x] arithmetic of
+the package: field.py searches the field modulus with it over the prime
+field, _linalg builds characteristic polynomials, the matrix model takes
+their roots and radicals and embeds one field in a larger one, and laurent
+expands local factors for printing.
 """
 
 
@@ -71,6 +73,17 @@ def pdivmod(F, f, g):
 
 def pmod(F, f, g):
     return pdivmod(F, f, g)[1]
+
+
+def ppow_mod(F, f, e, m):
+    """f^e mod m, by binary powering."""
+    acc, base = pmod(F, [1], m), pmod(F, f, m)
+    while e:
+        if e & 1:
+            acc = pmod(F, pmul(F, acc, base), m)
+        base = pmod(F, pmul(F, base, base), m)
+        e >>= 1
+    return acc
 
 
 def pmonic(F, f):

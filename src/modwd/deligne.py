@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 from .errors import ContainsCyc, MixedLines
 from .field import FieldElem
@@ -234,43 +235,25 @@ def interval_profile(n, m, ell):
     graded nilpotent N(n) (x) Id + Id (x) N(m), by rank persistence.
 
     Returns a sorted tuple of ((c, d), multiplicity) pairs; the ranks are
-    exact ranks of iterated maps between the graded pieces.
+    exact ranks mod ell of the maps N^(d-c) between the graded pieces,
+    whose entries are binomial coefficients.
     """
     top = n + m - 2
-    layers = []
-    for k in range(top + 1):
-        layers.append([(i, k - i) for i in range(max(0, k - m + 1), min(n - 1, k) + 1)])
-    steps = []
-    for k in range(top):
-        src, dst = layers[k], layers[k + 1]
-        pos = {v: idx for idx, v in enumerate(dst)}
-        mat = [[0] * len(src) for _ in dst]
-        for col, (i, j) in enumerate(src):
-            if i + 1 < n:
-                mat[pos[(i + 1, j)]][col] += 1
-            if j + 1 < m:
-                mat[pos[(i, j + 1)]][col] += 1
-        steps.append(mat)
-
-    def _compose(c, d):
-        # matrix of N^(d-c) restricted to layer c
-        if c < 0 or d > top:
-            return None
-        mat = [[1 if i == j else 0 for j in range(len(layers[c]))]
-               for i in range(len(layers[c]))]
-        for k in range(c, d):
-            step = steps[k]
-            mat = [[sum(step[i][t] * mat[t][j] for t in range(len(mat)))
-                    for j in range(len(mat[0]))] for i in range(len(step))]
-        return mat
+    # layer c holds the e_i (x) f_(c-i) with i < n and c - i < m, by i
+    layers = [range(max(0, c - m + 1), min(n - 1, c) + 1)
+              for c in range(top + 1)]
 
     def rank(c, d):
-        # rank of the composite map layer c -> layer d; full dim when c == d
+        # rank of the composite map layer c -> layer d; full dim when c == d.
+        # The two shifts commute, so N^t sends e_i (x) f_j to
+        # sum_s C(t, s) e_(i+s) (x) f_(j+t-s), truncated at n and m: the
+        # entry at (i', i) is C(d - c, i' - i)
         if c < 0 or d > top or c > d:
             return 0
         if c == d:
             return len(layers[c])
-        return _rank_mod(_compose(c, d), ell)
+        return _rank_mod([[comb(d - c, i2 - i) if i2 >= i else 0
+                           for i in layers[c]] for i2 in layers[d]], ell)
 
     out = []
     for c in range(top + 1):

@@ -1,11 +1,12 @@
 """Exact arithmetic in F_{ell^k} and the ambient modular context.
 
 A FiniteField is F_ell[x]/(m) for the lexicographically least monic
-irreducible m of degree k; elements are encoded as integer indices
-(base-ell digit strings).  Two pairs of tables turn a field operation
-into one integer addition between lookups, for scalars and for numpy
-index arrays alike: x * y = exp[log x + log y], where log 0 lies beyond
-every sum of two nonzero logs and exp reads 0 there, and
+irreducible m of degree k, which Rabin's test finds with the F_ell[x]
+arithmetic of _poly over the prime field F(ell, 1); elements are encoded
+as integer indices (base-ell digit strings).  Two pairs of tables turn a
+field operation into one integer addition between lookups, for scalars
+and for numpy index arrays alike: x * y = exp[log x + log y], where log 0
+lies beyond every sum of two nonzero logs and exp reads 0 there, and
 x + y = narrow[wide x + wide y], where wide reads the digits of x in base
 2 ell - 1, in which two digit strings add without carries.  The
 FieldCtx bundles the image of the residual cardinality q, the
@@ -23,6 +24,7 @@ from math import gcd
 
 import numpy as np
 
+from . import _poly
 from .errors import NeedsLargerField, NonPrime, QDivisibleByEll, ZeroElement
 
 # Largest supported field order.  Building exp walks the Q - 1 powers of
@@ -39,18 +41,8 @@ def check_field_order(ell, k):
                                f"order {MAX_FIELD_ORDER}")
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _factor(n):
+    """The distinct prime factors of n, in increasing order."""
     out = []
     d = 2
     while d * d <= n:
@@ -64,98 +56,32 @@ def _factor(n):
     return out
 
 
-# -- prime-field polynomial helpers used only for the modulus search --------
-
-def _ppmul(f, g, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def _is_prime(n):
+    return _factor(n) == [n]
 
 
-def _ppmod(f, m, p):
-    f = list(f)
-    inv = pow(m[-1], p - 2, p)
-    while len(f) >= len(m):
-        if f[-1]:
-            s = f[-1] * inv % p
-            d = len(f) - len(m)
-            for i, c in enumerate(m):
-                f[d + i] = (f[d + i] - s * c) % p
-        f.pop()
-    while f and f[-1] == 0:
-        f.pop()
-    return f
+def _least_irreducible(ell, k):
+    """Lexicographically least monic irreducible of degree k over F_ell.
 
-
-def _ppgcd(f, g, p):
-    while g:
-        f, g = g, _ppmod(f, g, p)
-    return f
-
-
-def _pppow_x(q, m, p):
-    """x^q mod m over F_p."""
-    r = [0, 1]
-    r = _ppmod(r, m, p) if len(m) <= 2 else r
-    acc = [1]
-    base = list(r)
-    e = q
-    while e:
-        if e & 1:
-            acc = _ppmod(_ppmul(acc, base, p), m, p)
-        base = _ppmod(_ppmul(base, base, p), m, p)
-        e >>= 1
-    return acc
-
-
-def _is_irreducible(m, p):
-    k = len(m) - 1
-    if k == 1:
-        return True
-    # Rabin: x^(p^k) = x mod m, and gcd(x^(p^(k/r)) - x, m) = 1 for prime r | k
-    xq = _pppow_x(p ** k, m, p)
-    lhs = list(xq)
-    if len(lhs) < 2:
-        lhs += [0] * (2 - len(lhs))
-    lhs[1] = (lhs[1] - 1) % p
-    while lhs and lhs[-1] == 0:
-        lhs.pop()
-    if lhs:
-        return False
-    for r in _factor(k):
-        xe = _pppow_x(p ** (k // r), m, p)
-        diff = list(xe)
-        if len(diff) < 2:
-            diff += [0] * (2 - len(diff))
-        diff[1] = (diff[1] - 1) % p
-        while diff and diff[-1] == 0:
-            diff.pop()
-        if not diff:
-            return False
-        if len(_ppgcd(list(m), diff, p)) > 1:
-            return False
-    return True
-
-
-def _least_irreducible(p, k):
-    """Lexicographically least monic irreducible of degree k over F_p.
-
-    Candidates are ordered by the integer c_0 + c_1 p + ... encoding the
-    non-leading coefficients.
+    Candidates are ordered by the integer c_0 + c_1 ell + ... encoding the
+    non-leading coefficients.  Rabin's test, over the prime field: m is
+    irreducible iff x^(ell^k) = x mod m and gcd(x^(ell^(k/r)) - x, m) = 1
+    for every prime r | k.
     """
-    for enc in range(p ** k):
-        coeffs = []
-        e = enc
-        for _ in range(k):
-            coeffs.append(e % p)
-            e //= p
-        m = coeffs + [1]
-        if _is_irreducible(m, p):
+    if k == 1:
+        return (0, 1)
+    Fp = finite_field(ell, 1)
+
+    def frob_minus_x(m, j):
+        """x^(ell^j) - x mod m."""
+        return _poly.psub(Fp, _poly.ppow_mod(Fp, [0, 1], ell ** j, m), [0, 1])
+
+    for enc in range(ell ** k):
+        m = [enc // ell ** i % ell for i in range(k)] + [1]
+        if frob_minus_x(m, k):
+            continue
+        if all(_poly.pdeg(_poly.pgcd(Fp, m, frob_minus_x(m, k // r))) == 0
+               for r in _factor(k)):
             return tuple(m)
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
@@ -167,7 +93,7 @@ class FiniteField:
                  "_wide", "_narrow", "_neg", "_np_exp", "_np_log", "_np_wide",
                  "_np_narrow", "np_neg", "_hash")
 
-    def __init__(self, ell, k, modulus=None):
+    def __init__(self, ell, k):
         if k < 1:
             raise ValueError("extension degree must be positive")
         check_field_order(ell, k)
@@ -176,7 +102,7 @@ class FiniteField:
         self.ell = ell
         self.k = k
         self.order = ell ** k
-        self.modulus = tuple(modulus) if modulus else _least_irreducible(ell, k)
+        self.modulus = _least_irreducible(ell, k)
         # fields key the per-context caches, so hash once
         self._hash = hash((ell, k, self.modulus))
         self._build_tables()
@@ -217,9 +143,6 @@ class FiniteField:
         primes = _factor(Q - 1)
         g = None
         for cand in range(1, Q):
-            if Q - 1 == 1:
-                g = cand
-                break
             ok = True
             for r in primes:
                 if self._pow_raw(cand, (Q - 1) // r) == 1:

@@ -199,14 +199,6 @@ def make_generic(segments, ctx, check=True) -> GenericRep:
     return rep
 
 
-def st(r, cusp_irr, a=0, ctx=None) -> GLSegment:
-    return GLSegment(SuperCusp(cusp_irr), r, a)
-
-
-def stk(line_irr, k, r, ctx) -> GLSegment:
-    return GLSegment(NonSuperCusp(line_of(line_irr, ctx)[0], k), r, 0)
-
-
 def banal_tnb_split(pi: GenericRep):
     """Split a single-line generic representation into banal x totally
     non-banal factors."""
@@ -418,7 +410,11 @@ class PairSide:
         self.c = c_map(pi)
         self.support = _support_value_counts(pi)
         self.banal = _banal_segments(pi)
-        self.dual_banal = _banal_segments(dual_rep(pi))
+        # the dual of St(r, nu^a chi_t) is St(r, nu^(1-a-r) chi_(1/t)), and
+        # _pair_l reads a only through q^(-a)
+        field = pi.ctx.field
+        self.dual_banal = tuple((r, 1 - a - r, field.inv_idx(t), m)
+                                for r, a, t, m in self.banal)
 
 
 @dataclass

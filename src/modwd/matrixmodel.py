@@ -31,7 +31,7 @@ from .deligne import (Cyc, DeligneClass, Seg, cyc, merge, normalize,
 from .errors import (FNotInvertible, NeedsLargerField, NotNilpotent,
                      NotSemisimple, RamifiedLine, RelationViolated,
                      ZeroElement)
-from .field import check_field_order, make_ctx
+from .field import check_field_order, finite_field, make_ctx
 from .weil import UnramifiedChar, line_of
 
 
@@ -470,22 +470,13 @@ def rescale_witness(m: MatrixDeligne, lam, ctx) -> FMat:
 def _embedding(ell, k_small, k_big):
     """Index tables for the embedding F_{ell^k_small} -> F_{ell^k_big}
     sending x to the first root (in index order) of the small modulus."""
-    from .field import finite_field
     small = finite_field(ell, k_small)
     big = finite_field(ell, k_big)
-    mod = [big.from_int_idx(c) for c in small.modulus]
-    root = None
-    for x in range(big.order):
-        if _poly.peval(big, mod, x) == 0:
-            root = x
-            break
-    table = [0] * small.order
-    for i in range(small.order):
-        acc, pw = 0, 1
-        for c in small.digits(i):
-            acc = big.add_idx(acc, big.mul_idx(big.from_int_idx(c), pw))
-            pw = big.mul_idx(pw, root)
-        table[i] = acc
+    # digits are residues mod ell, which index the prime field in big too
+    roots, _ = _poly.roots_with_multiplicity(big, list(small.modulus))
+    root = roots[0][0]
+    table = [_poly.peval(big, small.digits(i), root)
+             for i in range(small.order)]
     inverse = {v: i for i, v in enumerate(table)}
     return tuple(table), inverse
 

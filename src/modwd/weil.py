@@ -42,9 +42,6 @@ class RamifiedAbstract:
         return f"irr({self.label}, dim={self.dim}, ord={self.order}, dual={self.dual_label})"
 
 
-IrredRep = (UnramifiedChar, RamifiedAbstract)
-
-
 def irr_dim(psi):
     return 1 if isinstance(psi, UnramifiedChar) else psi.dim
 

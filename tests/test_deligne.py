@@ -5,6 +5,7 @@ from modwd import (Cyc, RamifiedAbstract, Seg, UnramifiedChar, cv_map,
                    det_class, dsum, dual_class, make_ctx, normalize,
                    seg_tensor_profile, split_cyclic, tensor_ss, twist_class,
                    zero_class)
+from modwd import deligne
 from modwd.deligne import interval_profile
 from modwd.errors import ContainsCyc, MissingFusionRule, MixedLines
 from modwd.matrixmodel import MatrixDeligne, decompose, matrix_dual, realize
@@ -115,6 +116,51 @@ def test_profile_laws():
                 assert rights == list(range(n - 1, n + m - 1))
                 assert lefts == list(range(m))
                 assert sum((d - c + 1) * mu for (c, d), mu in prof) == n * m
+
+
+def ref_interval_profile(n, m, ell):
+    """The profile from iterated products of the one-step maps between
+    graded pieces, ranked by the formal side's elimination."""
+    top = n + m - 2
+    layers = [[(i, c - i) for i in range(max(0, c - m + 1), min(n - 1, c) + 1)]
+              for c in range(top + 1)]
+    steps = []
+    for c in range(top):
+        pos = {v: idx for idx, v in enumerate(layers[c + 1])}
+        mat = [[0] * len(layers[c]) for _ in layers[c + 1]]
+        for col, (i, j) in enumerate(layers[c]):
+            if i + 1 < n:
+                mat[pos[(i + 1, j)]][col] += 1
+            if j + 1 < m:
+                mat[pos[(i, j + 1)]][col] += 1
+        steps.append(mat)
+
+    def rank(c, d):
+        if c < 0 or d > top or c > d:
+            return 0
+        mat = [[int(i == j) for j in range(len(layers[c]))]
+               for i in range(len(layers[c]))]
+        for step in steps[c:d]:
+            mat = [[sum(step[i][t] * mat[t][j] for t in range(len(mat)))
+                    for j in range(len(mat[0]))] for i in range(len(step))]
+        return deligne._rank_mod(mat, ell)
+
+    out = []
+    for c in range(top + 1):
+        for d in range(c, top + 1):
+            mult = (rank(c, d) - rank(c - 1, d) - rank(c, d + 1)
+                    + rank(c - 1, d + 1))
+            if mult:
+                out.append(((c, d), mult))
+    return tuple(sorted(out))
+
+
+def test_profile_matches_iterated_products():
+    for ell in (2, 3, 5, 7):
+        for n in range(1, 8):
+            for m in range(1, 8):
+                assert interval_profile(n, m, ell) == ref_interval_profile(
+                    n, m, ell), (n, m, ell)
 
 
 def test_seg_tensor_profile_signature(ctx23):

@@ -144,6 +144,40 @@ def test_modulus_is_least_irreducible():
     assert finite_field(2, 2).modulus == (1, 1, 1)
 
 
+def has_small_factor(m, ell):
+    """Whether the monic m (little-endian residues) has a monic factor of
+    degree 1 .. deg(m) // 2, by trial division with every such factor."""
+    k = len(m) - 1
+    for d in range(1, k // 2 + 1):
+        for enc in range(ell ** d):
+            g = [enc // ell ** i % ell for i in range(d)] + [1]
+            r = list(m)
+            for top in range(k, d - 1, -1):
+                c = r[top]
+                for i in range(d + 1):
+                    r[top - d + i] = (r[top - d + i] - c * g[i]) % ell
+            if not any(r):
+                return True
+    return False
+
+
+def test_modulus_against_trial_division():
+    for ell in range(2, 257):
+        if not all(ell % p for p in range(2, ell)):
+            continue
+        for k in range(1, 9):
+            if ell ** k > 256:
+                break
+            m = list(FiniteField(ell, k).modulus)
+            assert len(m) == k + 1 and m[-1] == 1
+            assert not has_small_factor(m, ell), (ell, k)
+            # every earlier candidate in the order c_0 + c_1 ell + ...
+            enc = sum(c * ell ** i for i, c in enumerate(m[:k]))
+            for smaller in range(enc):
+                cand = [smaller // ell ** i % ell for i in range(k)] + [1]
+                assert has_small_factor(cand, ell), (ell, k, cand)
+
+
 def check_scalar_ops(F, pairs):
     # references: digit-wise addition mod ell and schoolbook multiplication
     # reduced by the modulus

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from modwd import (Cyc, Seg, UnramifiedChar, banal_tnb_split, c_map,
@@ -7,7 +9,9 @@ from modwd import (Cyc, Seg, UnramifiedChar, banal_tnb_split, c_map,
                    twist_class, twist_rep, unlinked, v_map)
 from modwd.deligne import dsum
 from modwd.errors import InvalidGenericRep, MixedLines, RamifiedCuspLine
-from modwd.gln import GLSegment, NonSuperCusp, SuperCusp
+from modwd.gln import (GLSegment, NonSuperCusp, PairSide, SuperCusp,
+                       compare_sides)
+from modwd.verify import enumerate_generic_reps
 from modwd.weil import RamifiedAbstract, line_of
 
 
@@ -188,6 +192,18 @@ def test_preservation_banal_and_duals(ctx52):
             assert check_preservation(pi, pi2, with_v_side=False).all_match
             assert check_preservation(dual_rep(pi), dual_rep(pi2),
                                       with_v_side=False).all_match
+
+
+def test_pair_side_dual_segments(ctx52, ctx32, ctx23, ctx34):
+    # PairSide reads the dual's banal segments off its own; the reference
+    # rs_epsilon_factor builds the dual representations
+    rng = random.Random(2)
+    for ctx in (ctx52, ctx32, ctx23, ctx34):
+        reps = enumerate_generic_reps(ctx, max_segments=3, max_len=4, max_k=1)
+        for _ in range(400):
+            pi, pi2 = rng.choice(reps), rng.choice(reps)
+            report = compare_sides(PairSide(pi), PairSide(pi2))
+            assert report.rs_eps == rs_epsilon_factor(pi, pi2), (pi, pi2)
 
 
 def test_c_map_commutes_with_everything(ctx52):

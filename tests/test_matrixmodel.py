@@ -11,6 +11,7 @@ from modwd import _poly, matrixmodel
 from modwd._linalg import FMat
 from modwd.errors import (FNotInvertible, NeedsLargerField, NotNilpotent,
                           NotSemisimple, RamifiedLine, RelationViolated)
+from modwd.field import finite_field
 from modwd.matrixmodel import MatrixDeligne, decompose, matrix_dual
 from modwd.weil import RamifiedAbstract, line_of
 
@@ -366,6 +367,19 @@ def test_oracle_matches_formal_small(ctx52, ctx32, ctx23):
             for B in indecs[i:]:
                 a, b = normalize([A], ctx), normalize([B], ctx)
                 assert oracle_tensor_ss(a, b) == tensor_ss(a, b)
+
+
+@pytest.mark.parametrize("ell,k", [(2, 1), (2, 2), (3, 2), (5, 1), (5, 2)])
+def test_embedding_is_a_ring_homomorphism(ell, k):
+    small, big = finite_field(ell, k), finite_field(ell, 2 * k)
+    table, inverse = matrixmodel._embedding(ell, k, 2 * k)
+    assert table[0] == 0 and table[1] == 1
+    assert len(set(table)) == small.order
+    assert all(inverse[v] == i for i, v in enumerate(table))
+    for x in range(small.order):
+        for y in range(small.order):
+            assert table[small.add_idx(x, y)] == big.add_idx(table[x], table[y])
+            assert table[small.mul_idx(x, y)] == big.mul_idx(table[x], table[y])
 
 
 def test_oracle_cyc_cyc_multiplicity(ctx52, ctx23):

@@ -158,3 +158,16 @@ def test_radical_matches_reference(ell, k):
         for x, _ in roots:
             expect = _poly.pmul(F, expect, [F.neg_idx(x), 1])
         assert _poly.radical(F, f) == expect
+
+
+@pytest.mark.parametrize("ell,k", [(2, 1), (5, 1), (3, 2)])
+def test_ppow_mod_matches_repeated_products(ell, k):
+    F = finite_field(ell, k)
+    rng = random.Random(f"pow:{ell}:{k}")
+    for _ in range(40):
+        m = rand_poly(F, rng.randrange(0, 7), rng)
+        f = rand_poly(F, rng.randrange(0, 10), rng)
+        acc = _poly.pmod(F, [1], m)
+        for e in range(30):
+            assert _poly.ppow_mod(F, f, e, m) == acc, (f, e, m)
+            acc = _poly.pmod(F, _poly.pmul(F, acc, f), m)
