@@ -17,14 +17,26 @@ measure another checkout, e.g. a clone of an earlier commit.  Rows:
 - `field_build_ms`: CPU milliseconds to build F(3^6), F(7^3) and F(2^12)
   with `FiniteField(ell, k)` (not the cached `finite_field`): the modulus
   search and the tables.
+- `oracle_us`: CPU microseconds per `oracle_tensor_ss(a, b)` over
+  ORACLE_PAIRS seeded pairs per context at (5,2), (3,2), (2,3) and (3,4),
+  drawn uniformly from the ordered pairs of `enumerate_line_classes(ctx,
+  8)` with 16 <= dim a * dim b <= 64; every result is checked against
+  `tensor_ss`, computed before timing.
 - `criterion_4_s`: the sweeps of `test_criterion_4_classification_roundtrip`,
   run in this process (two pool workers for the full roundtrips, as in
   the test), wall and CPU seconds.
 
 Each row but criterion 4 is the median of REPEAT passes, with every
-pass reported.  Times are CPU seconds of this process, which the host's
-speed changes move along with wall time; compare two files only when
-both were written on the same machine, one after the other.
+pass reported.  Times are CPU seconds of this process.  A shared virtual
+machine switches between speeds far apart, and that moves CPU time too,
+so every pass (and criterion 4) is bracketed by probes of
+`perfbench/calibrate.factor()`, a fixed computation of modwd's kind of
+work in code of its own: the pass's factor is the mean of the median of
+PROBES probes just before it and of PROBES just after, 1 at the
+reference speed and above 1 on a slower host.  Each row reports the raw
+times (`median`, `passes`), the factors (`factors`) and the times divided
+by them (`scaled_median`, `scaled_passes`).  Compare the scaled figures
+of two files written on the same machine, one after the other.
 """
 
 from __future__ import annotations
@@ -45,6 +57,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CLASSES = 2000
 SEED = 20261018
 REPEAT = 5
+ORACLE_PAIRS = 100
+PROBES = 5
 
 
 def _git_sha(src: Path):
@@ -73,8 +87,27 @@ def _cpu():
     return t.user + t.system + t.children_user + t.children_system
 
 
+def _speed():
+    from calibrate import factor
+    return statistics.median(factor() for _ in range(PROBES))
+
+
+def _timed(fn):
+    """(CPU seconds of fn(), the speed factor probed around it)."""
+    f0 = _speed()
+    t0 = time.process_time()
+    fn()
+    t = time.process_time() - t0
+    return t, (f0 + _speed()) / 2
+
+
 def _median_row(passes, **extra):
-    return dict(extra, median=statistics.median(passes), passes=passes)
+    """A row of (raw time, speed factor) passes, raw and scaled."""
+    raw = [t for t, _ in passes]
+    scaled = [t / f for t, f in passes]
+    return dict(extra, median=statistics.median(raw),
+                scaled_median=statistics.median(scaled), passes=raw,
+                factors=[f for _, f in passes], scaled_passes=scaled)
 
 
 def _rand_fmat(FMat, field, n, m, rng):
@@ -104,25 +137,33 @@ def bench_decompose():
         lam = rng.randrange(1, field.order)
         while True:
             P = _rand_fmat(FMat, field, m.dim, m.dim, rng)
-            if P.rank() == m.dim:
+            try:
+                Pi = P.inverse()
                 break
-        Pi = P.inverse()
+            except ValueError:  # singular: draw again
+                pass
         moved.append((a, MatrixDeligne(P @ m.F @ Pi, P @ m.U.scale(lam) @ Pi)))
     rows = {"realize_us": [], "decompose_realized_us": [],
             "decompose_transported_us": []}
-    for _ in range(REPEAT):
-        t0 = time.process_time()
-        ms = [realize(a, ctx) for a in sample]
-        t1 = time.process_time()
+    ms = []
+
+    def realized():
+        ms[:] = [realize(a, ctx) for a in sample]
+
+    def decomposed():
         for a, m in zip(sample, ms):
             _check(decompose(m, ctx) == a, repr(a))
-        t2 = time.process_time()
+
+    def transported():
         for a, mc in moved:
             _check(decompose(mc, ctx) == a, f"transported {a!r}")
-        t3 = time.process_time()
-        rows["realize_us"].append((t1 - t0) / CLASSES * 1e6)
-        rows["decompose_realized_us"].append((t2 - t1) / CLASSES * 1e6)
-        rows["decompose_transported_us"].append((t3 - t2) / CLASSES * 1e6)
+
+    for _ in range(REPEAT):
+        for name, fn in (("realize_us", realized),
+                         ("decompose_realized_us", decomposed),
+                         ("decompose_transported_us", transported)):
+            t, f = _timed(fn)
+            rows[name].append((t / CLASSES * 1e6, f))
     mean_dim = sum(a.dim() for a in sample) / CLASSES
     return {k: _median_row(v, context="(5,2)", classes=CLASSES,
                            mean_dim=mean_dim)
@@ -140,10 +181,8 @@ def bench_kernels():
     def per_call(fn, mats):
         passes = []
         for _ in range(REPEAT):
-            t0 = time.process_time()
-            for M in mats:
-                fn(M)
-            passes.append((time.process_time() - t0) / len(mats) * 1e6)
+            t, f = _timed(lambda: [fn(M) for M in mats])
+            passes.append((t / len(mats) * 1e6, f))
         return passes
 
     out["charpoly_us"] = {
@@ -164,10 +203,39 @@ def bench_fields():
     for ell, k in ((3, 6), (7, 3), (2, 12)):
         passes = []
         for _ in range(REPEAT):
-            t0 = time.process_time()
-            FiniteField(ell, k)
-            passes.append((time.process_time() - t0) * 1e3)
+            t, f = _timed(lambda: FiniteField(ell, k))
+            passes.append((t * 1e3, f))
         out[f"{ell}^{k}"] = _median_row(passes, order=ell ** k)
+    return out
+
+
+def bench_oracle():
+    from modwd import make_ctx, oracle_tensor_ss, tensor_ss
+    from modwd.verify import enumerate_line_classes
+
+    out = {}
+    for ell, q in ((5, 2), (3, 2), (2, 3), (3, 4)):
+        ctx = make_ctx(ell, q)
+        classes = [c for c in enumerate_line_classes(ctx, 8) if c.dim() >= 2]
+        rng = random.Random(f"{SEED}:{ell},{q}")
+        pairs = []
+        while len(pairs) < ORACLE_PAIRS:
+            a, b = rng.choice(classes), rng.choice(classes)
+            if 16 <= a.dim() * b.dim() <= 64:
+                pairs.append((a, b, tensor_ss(a, b)))
+
+        def run():
+            for a, b, want in pairs:
+                _check(oracle_tensor_ss(a, b) == want, f"{a!r} (x) {b!r}")
+
+        passes = []
+        for _ in range(REPEAT):
+            t, f = _timed(run)
+            passes.append((t / ORACLE_PAIRS * 1e6, f))
+        out[f"({ell},{q})"] = _median_row(
+            passes, pairs=ORACLE_PAIRS,
+            mean_dim_product=sum(a.dim() * b.dim() for a, b, _ in pairs)
+            / ORACLE_PAIRS)
     return out
 
 
@@ -175,15 +243,18 @@ def bench_criterion_4():
     """The sweeps of test_criterion_4_classification_roundtrip."""
     from modwd.verify import run_random_transport, run_roundtrip
 
+    f0 = _speed()
     w0, c0 = time.perf_counter(), _cpu()
     summaries = [run_roundtrip(5, 2, max_dim=12, processes=2),
                  run_roundtrip(2, 3, max_dim=12, processes=2),
                  run_random_transport(5, 2, count=500),
                  run_random_transport(2, 3, count=500)]
     wall, cpu = time.perf_counter() - w0, _cpu() - c0
+    f = (f0 + _speed()) / 2
     _check(all(s.passed for s in summaries),
            "; ".join(s.line() for s in summaries if not s.passed))
-    return {"wall_s": wall, "cpu_s": cpu,
+    return {"wall_s": wall, "cpu_s": cpu, "factor": f,
+            "scaled_cpu_s": cpu / f,
             "checks": sum(s.checked for s in summaries), "budget_s": 60.0}
 
 
@@ -197,6 +268,8 @@ def main(argv=None):
     if not (src / "modwd").is_dir():
         ap.error(f"no modwd package under {src}")
     sys.path.insert(0, str(src))
+    # perfbench/calibrate.py, last so that no name there shadows another
+    sys.path.append(str(ROOT / "perfbench"))
     os.environ["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     import numpy as np
@@ -204,6 +277,7 @@ def main(argv=None):
     rows = bench_decompose()
     rows.update(bench_kernels())
     rows["field_build_ms"] = bench_fields()
+    rows["oracle_us"] = bench_oracle()
     rows["criterion_4_s"] = bench_criterion_4()
     record = {
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
@@ -215,15 +289,18 @@ def main(argv=None):
     path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {path}")
-    for name in ("decompose_transported_us", "decompose_realized_us"):
-        print(f"{name:28s} {rows[name]['median']:10.1f}")
-    for n, row in rows["charpoly_us"].items():
-        print(f"charpoly_us n={n:<17s} {row['median']:10.1f}")
-    print(f"{'rref_us n=12':28s} {rows['rref_us']['12']['median']:10.1f}")
-    for name, row in rows["field_build_ms"].items():
-        print(f"{f'field_build_ms F({name})':28s} {row['median']:10.1f}")
+    print(f"{'row':32s} {'raw':>10s} {'scaled':>10s}")
+    named = [(name, rows[name]) for name in
+             ("realize_us", "decompose_realized_us", "decompose_transported_us")]
+    for group, label in (("charpoly_us", "n={}"), ("rref_us", "n={}"),
+                         ("field_build_ms", "F({})"), ("oracle_us", "{}")):
+        named += [(f"{group} {label.format(key)}", row)
+                  for key, row in rows[group].items()]
+    for name, row in named:
+        print(f"{name:32s} {row['median']:10.1f} {row['scaled_median']:10.1f}")
     c4 = rows["criterion_4_s"]
-    print(f"{'criterion_4_s':28s} {c4['wall_s']:10.1f} wall, {c4['cpu_s']:.1f} CPU")
+    print(f"{'criterion_4_s CPU':32s} {c4['cpu_s']:10.1f} {c4['scaled_cpu_s']:10.1f}"
+          f"  ({c4['wall_s']:.1f} s wall)")
 
 
 if __name__ == "__main__":

@@ -326,12 +326,16 @@ class FMat:
             if p != j + 1:
                 H[[j + 1, p]] = H[[p, j + 1]]
                 H[:, [j + 1, p]] = H[:, [p, j + 1]]
-            inv = F.inv_idx(int(H[j + 1, j]))
-            for i in range(j + 2, n):
-                if H[i, j]:
-                    f = F.mul_idx(int(H[i, j]), inv)
-                    H[i] = F.add_arr(H[i], F.mul_arr(F.neg_idx(f), H[j + 1]))
-                    H[:, j + 1] = F.add_arr(H[:, j + 1], F.mul_arr(f, H[:, i]))
+            rows = j + 2 + np.nonzero(H[j + 2:, j])[0]
+            if rows.size == 0:
+                continue
+            # H <- L H L^-1 with L = I - f e_(j+1)^T: one rank-1 row update,
+            # then column j+1 gains sum_i f_i H[:, i]
+            f = F.mul_arr(H[rows, j], F.inv_idx(int(H[j + 1, j])))
+            H[rows] = F.add_arr(H[rows], F.mul_arr(F.np_neg[f][:, None],
+                                                   H[j + 1][None, :]))
+            H[:, j + 1] = F.add_arr(H[:, j + 1], (
+                FMat(F, H[:, rows]) @ FMat(F, f[:, None])).a[:, 0])
         # recurrence on leading principal minors of the Hessenberg form
         polys = [[1]]
         for k in range(1, n + 1):

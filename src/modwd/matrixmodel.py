@@ -8,8 +8,9 @@ off ranks alone: segment multiplicities off the ranks of the path maps
 between eigenspace slices, and cycle lengths off the ranks of powers of
 the nilpotent part of the holonomy around each orbit.  semisimplify()
 takes the Jordan-Holder multiset of that decomposition.
-oracle_tensor_ss() tensors realizations at generic operator scalings and
-decomposes, which is the independent check for every formal tensor rule.
+oracle_tensor_ss() decomposes the tensor of each pair of realized parts
+at generic operator scalings and sums them; sharing no code with
+deligne.tensor_ss, it checks every formal tensor rule through matrices.
 
 decompose() checks each property of a non-diagonal F once: invertibility
 by chi_F(0) != 0, and semisimplicity and the eigenspace split together by
@@ -517,9 +518,11 @@ def _admissible_pair(field, conditions):
 
 
 def oracle_tensor_ss(a: DeligneClass, b: DeligneClass) -> DeligneClass:
-    """Realize, scale operators by an admissible (lam, mu), tensor,
-    decompose: the class tensor_ss must match.  Extends the field when no
-    admissible pair exists in the context field."""
+    """Realize each part, scale operators by one admissible (lam, mu) and
+    decompose the tensor of each pair of parts, m_i n_j times for parts of
+    multiplicities m_i and n_j (tensor is bilinear over direct sums): the
+    class tensor_ss must match.  Extends the field when no admissible pair
+    exists in the context field."""
     ctx = a.ctx
     if a.is_zero() or b.is_zero():
         return zero_class(ctx)
@@ -529,7 +532,8 @@ def oracle_tensor_ss(a: DeligneClass, b: DeligneClass) -> DeligneClass:
             SA, SB = _indec_spectrum(A, ctx), _indec_spectrum(B, ctx)
             if SA and SB:
                 conditions.append((SA, SB))
-    ma, mb = realize(a, ctx), realize(b, ctx)
+    pa, pb = ([(realize(DeligneClass(ctx, ((ind, 1),)), ctx), mult)
+               for ind, mult in cls.parts] for cls in (a, b))
     work, table, inverse = ctx, None, None
     for _ in range(4):
         if table is None:
@@ -547,21 +551,23 @@ def oracle_tensor_ss(a: DeligneClass, b: DeligneClass) -> DeligneClass:
     else:
         raise NeedsLargerField("no admissible scaling pair found")
     lam, mu = pair
-    if table is not None:
-        emb = np.array(table, dtype=np.intp)
-        ma = MatrixDeligne(FMat(work.field, emb[ma.F.a]), FMat(work.field, emb[ma.U.a]))
-        mb = MatrixDeligne(FMat(work.field, emb[mb.F.a]), FMat(work.field, emb[mb.U.a]))
-    scaled = raw_tensor(MatrixDeligne(ma.F, ma.U.scale(lam)),
-                        MatrixDeligne(mb.F, mb.U.scale(mu)))
-    cls = decompose(scaled, work, check=False)
-    if table is None:
-        return cls
+    # the identity table when the field was not extended
+    emb = np.array(table or range(ctx.field.order), dtype=np.intp)
+    pa, pb = ([(MatrixDeligne(FMat(work.field, emb[m.F.a]),
+                              FMat(work.field, emb[m.U.a]).scale(s)), mult)
+               for m, mult in parts] for parts, s in ((pa, lam), (pb, mu)))
     out = []
-    for ind, mult in cls.parts:
+    for ma, ka in pa:
+        for mb, kb in pb:
+            cls = decompose(raw_tensor(ma, mb), work, check=False)
+            out += [(ind, mult * ka * kb) for ind, mult in cls.parts]
+    if table is None:
+        return merge(out, ctx)
+    for i, (ind, mult) in enumerate(out):
         if isinstance(ind, Seg):
             t = inverse[ind.irr.t.i]
-            out.append((Seg(UnramifiedChar(ctx.field.elem(t)), ind.r, ind.a), mult))
+            out[i] = (Seg(UnramifiedChar(ctx.field.elem(t)), ind.r, ind.a), mult)
         else:
             t = inverse[ind.line.base.t.i]
-            out.append((cyc(UnramifiedChar(ctx.field.elem(t)), ind.r, ctx), mult))
+            out[i] = (cyc(UnramifiedChar(ctx.field.elem(t)), ind.r, ctx), mult)
     return normalize(out, ctx)

@@ -289,9 +289,11 @@ def run_random_transport(ell, q, count=1000, max_dim=10, seed=20240901) -> Sweep
         while True:
             P = FMat(field, [[rng.randrange(field.order) for _ in range(n)]
                              for _ in range(n)])
-            if P.rank() == n:
+            try:
+                Pi = P.inverse()
                 break
-        Pi = P.inverse()
+            except ValueError:  # singular: draw again
+                pass
         mc = MatrixDeligne(P @ m.F @ Pi, P @ U @ Pi)
         s.checked += 1
         if decompose(mc, ctx) != a:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modwd import _poly
 from modwd._linalg import FMat
 from modwd.field import finite_field
 
@@ -188,3 +189,48 @@ def test_kernel_matches_reference(ell, k):
     # no pivot: every column is free; no free column: an empty basis
     assert FMat.zeros(F, 3, 4).kernel() == FMat.identity(F, 4)
     assert mats[3].kernel().a.shape == (5, 0)
+
+
+def ref_det(F, rows):
+    """Determinant by Gaussian elimination on scalar indices."""
+    a = [list(r) for r in rows]
+    det = 1
+    for c in range(len(a)):
+        p = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = F.neg_idx(det)
+        det = F.mul_idx(det, a[c][c])
+        inv = F.inv_idx(a[c][c])
+        for r in range(c + 1, len(a)):
+            if a[r][c]:
+                f = F.mul_idx(a[r][c], inv)
+                a[r] = [F.sub_idx(x, F.mul_idx(f, y)) for x, y in zip(a[r], a[c])]
+    return det
+
+
+@pytest.mark.parametrize("ell,k,top,big", [(2, 1, 16, 5), (3, 2, 8, 2),
+                                           (5, 2, 16, 2)])
+def test_charpoly_matches_determinants(ell, k, top, big):
+    """chi_A(v) = det(v - A) at n + 1 points v, which fixes a monic
+    polynomial of degree n.  An F(2) matrix is read in F(2^5), where a
+    prime-field index names the same residue, to have enough points."""
+    F, E = finite_field(ell, k), finite_field(ell, big)
+    rng = random.Random(f"charpoly:{ell}:{k}")
+    for _ in range(100):
+        n = rng.randrange(0, top + 1)
+        # dense, sparse, and upper triangular (no reduction step at all)
+        dens = rng.choice((1.0, 0.3))
+        a = [[rng.randrange(F.order) if rng.random() < dens else 0
+              for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2:
+            a = [[x if j >= i else 0 for j, x in enumerate(r)]
+                 for i, r in enumerate(a)]
+        cp = FMat(F, np.array(a, dtype=np.intp).reshape(n, n)).charpoly()
+        assert len(cp) == n + 1 and cp[-1] == 1
+        for v in range(n + 1):
+            shifted = [[E.sub_idx(v if i == j else 0, x) for j, x in enumerate(r)]
+                       for i, r in enumerate(a)]
+            assert _poly.peval(E, cp, v) == ref_det(E, shifted)

@@ -9,9 +9,10 @@ from modwd import (Cyc, Seg, UnramifiedChar, jordan_chevalley, normalize,
                    semisimplify, tensor_ss, validate)
 from modwd import _poly, matrixmodel
 from modwd._linalg import FMat
+from modwd.deligne import cyc
 from modwd.errors import (FNotInvertible, NeedsLargerField, NotNilpotent,
                           NotSemisimple, RamifiedLine, RelationViolated)
-from modwd.field import finite_field
+from modwd.field import finite_field, make_ctx
 from modwd.matrixmodel import MatrixDeligne, decompose, matrix_dual
 from modwd.weil import RamifiedAbstract, line_of
 
@@ -387,6 +388,79 @@ def test_oracle_cyc_cyc_multiplicity(ctx52, ctx23):
         line = line_of(UnramifiedChar(ctx.field.one), ctx)[0]
         cy = normalize([Cyc(line, 1)], ctx)
         assert oracle_tensor_ss(cy, cy) == cy.scale(mult)
+
+
+def _whole_tensor_oracle(a, b):
+    """The oracle on whole classes, the reference for the per-pair one:
+    realize both classes, scale by the same admissible pair in the same
+    field, tensor once, decompose and map back to the context field."""
+    ctx = a.ctx
+    spectra = [(matrixmodel._indec_spectrum(A, ctx),
+                matrixmodel._indec_spectrum(B, ctx))
+               for A, _ in a.parts for B, _ in b.parts]
+    conditions = [(SA, SB) for SA, SB in spectra if SA and SB]
+    work, table, inverse, conds = ctx, None, None, conditions
+    while (pair := matrixmodel._admissible_pair(work.field, conds)) is None:
+        work = make_ctx(ctx.ell, ctx.q_residue, 2 * work.k)
+        table, inverse = matrixmodel._embedding(ctx.ell, ctx.k, work.k)
+        conds = [(tuple(table[x] for x in SA), tuple(table[x] for x in SB))
+                 for SA, SB in conditions]
+    ms = [realize(a, ctx), realize(b, ctx)]
+    if table is not None:
+        emb = np.array(table, dtype=np.intp)
+        ms = [MatrixDeligne(FMat(work.field, emb[m.F.a]),
+                            FMat(work.field, emb[m.U.a])) for m in ms]
+    ma, mb = (MatrixDeligne(m.F, m.U.scale(s)) for m, s in zip(ms, pair))
+    cls = decompose(raw_tensor(ma, mb), work, check=False)
+    if table is None:
+        return cls
+    back = []
+    for ind, mult in cls.parts:
+        if isinstance(ind, Seg):
+            t = ctx.field.elem(inverse[ind.irr.t.i])
+            back.append((Seg(UnramifiedChar(t), ind.r, ind.a), mult))
+        else:
+            t = ctx.field.elem(inverse[ind.line.base.t.i])
+            back.append((cyc(UnramifiedChar(t), ind.r, ctx), mult))
+    return normalize(back, ctx)
+
+
+def test_oracle_on_whole_classes(ctx52, ctx32, ctx23):
+    """The per-pair oracle equals the whole-tensor one and tensor_ss on
+    seeded pairs of multi-part classes, cycles on a second line included."""
+    rng = random.Random(9)
+    # no pair (lam, mu) of units of F_2 has lam + mu != 0, so at (2,3)
+    # every cyc (x) cyc asks for the extension to F_4
+    assert matrixmodel._admissible_pair(ctx23.field, [((1,), (1,))]) is None
+    seen = {"mult >= 2": 0, "(2,3) extension beside segments": 0}
+    for ctx in (ctx52, ctx32, ctx23):
+        c1 = UnramifiedChar(ctx.field.one)
+        line = line_of(c1, ctx)[0]
+        indecs = [Seg(c1, 1, 0), Seg(c1, 2, 1), Seg(c1, 3, 0), Cyc(line, 1),
+                  Cyc(line, 2)]
+        if ctx is not ctx23:
+            g = UnramifiedChar(ctx.field.elem(ctx.field.gen_idx))
+            indecs += [Seg(g, 1, 0), Seg(g, 2, 1), Cyc(line_of(g, ctx)[0], 1)]
+
+        def draw():
+            while True:
+                parts = [(rng.choice(indecs), rng.choice((1, 1, 2)))
+                         for _ in range(rng.randrange(2, 4))]
+                a = normalize(parts, ctx)
+                if len(a.parts) >= 2 and a.dim() <= 8:
+                    return a
+
+        for _ in range(30):
+            a, b = draw(), draw()
+            got = oracle_tensor_ss(a, b)
+            assert got == _whole_tensor_oracle(a, b) == tensor_ss(a, b)
+            assert got.dim() == a.dim() * b.dim()
+            seen["mult >= 2"] += any(m >= 2 for _, m in a.parts + b.parts)
+            kinds = [{type(ind) for ind, _ in c.parts} for c in (a, b)]
+            seen["(2,3) extension beside segments"] += (
+                ctx is ctx23 and all(Cyc in k for k in kinds)
+                and any(Seg in k for k in kinds))
+    assert all(seen.values()), seen
 
 
 def test_decompose_dimension_guard(ctx52):
