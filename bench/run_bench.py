@@ -14,6 +14,12 @@ measure another checkout, e.g. a clone of an earlier commit.  Rows:
   realization alone.
 - `charpoly_us` at n = 12, 32 and 64 and `rref_us` at 12 x 12, over
   F(5^2), on seeded random matrices.
+- `matmul_us`: CPU microseconds per `FMat` product of seeded random
+  matrices, n x n by n x n and by n x 1 at n = 3, 12, 32 and 64, over
+  F(5^2), F(3^4) and F(2^6).  Every product is checked against a sum of
+  outer products in the field's entrywise arithmetic, and each row keeps
+  the sha256 of its products (`result_sha256`), so that two files can be
+  checked to hold the same results.
 - `field_build_ms`: CPU milliseconds to build F(3^6), F(7^3) and F(2^12)
   with `FiniteField(ell, k)` (not the cached `finite_field`): the modulus
   search and the tables.
@@ -170,6 +176,15 @@ def bench_decompose():
             for k, v in rows.items()}
 
 
+def _per_call(fn, items):
+    """REPEAT passes of fn over items, as (microseconds per call, factor)."""
+    passes = []
+    for _ in range(REPEAT):
+        t, f = _timed(lambda: [fn(x) for x in items])
+        passes.append((t / len(items) * 1e6, f))
+    return passes
+
+
 def bench_kernels():
     from modwd._linalg import FMat
     from modwd.field import finite_field
@@ -177,22 +192,44 @@ def bench_kernels():
     field = finite_field(5, 2)
     rng = random.Random(SEED)
     out = {}
-
-    def per_call(fn, mats):
-        passes = []
-        for _ in range(REPEAT):
-            t, f = _timed(lambda: [fn(M) for M in mats])
-            passes.append((t / len(mats) * 1e6, f))
-        return passes
-
     out["charpoly_us"] = {
-        str(n): _median_row(per_call(FMat.charpoly, [
+        str(n): _median_row(_per_call(FMat.charpoly, [
             _rand_fmat(FMat, field, n, n, rng) for _ in range(count)]),
             field="F(5^2)", matrices=count)
         for n, count in ((12, 200), (32, 20), (64, 5))}
-    out["rref_us"] = {"12": _median_row(per_call(FMat.rref, [
+    out["rref_us"] = {"12": _median_row(_per_call(FMat.rref, [
         _rand_fmat(FMat, field, 12, 12, rng) for _ in range(500)]),
         field="F(5^2)", matrices=500)}
+    return out
+
+
+def bench_matmul():
+    import numpy as np
+    from modwd._linalg import FMat
+    from modwd.field import finite_field
+
+    out = {}
+    for ell, k in ((5, 2), (3, 4), (2, 6)):
+        field = finite_field(ell, k)
+        rng = random.Random(f"{SEED}:matmul:{ell},{k}")
+        for n in (3, 12, 32, 64):
+            for m in (n, 1):
+                count = {3: 1000, 12: 400, 32: 100, 64: 30}[n]
+                pairs = [(_rand_fmat(FMat, field, n, n, rng),
+                          _rand_fmat(FMat, field, n, m, rng))
+                         for _ in range(count)]
+                digest = hashlib.sha256()
+                for A, B in pairs:
+                    C = (A @ B).a
+                    want = np.zeros((n, m), dtype=np.intp)
+                    for t in range(n):
+                        want = field.add_arr(want, field.mul_arr(
+                            A.a[:, t, None], B.a[None, t, :]))
+                    _check(np.array_equal(C, want), f"F({ell}^{k}) {n}x{m}")
+                    digest.update(C.astype(np.int64).tobytes())
+                out[f"F({ell}^{k}) {n}x{n}x{m}"] = _median_row(
+                    _per_call(lambda AB: AB[0] @ AB[1], pairs),
+                    products=count, result_sha256=digest.hexdigest())
     return out
 
 
@@ -276,6 +313,7 @@ def main(argv=None):
 
     rows = bench_decompose()
     rows.update(bench_kernels())
+    rows["matmul_us"] = bench_matmul()
     rows["field_build_ms"] = bench_fields()
     rows["oracle_us"] = bench_oracle()
     rows["criterion_4_s"] = bench_criterion_4()
@@ -293,6 +331,7 @@ def main(argv=None):
     named = [(name, rows[name]) for name in
              ("realize_us", "decompose_realized_us", "decompose_transported_us")]
     for group, label in (("charpoly_us", "n={}"), ("rref_us", "n={}"),
+                         ("matmul_us", "{}"),
                          ("field_build_ms", "F({})"), ("oracle_us", "{}")):
         named += [(f"{group} {label.format(key)}", row)
                   for key, row in rows[group].items()]

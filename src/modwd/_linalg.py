@@ -3,20 +3,22 @@
 Matrices hold numpy arrays of element indices, which are base-ell digit
 strings in the polynomial basis.  Products are float64 BLAS products of
 digits.  Over a prime field an index is its residue, so A @ B is the float
-product mod ell.  Over F_{ell^k} the k digit planes of each side are
-multiplied (as one Kronecker-packed product when the packed entries fit in
-53 bits, else plane by plane), degrees 2k-2 .. k of the digit convolution
-are reduced by the field modulus, and the digits are taken mod ell.  Every
-convolution coefficient is at most k * inner_dim * (ell-1)^2, which the
-kernel asserts is below 2^53, so no float64 sum rounds.  Extension-field
-products below about 512 k^2 multiply-adds, and all other operations, use
-the field's elementwise add_arr and mul_arr, which index its O(Q) tables
-with the intp index arrays directly.  Row reduction, kernels, characteristic
-polynomials (via Hessenberg form) and polynomial evaluation are enough for
-the whole matrix model.
+product mod ell.  Over F_{ell^k} A @ B is the float product of the digits
+of A by the regular representation of B (each entry b becomes the k x k
+matrix of x -> bx on F_ell^k), mod ell.  Above _REGULAR_MADDS, when the k
+digit planes of each side fit in one Kronecker-packed float64 product,
+that product is taken instead and its digit convolution reduced by the
+field modulus.  Every float sum is at most k * inner_dim * (ell-1)^2,
+which the product asserts is below 2^53, so none rounds.  Outer products
+and all other operations use the field's elementwise add_arr and mul_arr,
+which index its O(Q) tables with the intp index arrays directly.  Row
+reduction, kernels, characteristic polynomials (via Hessenberg form) and
+polynomial evaluation are enough for the whole matrix model.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -24,11 +26,13 @@ from . import _poly
 
 # float64 holds every integer below 2**53 exactly
 _EXACT_BITS = 53
-# Extension-field products of at most this many multiply-adds per k^2 gather
-# the whole product cube from the tables.  On a 2-vCPU x86-64 machine with
-# single-threaded OpenBLAS 0.3.31, the BLAS route overtook the gather near
-# 430 k^2 (square n = 12 for k = 2, n = 20 for k = 4).
-_GATHER_PER_K2 = 512
+# Extension-field products of at most this many float multiply-adds
+# (n * inner * m * k^2) take the regular representation even where packing
+# fits.  On a 2-vCPU x86-64 machine with single-threaded OpenBLAS 0.3.31,
+# it beat the packed route up to square n = 128 at k = 2 (1535 against
+# 1774 us over F(5^2)) and n = 64 at k = 3, but not at n = 80 over F(2^3)
+# (500 against 429 us, 4.4 M multiply-adds).
+_REGULAR_MADDS = 1 << 22
 
 
 def _mod(x, ell):
@@ -37,50 +41,49 @@ def _mod(x, ell):
     return x - ell * (x // ell)
 
 
-def _digit_planes(field, a):
-    """The k base-ell digits of an index array, lowest first, as float64."""
-    planes = []
-    for _ in range(field.k - 1):
-        q = a // field.ell
-        planes.append((a - field.ell * q).astype(np.float64))
-        a = q
-    planes.append(a.astype(np.float64))
-    return planes
+@functools.lru_cache(maxsize=8)
+def _regular_tables(field):
+    """k x Q tables: digit d of each index, as a float, and row d of the
+    matrix of x -> bx (the digits of x^d b) as one k-float item that numpy
+    gathers in one step; and the powers of ell.  4.7 MB at F(2^12)."""
+    ell, k, Q = field.ell, field.k, field.order
+    idx = np.arange(Q, dtype=np.intp)
+    powers = ell ** np.arange(k)
+    digits = (idx // powers[:, None] % ell).astype(np.float64)
+    # x^d is the index ell^d
+    regular = np.stack([digits.T[field.mul_arr(int(e), idx)] for e in powers])
+    return (digits, regular.view(np.dtype((np.void, 8 * k)))[..., 0],
+            powers.astype(np.float64))
 
 
-def _blas_product(field, A, B):
-    """Index matrix of A @ B from exact float64 products of digits."""
+def _regular_product(field, A, B):
+    """Index matrix of A @ B from the exact float64 product of the digits
+    of A, n x (k inner), by the regular representation of B, (k inner) x
+    (m k): column (j, e) holds digit e of column j of A @ B, before the
+    mod."""
     ell, k = field.ell, field.k
-    # a coefficient of the digit convolution sums at most k plane products,
-    # each entry of which is at most inner * (ell-1)^2
-    top = k * A.shape[1] * (ell - 1) ** 2
-    assert top < 2 ** _EXACT_BITS, "digit products would round in float64"
-    if k == 1:
-        prod = A.astype(np.float64) @ B.astype(np.float64)
-        return _mod(prod.astype(np.int64), ell).astype(np.intp)
-    pa, pb = _digit_planes(field, A), _digit_planes(field, B)
-    bits = top.bit_length()
-    if bits * (2 * k - 1) <= _EXACT_BITS:
-        # Kronecker substitution at X = 2^bits > top: the product of the
-        # packed matrices holds the 2k-1 convolution coefficients as base-X
-        # digits, and every partial sum stays below X^(2k-1) <= 2^53
-        X = float(1 << bits)
-        packed = []
-        for planes in (pa, pb):
-            acc = planes[-1]
-            for p in reversed(planes[:-1]):
-                acc = acc * X + p
-            packed.append(acc)
-        prod = (packed[0] @ packed[1]).astype(np.int64)
-        mask = (1 << bits) - 1
-        conv = [(prod >> (bits * s)) & mask for s in range(2 * k - 2)]
-        conv.append(prod >> (bits * (2 * k - 2)))
-    else:
-        conv = [0] * (2 * k - 1)
-        for d, x in enumerate(pa):
-            for e, y in enumerate(pb):
-                conv[d + e] = conv[d + e] + x @ y
-        conv = [c.astype(np.int64) for c in conv]
+    (n, inner), m = A.shape, B.shape[1]
+    digits, regular, powers = _regular_tables(field)
+    # np.dot: a matmul ufunc call costs about a microsecond more
+    P = np.dot(digits.take(A, axis=1).transpose(1, 0, 2).reshape(n, k * inner),
+               regular.take(B, axis=1).view(np.float64).reshape(k * inner, m * k))
+    # P is integral below 2^53, so floor(P / ell) is exact
+    P -= ell * np.floor(P / ell)
+    return P.reshape(n * m, k).dot(powers).astype(np.intp).reshape(n, m)
+
+
+def _packed_product(field, A, B, bits):
+    """Index matrix of A @ B by Kronecker substitution at X = 2^bits: each
+    coefficient of the digit convolution is below X and X^(2k-1) <= 2^53,
+    so the float64 product of the packed digit planes holds all 2k-1 of
+    them exactly, as base-X digits."""
+    ell, k = field.ell, field.k
+    digits, X = _regular_tables(field)[0], float(1 << bits) ** np.arange(k)
+    prod = (np.tensordot(X, digits.take(A, axis=1), 1)
+            @ np.tensordot(X, digits.take(B, axis=1), 1)).astype(np.int64)
+    mask = (1 << bits) - 1
+    conv = [(prod >> (bits * s)) & mask for s in range(2 * k - 2)]
+    conv.append(prod >> (bits * (2 * k - 2)))
     # x^k = -(m_0 + m_1 x + ... + m_{k-1} x^{k-1})
     for s in range(2 * k - 2, k - 1, -1):
         c = _mod(conv[s], ell)
@@ -175,6 +178,8 @@ class FMat:
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other):
+        if self.a.shape != other.a.shape:
+            raise ValueError("shape mismatch in sum")
         return FMat(self.field, self.field.add_arr(self.a, other.a))
 
     def __neg__(self):
@@ -196,19 +201,22 @@ class FMat:
             raise ValueError("shape mismatch in matmul")
         if inner == 0 or n == 0 or m == 0:
             return FMat(F, np.zeros((n, m), dtype=np.intp))
+        if inner == 1:
+            # outer products, common in the oracle: one table gather
+            return FMat(F, F.mul_arr(self.a, other.a))
+        # a float sum on any route adds at most k * inner products of two
+        # digits, and so does a coefficient of the digit convolution
+        k, top = F.k, F.k * inner * (F.ell - 1) ** 2
+        assert top < 2 ** _EXACT_BITS, "digit products would round in float64"
         A, B = self.a, other.a
-        if F.k > 1 and n * inner * m <= _GATHER_PER_K2 * F.k * F.k:
-            # one gather for the whole product cube, then a tree reduction
-            # along the contracted axis
-            P = F.mul_arr(A[:, :, None], B[None, :, :])
-            while P.shape[1] > 1:
-                h = P.shape[1] // 2
-                Q = F.add_arr(P[:, 0:2 * h:2, :], P[:, 1:2 * h:2, :])
-                if P.shape[1] & 1:
-                    Q = np.concatenate([Q, P[:, -1:, :]], axis=1)
-                P = Q
-            return FMat(F, P[:, 0, :])
-        return FMat(F, _blas_product(F, A, B))
+        if k == 1:
+            prod = A.astype(np.float64) @ B.astype(np.float64)
+            return FMat(F, _mod(prod.astype(np.int64), F.ell).astype(np.intp))
+        bits = top.bit_length()
+        if (n * inner * m * k * k <= _REGULAR_MADDS
+                or bits * (2 * k - 1) > _EXACT_BITS):
+            return FMat(F, _regular_product(F, A, B))
+        return FMat(F, _packed_product(F, A, B, bits))
 
     def kron(self, other):
         F = self.field
@@ -288,6 +296,8 @@ class FMat:
     def inverse(self):
         F = self.field
         n = self.nrows
+        if n != self.ncols:
+            raise ValueError("inverse of non-square matrix")
         aug = FMat.hstack([self, FMat.identity(F, n)])
         R, pivots = aug.rref()
         if pivots[:n] != list(range(n)):

@@ -4,8 +4,8 @@ Polynomials are little-endian lists of element indices with no trailing
 zeros ([] is the zero polynomial).  This is the one F_ell[x] arithmetic of
 the package: field.py searches the field modulus with it over the prime
 field, _linalg builds characteristic polynomials, the matrix model takes
-their roots and radicals and embeds one field in a larger one, and laurent
-expands local factors for printing.
+roots, gcds, quotients and radicals and embeds one field in a larger one,
+and laurent expands local factors for printing.
 """
 
 

@@ -12,10 +12,10 @@ oracle_tensor_ss() decomposes the tensor of each pair of realized parts
 at generic operator scalings and sums them; sharing no code with
 deligne.tensor_ss, it checks every formal tensor rule through matrices.
 
-decompose() checks each property of a non-diagonal F once: invertibility
-by chi_F(0) != 0, and semisimplicity and the eigenspace split together by
-spectral projectors (_adapted).  validate() tests semisimplicity by the
-radical of chi_F.
+decompose() and validate() read each property of a non-diagonal F off its
+minimal polynomial m_F: invertible iff m_F(0) != 0, semisimple iff m_F is
+squarefree, eigenvalues in the field iff m_F splits; _adapted builds the
+spectral projectors as the Lagrange polynomials of m_F at F.
 """
 
 from __future__ import annotations
@@ -54,18 +54,16 @@ class JordanPair:
 
 def validate(m: MatrixDeligne, ctx) -> bool:
     """Check the Deligne relation UF = qFU, invertibility and
-    semisimplicity of F (the radical of chi_F vanishes at F, whether or
-    not chi_F splits).  Raises on violation, returns True when ok."""
-    cp = _checked_charpoly(m, ctx)
-    if cp is not None:
-        _require_semisimple(m.F, cp)
+    semisimplicity of F (its minimal polynomial is squarefree, whether or
+    not it splits).  Raises on violation, returns True when ok."""
+    _checked_min_poly(m, ctx)
     return True
 
 
-def _checked_charpoly(m: MatrixDeligne, ctx):
-    """The relation and invertibility checks; returns chi_F for the
-    caller to reuse, or None when F is empty or diagonal (and so already
-    semisimple).  F is singular iff chi_F(0) = 0."""
+def _checked_min_poly(m: MatrixDeligne, ctx):
+    """The relation, invertibility and semisimplicity checks; returns
+    _min_poly(F) for the caller to reuse, or None when F is empty or
+    diagonal (and so already semisimple).  F is singular iff m_F(0) = 0."""
     F, U = m.F, m.U
     if F.nrows != F.ncols or U.a.shape != F.a.shape:
         raise ValueError("F and U must be square of equal size")
@@ -86,15 +84,48 @@ def _checked_charpoly(m: MatrixDeligne, ctx):
         if any(int(F.a[i, i]) == 0 for i in range(n)):
             raise FNotInvertible("zero Frobenius eigenvalue")
         return None
-    cp = F.charpoly()
-    if cp[0] == 0:
+    mf, powers = _min_poly(F)
+    if mf[0] == 0:
         raise FNotInvertible("Frobenius matrix is singular")
-    return cp
+    _require_squarefree(F.field, mf)
+    return mf, powers
 
 
-def _require_semisimple(F: FMat, cp):
-    if not F.poly_eval(_poly.radical(F.field, cp)).is_zero():
+def _require_squarefree(field, mf):
+    # over a finite field, a perfect field, m_F is squarefree iff it is
+    # prime to m_F'
+    if _poly.pdeg(_poly.pgcd(field, mf, _poly.pderiv(field, mf))) > 0:
         raise NotSemisimple("Frobenius matrix is not semisimple")
+
+
+def _min_poly(F: FMat):
+    """(m_F, S): the minimal polynomial of a square F, n >= 1 (monic,
+    little-endian), and the n^2 x deg m_F matrix S of the flattened F^0,
+    F^1, ....  m_F is the first linear dependency among the powers: each
+    one, flattened and followed by its coordinates in the powers, is
+    reduced by one product against the rows of W, the earlier reduced
+    powers, each with 1 at its own pivot and 0 at the others' pivots."""
+    field = F.field
+    n = F.nrows
+    nn = n * n
+    powers, pivots = [np.eye(n, dtype=np.intp).ravel()], []
+    W = np.zeros((0, nn + n + 1), dtype=np.intp)
+    for d in range(n + 1):
+        v = np.zeros(nn + n + 1, dtype=np.intp)
+        v[:nn], v[nn + d] = powers[d], 1
+        c = FMat(field, field.np_neg[v[pivots]][None, :])
+        v = field.add_arr(v, (c @ FMat(field, W)).a[0])
+        nz = np.flatnonzero(v[:nn])
+        if not nz.size:
+            return v[nn:nn + d + 1].tolist(), np.stack(powers[:d], axis=1)
+        p = nz[0]
+        v = field.mul_arr(v, field.inv_idx(int(v[p])))
+        W = np.vstack([field.add_arr(W, field.mul_arr(
+            field.np_neg[W[:, p]][:, None], v[None, :])), v])
+        pivots.append(p)
+        M = M @ F if d else F
+        powers.append(M.a.ravel())
+    raise RuntimeError("no dependency among the first n + 1 powers")
 
 
 # -- Jordan-Chevalley ----------------------------------------------------------
@@ -202,22 +233,22 @@ def matrix_dual(m: MatrixDeligne) -> MatrixDeligne:
 
 # -- decomposition ----------------------------------------------------------------
 
-def _adapted(m: MatrixDeligne, ctx, cp=None):
-    """Change of basis grouping Frobenius eigenspaces; cp is chi_F when
-    the caller already has it.
+def _adapted(m: MatrixDeligne, ctx, mp=None):
+    """Change of basis grouping Frobenius eigenspaces; mp is _min_poly(F)
+    when the caller already has it, and has checked it squarefree.
 
     Returns (ranges, G, P, Pinv) with ranges: eigenvalue index -> (lo, hi)
     column range, P the adapted basis, Pinv its inverse and G = Pinv U P.
 
-    A diagonal F only needs a permutation.  Otherwise, when chi_F splits
-    with distinct roots v, let A_v = F - v.  F is semisimple iff the
-    product of all A_v is zero, and then E_v = prod_{w != v} A_w / (v - w)
-    is the projector onto the v-eigenspace along the others.  rref gives
-    E_v = C_v R_v with C_v the pivot columns of E_v and R_v the nonzero
-    rows of its echelon form; E_v E_w = delta_vw E_v gives R_v C_w =
-    delta_vw Id, so P = [C_v] and Pinv = [R_v] stacked.  When chi_F does
-    not split, the radical test runs first, so a non-semisimple F raises
-    NotSemisimple before NeedsLargerField.
+    A diagonal F only needs a permutation.  Otherwise F is semisimple iff
+    m_F is squarefree, and when m_F then splits with roots v, the
+    Lagrange polynomial L_v = m_F / ((x - v) m_F'(v)) gives the projector
+    E_v = L_v(F) onto the v-eigenspace along the others: all of them are
+    one product of the powers F^0, ..., F^(s-1) by the coefficients.  rref
+    gives E_v = C_v R_v with C_v the pivot columns of E_v and R_v the
+    nonzero rows of its echelon form; E_v E_w = delta_vw E_v gives R_v C_w
+    = delta_vw Id, so P = [C_v] and Pinv = [R_v] stacked.  A non-semisimple
+    F raises NotSemisimple before an unsplit m_F raises NeedsLargerField.
     """
     field = m.F.field
     n = m.F.nrows
@@ -235,36 +266,25 @@ def _adapted(m: MatrixDeligne, ctx, cp=None):
             ranges[v] = (lo, lo + len(groups[v]))
             lo += len(groups[v])
         return ranges, G, FMat(field, eye[:, perm]), FMat(field, eye[perm])
-    if cp is None:
-        cp = m.F.charpoly()
-    roots, rem = _poly.roots_with_multiplicity(field, cp)
+    if mp is None:
+        mp = _min_poly(m.F)
+        _require_squarefree(field, mp[0])
+    mf, powers = mp
+    roots, rem = _poly.roots_with_multiplicity(field, mf)
     if rem:
-        _require_semisimple(m.F, cp)
         raise NeedsLargerField("Frobenius eigenvalues lie outside the field")
     vals = sorted(v for v, _ in roots)
-    mults = dict(roots)
-    A = [m.F - FMat.identity(field, n).scale(v) for v in vals]
-    # prefix[k] = A_0 ... A_(k-1) and suffix[k] = A_k ... A_(s-1), None
-    # standing for the identity; s >= 2 past the test, as F is not scalar
-    s = len(vals)
-    prefix, suffix = [None, A[0]], [None] * (s + 1)
-    for Av in A[1:]:
-        prefix.append(prefix[-1] @ Av)
-    if not prefix[s].is_zero():
-        raise NotSemisimple("Frobenius matrix is not semisimple")
-    for k in range(s - 1, 0, -1):
-        suffix[k] = A[k] if suffix[k + 1] is None else A[k] @ suffix[k + 1]
+    L = np.zeros((len(vals), len(vals)), dtype=np.intp)
+    for j, v in enumerate(vals):
+        quo = _poly.pdivmod(field, mf, [field.neg_idx(v), 1])[0]
+        L[:len(quo), j] = _poly.pscale(
+            field, quo, field.inv_idx(_poly.peval(field, quo, v)))
+    E = (FMat(field, powers) @ FMat(field, L)).a
     cols, rows, ranges, lo = [], [], {}, 0
-    for k, v in enumerate(vals):
-        left, right = prefix[k], suffix[k + 1]
-        E = right if left is None else left if right is None else left @ right
-        R, pivots = E.rref()
-        if len(pivots) != mults[v]:
-            raise NotSemisimple("eigenspace smaller than multiplicity")
-        c = 1
-        for w in vals[:k] + vals[k + 1:]:
-            c = field.mul_idx(c, field.sub_idx(v, w))
-        cols.append(field.mul_arr(E.a[:, pivots], field.inv_idx(c)))
+    for j, v in enumerate(vals):
+        Ev = FMat(field, E[:, j].reshape(n, n))
+        R, pivots = Ev.rref()
+        cols.append(Ev.a[:, pivots])
         rows.append(R.a[:len(pivots)])
         ranges[v] = (lo, lo + len(pivots))
         lo += len(pivots)
@@ -323,8 +343,8 @@ def decompose(m: MatrixDeligne, ctx, check=True) -> DeligneClass:
     n = m.F.nrows
     if n == 0:
         return zero_class(ctx)
-    cp = _checked_charpoly(m, ctx) if check else None
-    ranges, G, _, _ = _adapted(m, ctx, cp)
+    mp = _checked_min_poly(m, ctx) if check else None
+    ranges, G, _, _ = _adapted(m, ctx, mp)
     o = ctx.o_nu
     lines, shifted = [], np.zeros_like(G.a)
     for t0, slice_vals in _lines_of_values(list(ranges), ctx, field):

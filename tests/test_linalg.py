@@ -1,6 +1,7 @@
 """The FMat product against a scalar reference built from the field's
 exp/log and digit arithmetic, over prime and extension fields, on both
-sides of the gather/BLAS size switch and on the digit-plane fallback."""
+sides of the switch between the regular-representation and the
+Kronecker-packed routes, and where packing does not fit."""
 
 import random
 
@@ -9,10 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modwd import _poly
-from modwd._linalg import FMat
+from modwd._linalg import _EXACT_BITS, _REGULAR_MADDS, FMat
 from modwd.field import finite_field
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (3, 4)]
+# every field of order at most 81, and two larger ones
+EVERY_FIELD = [(ell, k) for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31,
+                                    37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79)
+               for k in range(1, 7) if ell ** k <= 81] + [(3, 6), (2, 12)]
 
 
 def ref_matmul(F, A, B):
@@ -41,11 +46,19 @@ def rand_invertible(F, n, rng):
 
 
 def check_product(F, n, inner, m, seed):
+    """A @ B against the reference on random matrices: every entry, or,
+    past 2^16 multiply-adds, every entry of 4 random rows and 4 random
+    columns."""
     rng = random.Random(seed)
     A, B = rand_fmat(F, n, inner, rng), rand_fmat(F, inner, m, rng)
     C = A @ B
     assert C.a.shape == (n, m) and C.a.dtype == np.intp
-    assert np.array_equal(C.a, ref_matmul(F, A, B))
+    if n * inner * m <= 2 ** 16:
+        assert np.array_equal(C.a, ref_matmul(F, A, B))
+        return
+    rows, cols = sorted(rng.sample(range(n), 4)), sorted(rng.sample(range(m), 4))
+    assert np.array_equal(C.a[rows], ref_matmul(F, FMat(F, A.a[rows]), B))
+    assert np.array_equal(C.a[:, cols], ref_matmul(F, A, FMat(F, B.a[:, cols])))
 
 
 @pytest.mark.parametrize("ell,k", FIELDS)
@@ -55,21 +68,48 @@ def test_small_and_empty_shapes(ell, k, shape):
     check_product(finite_field(ell, k), *shape, seed=repr((ell, k, shape)))
 
 
+def packed_inner(F, cap):
+    """The largest inner dimension up to cap whose k digit planes fit in
+    one Kronecker-packed float64 product."""
+    top = lambda inner: F.k * inner * (F.ell - 1) ** 2
+    inner = cap
+    while inner > 1 and top(inner).bit_length() * (2 * F.k - 1) > _EXACT_BITS:
+        inner -= 1
+    return inner
+
+
 @pytest.mark.parametrize("ell,k", FIELDS)
 def test_both_sides_of_gather_switch(ell, k):
-    # extension-field products switch from the table gather to BLAS above
-    # 512 k^2 multiply-adds; prime fields use BLAS at every size
+    # extension-field products switch from the regular representation to
+    # the packed route above _REGULAR_MADDS float multiply-adds, n * inner *
+    # m * k^2, when packing fits; prime fields take one route at every size
     F = finite_field(ell, k)
-    edge = 512 * k * k
-    for shape in [(8, edge // 64, 8), (8, edge // 64, 9), (8, edge // 64 + 1, 8)]:
+    inner = packed_inner(F, 64)
+    rows = _REGULAR_MADDS // (k * k * inner * 64)
+    for shape in [(rows, inner, 64), (rows + 1, inner, 64), (64, inner, rows + 1)]:
         check_product(F, *shape, seed=repr((ell, k, shape)))
 
 
 @pytest.mark.parametrize("ell,k", FIELDS)
 def test_size_64(ell, k):
     # at n = 64 the packed digits of F(3^4) need 11 * 7 > 53 bits, so its
-    # product takes the plane-by-plane route
+    # product takes the regular representation at any size
     check_product(finite_field(ell, k), 64, 64, 64, seed=repr((ell, k)))
+
+
+@pytest.mark.parametrize("ell,k", EVERY_FIELD)
+def test_products_every_field(ell, k):
+    F = finite_field(ell, k)
+    # the largest square on the regular route, and the next one
+    edge = round((_REGULAR_MADDS / k ** 2) ** (1 / 3))
+    while edge ** 3 * k * k > _REGULAR_MADDS:
+        edge -= 1
+    squares = [2, 3, 12] + ([edge, edge + 1] if k > 1 else [64])
+    shapes = ([(0, 5, 3), (3, 0, 5), (5, 3, 0), (1, 9, 1), (1, 6, 11),
+               (11, 6, 1), (7, 1, 5), (1, 1, 1), (9, 4, 7), (33, 20, 17)]
+              + [(n, n, n) for n in squares])
+    for shape in shapes:
+        check_product(F, *shape, seed=repr((ell, k, shape)))
 
 
 @settings(max_examples=40)
@@ -152,6 +192,26 @@ def test_shape_mismatch():
     F = finite_field(3, 2)
     with pytest.raises(ValueError):
         FMat.zeros(F, 2, 3) @ FMat.zeros(F, 2, 3)
+
+
+def test_sum_shape_mismatch():
+    # numpy would broadcast the row against the identity
+    F = finite_field(5, 2)
+    with pytest.raises(ValueError):
+        FMat(F, [[1, 2, 3]]) + FMat.identity(F, 3)
+
+
+def test_difference_shape_mismatch():
+    F = finite_field(5, 2)
+    with pytest.raises(ValueError):
+        FMat(F, [[1, 2, 3]]) - FMat.identity(F, 3)
+
+
+def test_inverse_of_non_square():
+    # the rref of [A | I] of a 2 x 3 A has pivots 0 and 1
+    F = finite_field(5, 1)
+    with pytest.raises(ValueError):
+        FMat(F, [[1, 0, 0], [0, 1, 0]]).inverse()
 
 
 def ref_kernel(A):

@@ -136,23 +136,19 @@ def test_decompose_random_shuffles(ctx52):
             assert decompose(mc, ctx52) == a
 
 
-def test_decompose_computes_charpoly_once(ctx52, monkeypatch):
-    # validate's semisimplicity test and the eigenspace split share chi_F
+def test_decompose_computes_min_poly_once(ctx52, monkeypatch):
+    # validate's checks and the eigenspace split share m_F, and no chi_F
+    # is computed
     a = normalize([Seg(chi(ctx52, 1), 2, 0), Seg(chi(ctx52, 2), 3, 1)], ctx52)
     m = realize(a, ctx52)
     P = rand_invertible(ctx52.field, m.dim, random.Random(5))
     Pi = P.inverse()
     mc = MatrixDeligne(P @ m.F @ Pi, P @ m.U.scale(3) @ Pi)
-    calls = []
-    charpoly = FMat.charpoly
-
-    def counting(self):
-        calls.append(1)
-        return charpoly(self)
-
-    monkeypatch.setattr(FMat, "charpoly", counting)
+    calls = count_calls(monkeypatch, matrixmodel, ("_min_poly",))
+    linalg = count_calls(monkeypatch, FMat, ("charpoly",))
     assert decompose(mc, ctx52) == a
-    assert len(calls) == 1
+    assert calls["_min_poly"] == ["_checked_min_poly"]
+    assert not linalg["charpoly"]
 
 
 def transported(a, ctx, rng, lam=1):
@@ -197,10 +193,10 @@ def count_calls(monkeypatch, owner, names):
 
 
 def test_transported_decompose_checks_each_property_once(ctx52, monkeypatch):
-    # invertibility comes from chi_F(0), semisimplicity from the product of
-    # the F - v, and the split from the spectral projectors: no inverse, no
-    # kernel, no radical, one charpoly, and ranks only of path maps, which
-    # are the classification itself
+    # invertibility, semisimplicity and the split all come from one m_F,
+    # and the split from its Lagrange projectors: no inverse, no kernel, no
+    # radical, no charpoly, and ranks only of path maps, which are the
+    # classification itself
     c1, c2 = chi(ctx52, 1), chi(ctx52, 2)
     a = normalize([(Seg(c1, 3, 0), 1), (Seg(c1, 1, 2), 2), (Seg(c2, 2, 1), 1)],
                   ctx52)
@@ -208,8 +204,10 @@ def test_transported_decompose_checks_each_property_once(ctx52, monkeypatch):
     linalg = count_calls(monkeypatch, FMat,
                          ("charpoly", "rank", "kernel", "inverse"))
     poly = count_calls(monkeypatch, _poly, ("radical",))
+    mm = count_calls(monkeypatch, matrixmodel, ("_min_poly",))
     assert decompose(mc, ctx52) == a
-    assert linalg["charpoly"] == ["_checked_charpoly"]
+    assert not linalg["charpoly"]
+    assert mm["_min_poly"] == ["_checked_min_poly"]
     assert not linalg["kernel"] and not linalg["inverse"]
     assert linalg["rank"] and set(linalg["rank"]) == {"_path_ranks"}
     assert not poly["radical"]
@@ -236,14 +234,70 @@ def test_decompose_error_precedence(ctx52, ctx23, monkeypatch):
         for fn in (decompose, validate):
             with pytest.raises(NotSemisimple):
                 fn(m, ctx)
-    # semisimple with chi_F = x^2 + x + 1 over F_2: the radical test runs
-    # once, then the field is too small
+    # semisimple with m_F = x^2 + x + 1 over F_2: one minimal polynomial
+    # and no chi_F, then the field is too small
     split_free = MatrixDeligne(FMat(F2, [[0, 1], [1, 1]]), FMat.zeros(F2, 2, 2))
     assert validate(split_free, ctx23)
-    calls = count_calls(monkeypatch, _poly, ("radical",))
+    calls = count_calls(monkeypatch, matrixmodel, ("_min_poly",))
+    linalg = count_calls(monkeypatch, FMat, ("charpoly",))
     with pytest.raises(NeedsLargerField):
         decompose(split_free, ctx23)
-    assert calls["radical"] == ["_require_semisimple"]
+    assert calls["_min_poly"] == ["_checked_min_poly"]
+    assert not linalg["charpoly"]
+
+
+def check_min_poly(F):
+    """m_F(F) = 0, the columns of S are the flattened I, ..., F^(d-1) and
+    are independent, and m_F divides chi_F; returns m_F."""
+    mf, S = matrixmodel._min_poly(F)
+    field, n = F.field, F.nrows
+    d = len(mf) - 1
+    assert mf[-1] == 1 and S.shape == (n * n, d)
+    assert F.poly_eval(mf).is_zero()
+    for i in range(d):
+        assert np.array_equal(S[:, i], F.power(i).a.ravel())
+    assert FMat(field, S).rank() == d
+    assert not _poly.pmod(field, F.charpoly(), mf)
+    return mf
+
+
+def test_min_poly(ctx52, ctx23):
+    field = ctx52.field
+    rng = random.Random(3)
+    # conjugated diagonalizable matrices: m_F is the product of x - v over
+    # the distinct eigenvalues v
+    for spectrum in ([1, 1, 2], [3, 4, 4, 4, 7], [5] * 3 + [9] * 2 + [11, 12]):
+        n = len(spectrum)
+        P = rand_invertible(field, n, rng)
+        F = P @ FMat.diag(field, spectrum) @ P.inverse()
+        want = [1]
+        for v in sorted(set(spectrum)):
+            want = _poly.pmul(field, want, [field.neg_idx(v), 1])
+        assert check_min_poly(F) == want
+    # scalar and 1 x 1 matrices: degree 1
+    assert check_min_poly(FMat.identity(field, 3).scale(6)) == \
+        [field.neg_idx(6), 1]
+    assert check_min_poly(FMat(field, [[8]])) == [field.neg_idx(8), 1]
+    # a Jordan block: (x - 1)^2
+    one = field.neg_idx(1)
+    assert check_min_poly(FMat(field, [[1, 1], [0, 1]])) == \
+        _poly.pmul(field, [one, 1], [one, 1])
+    # random matrices, m_F against chi_F
+    for _ in range(20):
+        n = rng.randrange(1, 9)
+        check_min_poly(FMat(field, [[rng.randrange(field.order)
+                                     for _ in range(n)] for _ in range(n)]))
+    # the companion matrix of (x^2 + x + 1)^2 over F_2: m_F = chi_F, which
+    # does not split and is not squarefree, so decompose still raises
+    # NotSemisimple
+    F2 = ctx23.field
+    comp = np.zeros((4, 4), dtype=np.intp)
+    comp[1:, :3] = np.eye(3, dtype=np.intp)
+    comp[:, 3] = [1, 0, 1, 0]
+    comp = FMat(F2, comp)
+    assert check_min_poly(comp) == [1, 0, 1, 0, 1]
+    with pytest.raises(NotSemisimple):
+        decompose(MatrixDeligne(comp, FMat.zeros(F2, 4, 4)), ctx23)
 
 
 def test_decompose_nilpotent_scaling_invariance(ctx52):
