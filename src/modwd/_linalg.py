@@ -5,15 +5,13 @@ strings in the polynomial basis.  Products are float64 BLAS products of
 digits.  Over a prime field an index is its residue, so A @ B is the float
 product mod ell.  Over F_{ell^k} A @ B is the float product of the digits
 of A by the regular representation of B (each entry b becomes the k x k
-matrix of x -> bx on F_ell^k), mod ell.  Above _REGULAR_MADDS, when the k
-digit planes of each side fit in one Kronecker-packed float64 product,
-that product is taken instead and its digit convolution reduced by the
-field modulus.  Every float sum is at most k * inner_dim * (ell-1)^2,
-which the product asserts is below 2^53, so none rounds.  Outer products
-and all other operations use the field's elementwise add_arr and mul_arr,
-which index its O(Q) tables with the intp index arrays directly.  Row
-reduction, kernels, characteristic polynomials (via Hessenberg form) and
-polynomial evaluation are enough for the whole matrix model.
+matrix of x -> bx on F_ell^k), mod ell.  Every float sum is at most
+k * inner_dim * (ell-1)^2, which the product asserts is below 2^53, so
+none rounds.  Outer products and all other operations use the field's
+elementwise add_arr and mul_arr, which index its O(Q) tables with the intp
+index arrays directly.  Row reduction, kernels, characteristic polynomials
+(via Hessenberg form) and polynomial evaluation are enough for the whole
+matrix model.
 """
 
 from __future__ import annotations
@@ -26,13 +24,6 @@ from . import _poly
 
 # float64 holds every integer below 2**53 exactly
 _EXACT_BITS = 53
-# Extension-field products of at most this many float multiply-adds
-# (n * inner * m * k^2) take the regular representation even where packing
-# fits.  On a 2-vCPU x86-64 machine with single-threaded OpenBLAS 0.3.31,
-# it beat the packed route up to square n = 128 at k = 2 (1535 against
-# 1774 us over F(5^2)) and n = 64 at k = 3, but not at n = 80 over F(2^3)
-# (500 against 429 us, 4.4 M multiply-adds).
-_REGULAR_MADDS = 1 << 22
 
 
 def _mod(x, ell):
@@ -70,30 +61,6 @@ def _regular_product(field, A, B):
     # P is integral below 2^53, so floor(P / ell) is exact
     P -= ell * np.floor(P / ell)
     return P.reshape(n * m, k).dot(powers).astype(np.intp).reshape(n, m)
-
-
-def _packed_product(field, A, B, bits):
-    """Index matrix of A @ B by Kronecker substitution at X = 2^bits: each
-    coefficient of the digit convolution is below X and X^(2k-1) <= 2^53,
-    so the float64 product of the packed digit planes holds all 2k-1 of
-    them exactly, as base-X digits."""
-    ell, k = field.ell, field.k
-    digits, X = _regular_tables(field)[0], float(1 << bits) ** np.arange(k)
-    prod = (np.tensordot(X, digits.take(A, axis=1), 1)
-            @ np.tensordot(X, digits.take(B, axis=1), 1)).astype(np.int64)
-    mask = (1 << bits) - 1
-    conv = [(prod >> (bits * s)) & mask for s in range(2 * k - 2)]
-    conv.append(prod >> (bits * (2 * k - 2)))
-    # x^k = -(m_0 + m_1 x + ... + m_{k-1} x^{k-1})
-    for s in range(2 * k - 2, k - 1, -1):
-        c = _mod(conv[s], ell)
-        for t, mt in enumerate(field.modulus[:k]):
-            if mt:
-                conv[s - k + t] = conv[s - k + t] - mt * c
-    out = _mod(conv[k - 1], ell)
-    for d in range(k - 2, -1, -1):
-        out = out * ell + _mod(conv[d], ell)
-    return out.astype(np.intp)
 
 
 class FMat:
@@ -202,21 +169,18 @@ class FMat:
         if inner == 0 or n == 0 or m == 0:
             return FMat(F, np.zeros((n, m), dtype=np.intp))
         if inner == 1:
-            # outer products, common in the oracle: one table gather
+            # outer products, common in the oracle: one table gather, 2.3 to
+            # 5.7 times faster than the BLAS routes at n = 2..64 (medians of
+            # 7 interleaved timings, 2-vCPU x86-64, OpenBLAS 0.3.31)
             return FMat(F, F.mul_arr(self.a, other.a))
-        # a float sum on any route adds at most k * inner products of two
-        # digits, and so does a coefficient of the digit convolution
-        k, top = F.k, F.k * inner * (F.ell - 1) ** 2
-        assert top < 2 ** _EXACT_BITS, "digit products would round in float64"
+        # a float sum adds at most k * inner products of two digits
+        assert F.k * inner * (F.ell - 1) ** 2 < 2 ** _EXACT_BITS, \
+            "digit products would round in float64"
         A, B = self.a, other.a
-        if k == 1:
+        if F.k == 1:
             prod = A.astype(np.float64) @ B.astype(np.float64)
             return FMat(F, _mod(prod.astype(np.int64), F.ell).astype(np.intp))
-        bits = top.bit_length()
-        if (n * inner * m * k * k <= _REGULAR_MADDS
-                or bits * (2 * k - 1) > _EXACT_BITS):
-            return FMat(F, _regular_product(F, A, B))
-        return FMat(F, _packed_product(F, A, B, bits))
+        return FMat(F, _regular_product(F, A, B))
 
     def kron(self, other):
         F = self.field

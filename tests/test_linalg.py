@@ -1,7 +1,7 @@
 """The FMat product against a scalar reference built from the field's
 exp/log and digit arithmetic, over prime and extension fields, on both
-sides of the switch between the regular-representation and the
-Kronecker-packed routes, and where packing does not fit."""
+sides of the switch between the table gather of outer products and the
+BLAS routes."""
 
 import random
 
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modwd import _poly
-from modwd._linalg import _EXACT_BITS, _REGULAR_MADDS, FMat
+from modwd._linalg import FMat
 from modwd.field import finite_field
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (3, 4)]
@@ -46,14 +46,14 @@ def rand_invertible(F, n, rng):
 
 
 def check_product(F, n, inner, m, seed):
-    """A @ B against the reference on random matrices: every entry, or,
-    past 2^16 multiply-adds, every entry of 4 random rows and 4 random
-    columns."""
+    """A @ B against the reference on random matrices: every entry up to
+    64^3 multiply-adds, and every entry of 4 random rows and 4 random
+    columns above."""
     rng = random.Random(seed)
     A, B = rand_fmat(F, n, inner, rng), rand_fmat(F, inner, m, rng)
     C = A @ B
     assert C.a.shape == (n, m) and C.a.dtype == np.intp
-    if n * inner * m <= 2 ** 16:
+    if n * inner * m <= 64 ** 3:
         assert np.array_equal(C.a, ref_matmul(F, A, B))
         return
     rows, cols = sorted(rng.sample(range(n), 4)), sorted(rng.sample(range(m), 4))
@@ -68,46 +68,27 @@ def test_small_and_empty_shapes(ell, k, shape):
     check_product(finite_field(ell, k), *shape, seed=repr((ell, k, shape)))
 
 
-def packed_inner(F, cap):
-    """The largest inner dimension up to cap whose k digit planes fit in
-    one Kronecker-packed float64 product."""
-    top = lambda inner: F.k * inner * (F.ell - 1) ** 2
-    inner = cap
-    while inner > 1 and top(inner).bit_length() * (2 * F.k - 1) > _EXACT_BITS:
-        inner -= 1
-    return inner
-
-
 @pytest.mark.parametrize("ell,k", FIELDS)
 def test_both_sides_of_gather_switch(ell, k):
-    # extension-field products switch from the regular representation to
-    # the packed route above _REGULAR_MADDS float multiply-adds, n * inner *
-    # m * k^2, when packing fits; prime fields take one route at every size
+    # outer products (inner dimension 1) are one table gather; from inner
+    # dimension 2 on, products take BLAS
     F = finite_field(ell, k)
-    inner = packed_inner(F, 64)
-    rows = _REGULAR_MADDS // (k * k * inner * 64)
-    for shape in [(rows, inner, 64), (rows + 1, inner, 64), (64, inner, rows + 1)]:
+    for shape in [(64, 1, 64), (64, 2, 64), (5, 1, 64), (5, 2, 64)]:
         check_product(F, *shape, seed=repr((ell, k, shape)))
 
 
 @pytest.mark.parametrize("ell,k", FIELDS)
 def test_size_64(ell, k):
-    # at n = 64 the packed digits of F(3^4) need 11 * 7 > 53 bits, so its
-    # product takes the regular representation at any size
     check_product(finite_field(ell, k), 64, 64, 64, seed=repr((ell, k)))
 
 
 @pytest.mark.parametrize("ell,k", EVERY_FIELD)
 def test_products_every_field(ell, k):
     F = finite_field(ell, k)
-    # the largest square on the regular route, and the next one
-    edge = round((_REGULAR_MADDS / k ** 2) ** (1 / 3))
-    while edge ** 3 * k * k > _REGULAR_MADDS:
-        edge -= 1
-    squares = [2, 3, 12] + ([edge, edge + 1] if k > 1 else [64])
-    shapes = ([(0, 5, 3), (3, 0, 5), (5, 3, 0), (1, 9, 1), (1, 6, 11),
-               (11, 6, 1), (7, 1, 5), (1, 1, 1), (9, 4, 7), (33, 20, 17)]
-              + [(n, n, n) for n in squares])
+    shapes = [(0, 5, 3), (3, 0, 5), (5, 3, 0), (1, 9, 1), (1, 6, 11),
+              (11, 6, 1), (7, 1, 5), (1, 1, 1), (9, 4, 7), (33, 20, 17),
+              (64, 64, 1), (2, 2, 2), (3, 3, 3), (12, 12, 12), (32, 32, 32),
+              (64, 64, 64), (80, 80, 80)]
     for shape in shapes:
         check_product(F, *shape, seed=repr((ell, k, shape)))
 
