@@ -1,4 +1,4 @@
-"""Matrix-oracle rows of the modwd BENCH file.
+"""Matrix-oracle and class-calculus rows of the modwd BENCH file.
 
     python3 bench/run_bench.py --n N [--src PATH]
 
@@ -28,6 +28,13 @@ measure another checkout, e.g. a clone of an earlier commit.  Rows:
   drawn uniformly from the ordered pairs of `enumerate_line_classes(ctx,
   8)` with 16 <= dim a * dim b <= 64; every result is checked against
   `tensor_ss`, computed before timing.
+- `preservation_pair_us`: CPU microseconds per `check_preservation(pi,
+  pi2, with_v_side=False)` (both `PairSide`s and the comparison, as the
+  `pairs` workload checks a pair) over PRESERVATION_PAIRS seeded pairs of
+  the (5,2) criterion-2 grid; every pair must match.
+  `compare_sides_us` times criterion 2's inner loop alone, `compare_sides`
+  over the same pairs' precomputed sides.  `hash_calls_per_pair` counts
+  the calls of the builtin `hash` per `check_preservation` under cProfile.
 - `criterion_4_s`: the sweeps of `test_criterion_4_classification_roundtrip`,
   run in this process (two pool workers for the full roundtrips, as in
   the test), wall and CPU seconds.
@@ -64,6 +71,7 @@ CLASSES = 2000
 SEED = 20261018
 REPEAT = 5
 ORACLE_PAIRS = 100
+PRESERVATION_PAIRS = 2000
 PROBES = 5
 
 
@@ -276,6 +284,40 @@ def bench_oracle():
     return out
 
 
+def bench_preservation():
+    import cProfile
+    import pstats
+    from modwd import check_preservation, make_ctx
+    from modwd.gln import PairSide, compare_sides
+    from modwd.verify import enumerate_generic_reps
+
+    ctx = make_ctx(5, 2)
+    reps = enumerate_generic_reps(ctx, max_segments=3, max_len=4, max_k=1)
+    rng = random.Random(f"{SEED}:pairs")
+    pairs = [tuple(sorted((rng.randrange(len(reps)), rng.randrange(len(reps)))))
+             for _ in range(PRESERVATION_PAIRS)]
+    pairs = [(reps[i], reps[j]) for i, j in pairs]
+    sides = [(PairSide(a), PairSide(b)) for a, b in pairs]
+
+    def check(pair):
+        if not check_preservation(*pair, with_v_side=False).all_match:
+            _check(False, f"{pair[0]!r} x {pair[1]!r}")
+
+    for pair in pairs:  # warm the caches, as the sweeps are warm
+        check(pair)
+    prof = cProfile.Profile()
+    prof.runcall(lambda: [check(pair) for pair in pairs])
+    hashes = sum(calls for (_, _, name), (_, calls, *_) in
+                 pstats.Stats(prof).stats.items()
+                 if name == "<built-in method builtins.hash>")
+    extra = dict(context="(5,2)", pairs=PRESERVATION_PAIRS)
+    return {"preservation_pair_us": _median_row(_per_call(check, pairs),
+                                                **extra),
+            "compare_sides_us": _median_row(_per_call(
+                lambda s: compare_sides(*s), sides), **extra),
+            "hash_calls_per_pair": dict(extra, value=hashes / len(pairs))}
+
+
 def bench_criterion_4():
     """The sweeps of test_criterion_4_classification_roundtrip."""
     from modwd.verify import run_random_transport, run_roundtrip
@@ -316,6 +358,7 @@ def main(argv=None):
     rows["matmul_us"] = bench_matmul()
     rows["field_build_ms"] = bench_fields()
     rows["oracle_us"] = bench_oracle()
+    rows.update(bench_preservation())
     rows["criterion_4_s"] = bench_criterion_4()
     record = {
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
@@ -329,7 +372,8 @@ def main(argv=None):
     print(f"wrote {path}")
     print(f"{'row':32s} {'raw':>10s} {'scaled':>10s}")
     named = [(name, rows[name]) for name in
-             ("realize_us", "decompose_realized_us", "decompose_transported_us")]
+             ("realize_us", "decompose_realized_us", "decompose_transported_us",
+              "preservation_pair_us", "compare_sides_us")]
     for group, label in (("charpoly_us", "n={}"), ("rref_us", "n={}"),
                          ("matmul_us", "{}"),
                          ("field_build_ms", "F({})"), ("oracle_us", "{}")):
@@ -337,6 +381,8 @@ def main(argv=None):
                   for key, row in rows[group].items()]
     for name, row in named:
         print(f"{name:32s} {row['median']:10.1f} {row['scaled_median']:10.1f}")
+    print(f"{'hash_calls_per_pair':32s} "
+          f"{rows['hash_calls_per_pair']['value']:10.1f}")
     c4 = rows["criterion_4_s"]
     print(f"{'criterion_4_s CPU':32s} {c4['cpu_s']:10.1f} {c4['scaled_cpu_s']:10.1f}"
           f"  ({c4['wall_s']:.1f} s wall)")

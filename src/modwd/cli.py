@@ -16,7 +16,7 @@ from .deligne import cv_map, dsum, dual_class, tensor_ss, twist_class
 from .errors import ModwdError
 from .factors import epsilon_factor, gamma_factor, l_factor
 from .field import make_ctx
-from .gln import c_map, v_map
+from .gln import c_map, check_preservation, v_map
 from .matrixmodel import decompose, oracle_tensor_ss, realize
 from . import verify as verify_mod
 
@@ -60,6 +60,9 @@ def _build_parser():
     sp = sub.add_parser("oracle", parents=[shared])
     sp.add_argument("expr")
     sp.add_argument("expr2")
+    sp = sub.add_parser("pair", parents=[shared])
+    sp.add_argument("expr")
+    sp.add_argument("expr2")
     sp = sub.add_parser("correspond", parents=[shared])
     sp.add_argument("expr")
     sp = sub.add_parser("verify", parents=[shared])
@@ -86,7 +89,8 @@ def _load_table(args, ctx):
 
 
 def _emit(args, ctx, payload, out):
-    """payload: list of (key, value-string) pairs, emitted in order."""
+    """payload: list of (key, value) pairs, emitted in order; a value is a
+    string, or a list of lines that the text format prints as they are."""
     if args.format == "json":
         doc = {"ctx": {"ell": ctx.ell, "q": ctx.q_residue, "k": ctx.k}}
         doc.update({k: v for k, v in payload})
@@ -94,8 +98,8 @@ def _emit(args, ctx, payload, out):
     else:
         out.write(ctx.header() + "\n")
         for k, v in payload:
-            if k == "raw":
-                out.write(v)
+            if isinstance(v, list):
+                out.writelines(line + "\n" for line in v)
             else:
                 out.write(f"{k}= {v}\n")
 
@@ -215,6 +219,15 @@ def run(argv, out=None) -> int:
             orc = oracle_tensor_ss(a, b)
             verdict = "MATCH" if formal == orc else "MISMATCH"
             _emit(args, ctx, [("formal", repr(formal)), ("oracle", repr(orc)),
+                              ("verdict", verdict)], out)
+            if verdict != "MATCH":
+                return 2
+        elif args.command == "pair":
+            pi = dsl.parse_rep(args.expr, ctx)
+            pi2 = dsl.parse_rep(args.expr2, ctx)
+            report = check_preservation(pi, pi2, table)
+            verdict = "MATCH" if report.all_match else "MISMATCH"
+            _emit(args, ctx, [("report", list(report.lines())),
                               ("verdict", verdict)], out)
             if verdict != "MATCH":
                 return 2

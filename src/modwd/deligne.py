@@ -27,13 +27,40 @@ from .weil import (Line, UnramifiedChar, dual_irr, fuse, irr_dim, irr_order,
                    line_key, line_of, line_product)
 
 
-@dataclass(frozen=True)
-class Seg:
+class _Part:
+    """An immutable indecomposable, identified by its key: the line_key of
+    its line, its kind (0 segment, 1 cycle), r and a, built once; keys
+    order the parts of a class.  Equality also compares what the key
+    leaves out: a segment's field or abstract irreducible, a cycle's line."""
+
+    __slots__ = ("key", "_hash", "_rest")
+
+    def _identify(self, key, rest):
+        self.key = key
+        self._hash = hash(key)
+        self._rest = rest
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, _Part) and self.key == other.key
+            and (self._rest is other._rest or self._rest == other._rest))
+
+    def __hash__(self):
+        return self._hash
+
+
+class Seg(_Part):
     """[0, r-1] (x) nu^a psi with psi the canonical line representative."""
 
-    irr: object
-    r: int
-    a: int
+    __slots__ = ("irr", "r", "a")
+
+    def __init__(self, irr, r, a):
+        self.irr, self.r, self.a = irr, r, a
+        self._identify((line_key(irr), 0, r, a), irr.t.field
+                       if isinstance(irr, UnramifiedChar) else irr)
+
+    def __reduce__(self):
+        return Seg, (self.irr, self.r, self.a)
 
     def dim(self, ctx):
         return self.r * irr_dim(self.irr)
@@ -42,13 +69,18 @@ class Seg:
         return f"seg({self.irr!r}; r={self.r}; a={self.a})"
 
 
-@dataclass(frozen=True)
-class Cyc:
+class Cyc(_Part):
     """[0, r-1] (x) C(Z_psi); no intertwiner is stored since the class
     does not depend on it."""
 
-    line: Line
-    r: int
+    __slots__ = ("line", "r")
+
+    def __init__(self, line, r):
+        self.line, self.r = line, r
+        self._identify((line.key, 1, r, 0), line)
+
+    def __reduce__(self):
+        return Cyc, (self.line, self.r)
 
     def dim(self, ctx):
         return self.r * self.line.order * irr_dim(self.line.base)
@@ -61,9 +93,8 @@ def seg(psi, r, a, ctx) -> Seg:
     """Build a segment in canonical form (canonical line rep, twist reduced)."""
     if r < 1:
         raise ValueError("segment length must be positive")
-    base, shift = line_of(psi, ctx)
-    o = irr_order(psi, ctx)
-    return Seg(base.base, r, (a + shift) % o)
+    line, shift = line_of(psi, ctx)
+    return Seg(line.base, r, (a + shift) % line.order)
 
 
 def cyc(line_or_irr, r, ctx) -> Cyc:
@@ -74,12 +105,6 @@ def cyc(line_or_irr, r, ctx) -> Cyc:
     else:
         line = line_of(line_or_irr, ctx)[0]
     return Cyc(line, r)
-
-
-def _indec_key(ind):
-    if isinstance(ind, Seg):
-        return (line_key(ind.irr), 0, ind.r, ind.a)
-    return (line_key(ind.line.base), 1, ind.r, 0)
 
 
 class DeligneClass:
@@ -150,7 +175,7 @@ def merge(parts, ctx) -> DeligneClass:
     for ind, m in parts:
         counts[ind] = counts.get(ind, 0) + m
     return DeligneClass(ctx, tuple(sorted(counts.items(),
-                                          key=lambda p: _indec_key(p[0]))))
+                                          key=lambda p: p[0].key)))
 
 
 def zero_class(ctx) -> DeligneClass:
@@ -278,26 +303,25 @@ def _orbit_cycle_counts(entries, twists, ctx):
     """Distribute nu^t * entry over full twist orbits.
 
     entries: fusion output ((k, irr), ...); twists: iterable of ambient
-    twist offsets.  Returns {Line: number of full orbits}; the multiset is
-    always nu-stable because the ambient twists run over a full orbit.
+    twist offsets.  Returns [(Line, number of full orbits)]; the multiset
+    is always nu-stable because the ambient twists run over a full orbit.
     """
     per_line = {}
     for t in twists:
         for k, theta in entries:
             line, shift = line_of(theta, ctx)
             o = line.order
-            key = line
-            counts = per_line.setdefault(key, [0] * o)
+            counts = per_line.setdefault(line.key, (line, [0] * o))[1]
             counts[(t + k + shift) % o] += 1
-    out = {}
-    for line, counts in per_line.items():
+    out = []
+    for line, counts in per_line.values():
         mu = counts[0]
         if any(c != mu for c in counts):
             # a semisimplified tensor against a full orbit is twist-stable;
             # a declared fusion entry violating this cannot be correct
             raise ValueError(
                 f"fusion output is not twist-stable on {line!r}")
-        out[line] = mu
+        out.append((line, mu))
     return out
 
 
@@ -326,7 +350,7 @@ def _tensor_indec(A, B, ctx, table):
         twists = [i + j for i in range(A.line.order) for j in range(B.line.order)]
         orbits = _orbit_cycle_counts(entries, twists, ctx)
     for (c, d), pm in profile:
-        for line, mu in orbits.items():
+        for line, mu in orbits:
             out.append((cyc(line, d - c + 1, ctx), pm * mu))
     return out
 
@@ -357,10 +381,9 @@ def _orbit_blocks(a: DeligneClass):
     """Group the sorted parts of a nilpotent class by (line, r), in one
     pass.  Yields (block, b): b full twist orbits lie in the block, its
     least multiplicity when it covers all o twists and 0 otherwise."""
-    for (base, _), block in itertools.groupby(
-            a.parts, key=lambda p: (p[0].irr, p[0].r)):
+    for _, block in itertools.groupby(a.parts, key=lambda p: p[0].key[:3]):
         block = tuple(block)
-        full = len(block) == irr_order(base, a.ctx)
+        full = len(block) == irr_order(block[0][0].irr, a.ctx)
         yield block, min(m for _, m in block) if full else 0
 
 
@@ -371,7 +394,7 @@ def split_cyclic(a: DeligneClass):
     if not a.is_nilpotent():
         raise ContainsCyc("split_cyclic expects a nilpotent class")
     # the parts are sorted by line first
-    if a.parts and a.parts[0][0].irr != a.parts[-1][0].irr:
+    if a.parts and a.parts[0][0].key[0] != a.parts[-1][0].key[0]:
         raise MixedLines("split_cyclic expects a single line")
     acyc, cycl = [], []
     for block, b in _orbit_blocks(a):

@@ -25,6 +25,7 @@ import re
 
 from .deligne import Cyc, Seg, normalize
 from .errors import ParseError
+from .field import check_dim
 from .gln import GLSegment, NonSuperCusp, SuperCusp, make_generic
 from .matrixmodel import MatrixDeligne
 from ._linalg import FMat
@@ -412,6 +413,7 @@ def parse_matrix(text, ctx) -> MatrixDeligne:
     if declared is None:
         raise ParseError("matrix dump must declare 'dim <n>'", i)
     n = int(declared.group(1))
+    check_dim(n, "the matrix dump")
     i += 1
 
     def read_block(tag):

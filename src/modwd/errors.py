@@ -29,6 +29,10 @@ class NeedsLargerField(ModwdError):
     pass
 
 
+class DimensionTooLarge(ModwdError):
+    pass
+
+
 class DivisionByZero(ModwdError):
     pass
 

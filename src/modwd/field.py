@@ -25,12 +25,20 @@ from math import gcd
 import numpy as np
 
 from . import _poly
-from .errors import NeedsLargerField, NonPrime, QDivisibleByEll, ZeroElement
+from .errors import (DimensionTooLarge, NeedsLargerField, NonPrime,
+                     QDivisibleByEll, ZeroElement)
 
 # Largest supported field order.  Building exp walks the Q - 1 powers of
 # the generator in Python, and narrow has (2 ell - 1)^k entries: 531,441
 # (130 Q) at F(2^12).
 MAX_FIELD_ORDER = 4096
+
+# Largest matrix side that realize, the tensor oracle's pair tensors and
+# matrix dumps accept.  Criterion 5's pair tensors reach 256 (two
+# 16-dimensional cycles at (5,2)).  The largest array decompose builds is
+# _min_poly's (n + 1) x (n^2 + n + 1) of intp when m_F has degree n: 135 MB
+# at n = 256.
+MAX_DIM = 256
 
 
 def check_field_order(ell, k):
@@ -39,6 +47,13 @@ def check_field_order(ell, k):
     if k >= MAX_FIELD_ORDER.bit_length() or ell ** k > MAX_FIELD_ORDER:
         raise NeedsLargerField(f"F({ell}^{k}) is larger than the supported "
                                f"order {MAX_FIELD_ORDER}")
+
+
+def check_dim(n, what):
+    """Raise DimensionTooLarge when n x n matrices are above MAX_DIM."""
+    if n > MAX_DIM:
+        raise DimensionTooLarge(f"{what} has dimension {n}, above the "
+                                f"supported {MAX_DIM}")
 
 
 def _factor(n):

@@ -21,8 +21,7 @@ from .errors import InvalidGenericRep, MixedLines, RamifiedCuspLine
 from .factors import (epsilon_from, gamma_from_counts, l_factor,
                       local_constants)
 from .laurent import FactorExpr, RationalFraction
-from .weil import (Line, UnramifiedChar, dual_irr, irr_order, line_key,
-                   line_of)
+from .weil import Line, UnramifiedChar, dual_irr, irr_order, line_of
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ def cusp_chi_line(cusp, ctx) -> Line:
 
 
 def _cusp_key(cusp, ctx):
-    lk = line_key(cusp_chi_line(cusp, ctx).base)
+    lk = cusp_chi_line(cusp, ctx).key
     if isinstance(cusp, NonSuperCusp):
         return (lk, 1, cusp.k)
     return (lk, 0, 0)
@@ -203,7 +202,7 @@ def banal_tnb_split(pi: GenericRep):
     """Split a single-line generic representation into banal x totally
     non-banal factors."""
     ctx = pi.ctx
-    lines = {line_key(cusp_chi_line(s.cusp, ctx).base) for s, _ in pi.segs}
+    lines = {cusp_chi_line(s.cusp, ctx).key for s, _ in pi.segs}
     if len(lines) > 1:
         raise MixedLines("banal_tnb_split expects a single supercuspidal line")
     banal = [(s, m) for s, m in pi.segs if isinstance(s.cusp, SuperCusp)]

@@ -32,7 +32,7 @@ from .deligne import (Cyc, DeligneClass, Seg, cyc, merge, normalize,
 from .errors import (FNotInvertible, NeedsLargerField, NotNilpotent,
                      NotSemisimple, RamifiedLine, RelationViolated,
                      ZeroElement)
-from .field import check_field_order, finite_field, make_ctx
+from .field import check_dim, check_field_order, finite_field, make_ctx
 from .weil import UnramifiedChar, line_of
 
 
@@ -187,6 +187,7 @@ def realize(a: DeligneClass, ctx) -> MatrixDeligne:
     Cyc(Z_chi, r): F = diag(q^-i) (x) diag(t q^-k), U = Id (x) C + N (x) Id
     with C the full cycle of holonomy 1.
     """
+    check_dim(a.dim(), "the realization")
     field = ctx.field
     fb, ub = [], []
     for ind, mult in a.parts:
@@ -549,6 +550,7 @@ def oracle_tensor_ss(a: DeligneClass, b: DeligneClass) -> DeligneClass:
     conditions = []
     for A, _ in a.parts:
         for B, _ in b.parts:
+            check_dim(A.dim(ctx) * B.dim(ctx), "a pair tensor")
             SA, SB = _indec_spectrum(A, ctx), _indec_spectrum(B, ctx)
             if SA and SB:
                 conditions.append((SA, SB))

@@ -173,14 +173,16 @@ def _sweep(init, init_args, chunk, processes):
 def _presv_init(ell, q, max_segments, max_len, max_k):
     ctx = make_ctx(ell, q)
     reps = enumerate_generic_reps(ctx, max_segments, max_len, max_k)
+    _POOL_STATE["reps"] = reps
     _POOL_STATE["sides"] = [PairSide(pi) for pi in reps]
     return len(reps)
 
 
 def _presv_rows(rows):
     """Check all pairs (i, j >= i) for the given rows with the comparison
-    check_preservation makes, both epsilon unit checks included."""
-    sides = _POOL_STATE["sides"]
+    check_preservation makes, both epsilon unit checks included.  A failure
+    is (rep text, rep text, tag): `modwd pair` replays it."""
+    reps, sides = _POOL_STATE["reps"], _POOL_STATE["sides"]
     checked = 0
     fails = []
     for i in rows:
@@ -191,7 +193,7 @@ def _presv_rows(rows):
                 tag = "epsilon-not-unit"
             checked += 1
             if tag:
-                fails.append((i, j, tag))
+                fails.append((repr(reps[i]), repr(reps[j]), tag))
     return checked, fails
 
 

@@ -10,7 +10,7 @@ fusion table, never from guessing.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .errors import MissingFusionRule
@@ -62,10 +62,15 @@ def dual_irr(psi):
 @dataclass(frozen=True)
 class Line:
     """An irreducible line Z_psi = {nu^k psi}, keyed by its canonical
-    representative (least discrete log of t over the orbit, for characters)."""
+    representative (least discrete log of t over the orbit, for characters).
+    key is line_key(base), built once."""
 
     base: object
     order: int
+    key: tuple = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", line_key(self.base))
 
     def dual(self, ctx):
         return line_of(dual_irr(self.base), ctx)[0]

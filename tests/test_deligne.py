@@ -360,3 +360,47 @@ def test_normalize_idempotent_random(parts):
     a = normalize(raw, ctx)
     assert normalize(a.parts, ctx) == a
     assert dsum(a, zero_class(ctx)) == a
+
+
+@pytest.mark.parametrize("ell,q", [(5, 2), (3, 2), (2, 3), (3, 4)])
+def test_part_hash_eq_contract(ell, q):
+    # parts are identified by their key: equal iff the keys are, equal
+    # parts hash equally, and both survive pickling (the sweeps fork
+    # workers) and a DSL round trip
+    import pickle
+
+    from modwd.dsl import parse_class
+    from modwd.verify import enumerate_line_classes
+
+    ctx = make_ctx(ell, q)
+    pooled = {id(ind): ind for a in enumerate_line_classes(ctx, 8)
+              for ind, _ in a.parts}
+    parts = list(pooled.values())
+    # rebuilt copies: equal, but not the same objects
+    rebuilt = [ind for ind, _ in normalize(parts, ctx).parts]
+    assert len(rebuilt) == len(parts) > 1
+    everything = parts + rebuilt
+    for A in everything:
+        for B in everything:
+            assert (A == B) == (A.key == B.key)
+            if A == B:
+                assert hash(A) == hash(B)
+    for ind in parts:
+        again = pickle.loads(pickle.dumps(ind))
+        assert again == ind and hash(again) == hash(ind)
+        assert again.key == ind.key
+        (parsed, m), = parse_class(f"{{ {ind!r} }}", ctx).parts
+        assert m == 1 and parsed == ind and hash(parsed) == hash(ind)
+        assert parsed is not ind
+
+
+def test_parts_of_two_contexts_differ(ctx52, ctx32):
+    from modwd.dsl import parse_class
+
+    (a, _), = parse_class("{ seg(chi(t=1); r=1) }", ctx52).parts
+    (b, _), = parse_class("{ seg(chi(t=1); r=1) }", ctx32).parts
+    assert a.key == b.key
+    assert a != b and b != a
+    (c, _), = parse_class("{ cyc(line(chi(t=1)); r=1) }", ctx52).parts
+    (d, _), = parse_class("{ cyc(line(chi(t=1)); r=1) }", ctx32).parts
+    assert c.key == d.key and c != d

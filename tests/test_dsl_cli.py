@@ -130,6 +130,86 @@ def test_cli_oracle_match_exit_code():
     assert rc == 0 and "verdict= MATCH" in out
 
 
+# the criterion-1 witness pair and one pair of the (5,2) criterion-2 grid
+WITNESS = ("prod{ stk(line=chi(t=1), k=0; r=1) }",
+           "prod{ st(r=1; cusp=chi(t=1); a=0) }")
+GRID_PAIR = ("prod{ st(r=1; cusp=chi(t=1); a=0) }",
+             "prod{ st(r=1; cusp=chi(t=1); a=0), "
+             "stk(line=chi(t=1), k=0; r=4) }")
+ONE = "([1,0]@F(5^2))/([1,0]@F(5^2))"
+
+
+def test_cli_pair_witness_golden():
+    rc, out = capture(["pair", "--ell", "5", "--q", "2", *WITNESS])
+    assert rc == 0
+    assert out == (
+        "ctx ell=5 q=2 k=2\n"
+        f"L   rs={ONE}\n"
+        f"L   gal={ONE}  [MATCH]\n"
+        "L   v-side=([1,0]@F(5^2))/([1,0]@F(5^2) + [4,0]@F(5^2)*X^4)\n"
+        f"GAMMA rs=unit: [4,0]@F(5^2)*X^4  frac: {ONE}\n"
+        f"GAMMA gal=unit: [4,0]@F(5^2)*X^4  frac: {ONE}  [MATCH]\n"
+        f"EPS rs=unit: [4,0]@F(5^2)*X^4  frac: {ONE}\n"
+        f"EPS gal=unit: [4,0]@F(5^2)*X^4  frac: {ONE}  [MATCH]\n"
+        "verdict= MATCH\n")
+
+
+def test_cli_pair_grid_golden():
+    rc, out = capture(["pair", "--ell", "5", "--q", "2", *GRID_PAIR])
+    assert rc == 0
+    l1 = "([1,0]@F(5^2))/([1,0]@F(5^2) + [4,0]@F(5^2)*X)"
+    gamma = ("unit: [3,0]@F(5^2)*X^17  frac: ([1,0]@F(5^2) + "
+             "[4,0]@F(5^2)*X)/([1,0]@F(5^2) + [3,0]@F(5^2)*X)")
+    assert out == (
+        "ctx ell=5 q=2 k=2\n"
+        f"L   rs={l1}\n"
+        f"L   gal={l1}  [MATCH]\n"
+        "L   v-side=([1,0]@F(5^2))/([1,0]@F(5^2) + [4,0]@F(5^2)*X + "
+        "[4,0]@F(5^2)*X^4 + [1,0]@F(5^2)*X^5)\n"
+        f"GAMMA rs={gamma}\n"
+        f"GAMMA gal={gamma}  [MATCH]\n"
+        f"EPS rs=unit: [1,0]@F(5^2)*X^16  frac: {ONE}\n"
+        f"EPS gal=unit: [1,0]@F(5^2)*X^16  frac: {ONE}  [MATCH]\n"
+        "verdict= MATCH\n")
+
+
+def test_cli_pair_json_and_mismatch_exit_code():
+    import json
+    argv = ["pair", "--ell", "5", "--q", "2", *GRID_PAIR]
+    rc, out = capture(argv + ["--format", "json"])
+    doc = json.loads(out)
+    assert rc == 0 and doc["verdict"] == "MATCH"
+    assert doc["ctx"] == {"ell": 5, "q": 2, "k": 2}
+    text = capture(argv)[1].splitlines()
+    assert doc["report"] == text[1:-1]
+    with mock.patch("modwd.gln.PreservationReport.all_match", False):
+        rc, out = capture(argv)
+    assert rc == 2 and out.endswith("verdict= MISMATCH\n")
+
+
+def test_dimension_bound_fails_fast(ctx52, monkeypatch):
+    # the bound is lowered rather than a large matrix allocated
+    from modwd import field, oracle_tensor_ss
+    from modwd.errors import DimensionTooLarge
+
+    monkeypatch.setattr(field, "MAX_DIM", 4)
+    four = parse_class("{ seg(chi(t=1); r=4) }", ctx52)
+    assert realize(four, ctx52).dim == 4
+    with pytest.raises(DimensionTooLarge):
+        realize(parse_class("{ seg(chi(t=1); r=5) }", ctx52), ctx52)
+    two = parse_class("{ seg(chi(t=1); r=2) }", ctx52)
+    assert oracle_tensor_ss(two, two) == tensor_ss(two, two)
+    with pytest.raises(DimensionTooLarge):
+        oracle_tensor_ss(two, parse_class("{ seg(chi(t=1); r=3) }", ctx52))
+    dump = format_matrix(realize(four, ctx52), ctx52)
+    assert parse_matrix(dump, ctx52).dim == 4
+    with pytest.raises(DimensionTooLarge):
+        parse_matrix("dim 5\n", ctx52)
+    rc, out = capture(["realize", "--ell", "5", "--q", "2",
+                       "{ seg(chi(t=1); r=100000) }"])
+    assert rc == 1 and out.startswith("error DimensionTooLarge: "), out
+
+
 def test_cli_domain_error_exit_code():
     rc, out = capture(["normalize", "--ell", "6", "--q", "2", "{ }"])
     assert rc == 1 and "error NonPrime" in out

@@ -1,3 +1,4 @@
+import io
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,36 @@ def test_preservation_sweep_counts_every_pair():
     s = run_preservation(3, 2, max_segments=1, max_len=2, processes=2)
     n = int(s.note.split()[0])
     assert s.passed and s.checked == n * (n + 1) // 2
+
+
+def test_preservation_failure_replays(monkeypatch):
+    # one injected mismatch is recorded as DSL text that `modwd pair` takes
+    from modwd import verify
+    from modwd.cli import run
+    from modwd.dsl import parse_rep
+    from modwd.verify import enumerate_generic_reps
+
+    class Mismatch:
+        def mismatch(self):
+            return "L"
+
+    real = verify.compare_sides
+    calls = []
+
+    def one_mismatch(side, side2):
+        # rows run in order at processes=1: the third pair is (0, 2)
+        calls.append(None)
+        return Mismatch() if len(calls) == 3 else real(side, side2)
+
+    monkeypatch.setattr(verify, "compare_sides", one_mismatch)
+    s = run_preservation(3, 2, max_segments=1, max_len=2, processes=1)
+    (a, b, tag), = s.failures
+    assert tag == "L"
+    ctx = make_ctx(3, 2)
+    reps = enumerate_generic_reps(ctx, max_segments=1, max_len=2)
+    assert (parse_rep(a, ctx), parse_rep(b, ctx)) == (reps[0], reps[2])
+    assert run(["pair", "--ell", "3", "--q", "2", a, b],
+               out=io.StringIO()) == 0
 
 
 def _line_classes_by_normalize(ctx, max_dim):
