@@ -12,8 +12,11 @@ measure another checkout, e.g. a clone of an earlier commit.  Rows:
   transport is built before timing.  `decompose_realized_us` times
   `decompose(realize(a))` of the same classes, and `realize_us` the
   realization alone.
-- `charpoly_us` at n = 12, 32 and 64 and `rref_us` at 12 x 12, over
-  F(5^2), on seeded random matrices.
+- `charpoly_us` at n = 12, 32 and 64 over F(5^2), on seeded random
+  matrices.  `rref_us` over F(5^2) at 3 x 3, 12 x 12 and 64 x 64 of full
+  rank, 12 x 12 of rank 3 (an eigenspace projector) and 12 x 24 [P | I]
+  (what `inverse` reduces); each row checks the rank and keeps the sha256
+  of its forms and pivots (`result_sha256`).
 - `matmul_us`: CPU microseconds per `FMat` product of seeded random
   matrices, n x n by n x n and by n x 1 at n = 3, 12, 32 and 64, over
   F(5^2), F(3^4) and F(2^6).  Every product is checked against a sum of
@@ -194,6 +197,7 @@ def _per_call(fn, items):
 
 
 def bench_kernels():
+    import numpy as np
     from modwd._linalg import FMat
     from modwd.field import finite_field
 
@@ -205,10 +209,42 @@ def bench_kernels():
             _rand_fmat(FMat, field, n, n, rng) for _ in range(count)]),
             field="F(5^2)", matrices=count)
         for n, count in ((12, 200), (32, 20), (64, 5))}
-    out["rref_us"] = {"12": _median_row(_per_call(FMat.rref, [
-        _rand_fmat(FMat, field, 12, 12, rng) for _ in range(500)]),
-        field="F(5^2)", matrices=500)}
+    out["rref_us"] = {}
+    for shape, rank, count, mats in _rref_inputs(FMat, field, rng):
+        digest = hashlib.sha256()
+        for A in mats:
+            R, pivots = A.rref()
+            _check(len(pivots) == rank, f"rank of {shape}")
+            digest.update(R.a.astype(np.int64).tobytes())
+            digest.update(np.array(pivots, dtype=np.int64).tobytes())
+        out["rref_us"][shape] = _median_row(
+            _per_call(FMat.rref, mats), field="F(5^2)", matrices=count,
+            result_sha256=digest.hexdigest())
     return out
+
+
+def _rref_inputs(FMat, field, rng):
+    """(shape, rank, count, matrices) of each `rref_us` row: random square
+    matrices of full rank, a rank-3 projector P diag(1, 1, 1, 0, ...) P^-1
+    as `_adapted` reduces, and [P | I] as `inverse` reduces."""
+    def invertible(n):
+        while True:
+            P = _rand_fmat(FMat, field, n, n, rng)
+            if P.rank() == n:
+                return P
+
+    def projector():
+        P = invertible(12)
+        return P @ FMat.diag(field, [1] * 3 + [0] * 9) @ P.inverse()
+
+    rows = [("3x3", 3, 2000, lambda: invertible(3)),
+            ("12x12", 12, 500, lambda: invertible(12)),
+            ("12x12 rank 3", 3, 500, projector),
+            ("12x24 [P|I]", 12, 300, lambda: FMat.hstack(
+                [invertible(12), FMat.identity(field, 12)])),
+            ("64x64", 64, 20, lambda: invertible(64))]
+    return [(shape, rank, count, [make() for _ in range(count)])
+            for shape, rank, count, make in rows]
 
 
 def bench_matmul():
@@ -374,7 +410,7 @@ def main(argv=None):
     named = [(name, rows[name]) for name in
              ("realize_us", "decompose_realized_us", "decompose_transported_us",
               "preservation_pair_us", "compare_sides_us")]
-    for group, label in (("charpoly_us", "n={}"), ("rref_us", "n={}"),
+    for group, label in (("charpoly_us", "n={}"), ("rref_us", "{}"),
                          ("matmul_us", "{}"),
                          ("field_build_ms", "F({})"), ("oracle_us", "{}")):
         named += [(f"{group} {label.format(key)}", row)

@@ -7,10 +7,12 @@ product mod ell.  Over F_{ell^k} A @ B is the float product of the digits
 of A by the regular representation of B (each entry b becomes the k x k
 matrix of x -> bx on F_ell^k), mod ell.  Every float sum is at most
 k * inner_dim * (ell-1)^2, which the product asserts is below 2^53, so
-none rounds.  Outer products and all other operations use the field's
-elementwise add_arr and mul_arr, which index its O(Q) tables with the intp
-index arrays directly.  Row reduction, kernels, characteristic polynomials
-(via Hessenberg form) and polynomial evaluation are enough for the whole
+none rounds.  Row reduction clears each pivot column from the whole
+matrix in one table update in the field's wide encoding (_wide_tables).
+Outer products and all other operations use the field's elementwise
+add_arr and mul_arr, which index its O(Q) tables with the intp index
+arrays directly.  Row reduction, kernels, characteristic polynomials (via
+Hessenberg form) and polynomial evaluation are enough for the whole
 matrix model.
 """
 
@@ -61,6 +63,20 @@ def _regular_product(field, A, B):
     # P is integral below 2^53, so floor(P / ell) is exact
     P -= ell * np.floor(P / ell)
     return P.reshape(n * m, k).dot(powers).astype(np.intp).reshape(n, m)
+
+
+@functools.lru_cache(maxsize=8)
+def _wide_tables(field):
+    """Tables of row reduction in the field's wide encoding, where two
+    elements add as integers: WN = wide(narrow s) for every sum s of two
+    wide values; LW = log x and LNW = log(-x), indexed by wide x (log 0 at
+    every other index); EW = wide(exp e) for every sum e of two logs.
+    12.9 MB at F(2^12)."""
+    wide, log = field._np_wide, field._np_log
+    LW = np.full(field._np_narrow.size, log[0])
+    LNW = LW.copy()
+    LW[wide], LNW[wide] = log, log[field.np_neg]
+    return wide[field._np_narrow], LW, LNW, wide[field._np_exp]
 
 
 class FMat:
@@ -214,30 +230,34 @@ class FMat:
     def rref(self):
         """Reduced row echelon form; returns (R, pivot_columns)."""
         F = self.field
-        R = self.a.copy()
-        n, m = R.shape
+        WN, LW, LNW, EW = _wide_tables(F)
+        W = F._np_wide[self.a]
+        n, m = W.shape
         pivots = []
         r = 0
         for c in range(m):
             if r == n:
                 break
-            nz = np.nonzero(R[r:, c])[0]
+            nz = W[r:, c].nonzero()[0]
             if nz.size == 0:
                 continue
             p = r + nz[0]
             if p != r:
-                R[[r, p]] = R[[p, r]]
-            inv = F.inv_idx(int(R[r, c]))
-            R[r] = F.mul_arr(R[r], inv)
-            col = R[:, c].copy()
-            col[r] = 0
-            rows = np.nonzero(col)[0]
-            if rows.size:
-                R[rows] = F.add_arr(R[rows], F.mul_arr(F.np_neg[col[rows]][:, None],
-                                                       R[r][None, :]))
+                W[[r, p]] = W[[p, r]]
+            lp = int(LW[W[r, c]])
+            if lp:
+                # W[r] / W[r, c]: shifting logs by Q - 1 - lp keeps them
+                # >= 0, and the zeros' at or above 2(Q - 1)
+                W[r] = EW[LW[W[r]] + (F.order - 1 - lp)]
+            if np.count_nonzero(W[:, c]) > 1:
+                # every row i gains -W[i, c] W[r]; the pivot row and the
+                # zeros of column c get factor log 0 (LW[0]), so gain 0
+                f = LNW[W[:, c]]
+                f[r] = LW[0]
+                W = WN[W + EW[f[:, None] + LW[W[r]]]]
             pivots.append(c)
             r += 1
-        return FMat(F, R), pivots
+        return FMat(F, F._np_narrow[W]), pivots
 
     def rank(self):
         return len(self.rref()[1])

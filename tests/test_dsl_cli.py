@@ -1,4 +1,5 @@
 import io
+import random
 import re
 from unittest import mock
 
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modwd import realize, tensor_ss
+from modwd._linalg import FMat
 from modwd.cli import run
 from modwd.dsl import (format_matrix, load_fusion_table, parse_class,
                        parse_matrix, parse_rep)
 from modwd.errors import ParseError
+from modwd.matrixmodel import MatrixDeligne
 
 
 def capture(argv):
@@ -111,6 +114,34 @@ def test_cli_roundtrip_realize_decompose(tmp_path):
                        "--file", str(path)])
     assert rc == 0
     assert "seg(chi(t=[1,0]@F(5^2)); r=2; a=0)" in out
+
+
+# a class with repeated and distinct segments and a cycle, dim 15
+DENSE_CLASS = ("{ seg(chi(t=[1,0]@F(5^2)); r=2; a=0)*2, "
+               "cyc(line(chi(t=[1,0]@F(5^2))); r=2), "
+               "seg(chi(t=[1,1]@F(5^2)); r=3; a=0) }")
+
+
+def test_cli_decompose_dense_golden(tmp_path, ctx52):
+    # a seeded transported realization (P F P^-1, P (lam U) P^-1): dense
+    # matrices, so decompose goes through rref, the projectors and inverse
+    m = realize(parse_class(DENSE_CLASS, ctx52), ctx52)
+    F = ctx52.field
+    rng = random.Random(20261019)
+    while True:
+        P = FMat(F, [[rng.randrange(F.order) for _ in range(m.dim)]
+                     for _ in range(m.dim)])
+        if P.rank() == m.dim:
+            break
+    lam, Pi = rng.randrange(1, F.order), P.inverse()
+    moved = MatrixDeligne(P @ m.F @ Pi, P @ m.U.scale(lam) @ Pi)
+    assert m.dim == 15 and not moved.F.is_diagonal()
+    path = tmp_path / "dense.txt"
+    path.write_text(format_matrix(moved, ctx52), encoding="utf-8")
+    rc, out = capture(["decompose", "--ell", "5", "--q", "2",
+                       "--file", str(path)])
+    assert rc == 0
+    assert out == f"ctx ell=5 q=2 k=2\nclass= {DENSE_CLASS}\n"
 
 
 def test_cli_twist_and_cv():

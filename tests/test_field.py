@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modwd import deligne, field, make_ctx, matrixmodel, mult_order, weil
+from modwd import (_linalg, deligne, field, make_ctx, matrixmodel, mult_order,
+                   weil)
 from modwd._linalg import FMat
 from modwd.errors import (NeedsLargerField, NonPrime, QDivisibleByEll,
                           ZeroElement)
@@ -240,5 +241,6 @@ def test_table_memory():
 
 def test_caches_are_bounded():
     for fn in (field.finite_field, weil._line_of_char, deligne.interval_profile,
-               deligne._tensor_indec_cached, matrixmodel._embedding):
+               deligne._tensor_indec_cached, matrixmodel._embedding,
+               _linalg._regular_tables, _linalg._wide_tables):
         assert fn.cache_info().maxsize is not None
