@@ -1,6 +1,6 @@
 """Matrix-oracle and class-calculus rows of the modwd BENCH file.
 
-    python3 bench/run_bench.py --n N [--src PATH]
+    python3 bench/run_bench.py --n N [--src PATH] [--against PATH]
 
 writes BENCH_<N>.json at the repository root.  It imports modwd from
 PATH (default: src/ of this checkout), so one copy of this script can
@@ -38,6 +38,9 @@ measure another checkout, e.g. a clone of an earlier commit.  Rows:
   `compare_sides_us` times criterion 2's inner loop alone, `compare_sides`
   over the same pairs' precomputed sides.  `hash_calls_per_pair` counts
   the calls of the builtin `hash` per `check_preservation` under cProfile.
+- `local_constants_us`: CPU microseconds per `local_constants(a)` (L,
+  gamma and epsilon) over the CLASSES classes of the `decompose` rows,
+  with the sha256 of their reprs (`result_sha256`).
 - `criterion_4_s`: the sweeps of `test_criterion_4_classification_roundtrip`,
   run in this process (two pool workers for the full roundtrips, as in
   the test), wall and CPU seconds.
@@ -53,6 +56,16 @@ reference speed and above 1 on a slower host.  Each row reports the raw
 times (`median`, `passes`), the factors (`factors`) and the times divided
 by them (`scaled_median`, `scaled_passes`).  Compare the scaled figures
 of two files written on the same machine, one after the other.
+
+Even scaled, one pair of files cannot resolve a 20% move.  `--against
+PATH` also runs the AGAINST_ROWS passes of the modwd package under PATH
+(e.g. a clone of the parent commit) and of `--src` alternately, each in a
+worker process of its own, for ROUNDS rounds; the side that goes first
+alternates from round to round.  Both workers must produce the same
+results (sha256 of the reports and reprs).  The record's `against` entry
+holds, per row, both sides' CPU microseconds per call in every round, the
+ratio change / parent of each round, the median ratio and the number of
+rounds the change won.
 """
 
 from __future__ import annotations
@@ -76,6 +89,9 @@ REPEAT = 5
 ORACLE_PAIRS = 100
 PRESERVATION_PAIRS = 2000
 PROBES = 5
+ROUNDS = 20
+AGAINST_ROWS = ("preservation_pair_us", "compare_sides_us",
+                "local_constants_us")
 
 
 def _git_sha(src: Path):
@@ -137,17 +153,23 @@ def _check(ok, what):
         raise RuntimeError(f"wrong result: {what}")
 
 
+def _class_sample(ctx, rng):
+    """CLASSES classes drawn from `enumerate_line_classes(ctx, 12)`."""
+    from modwd.verify import enumerate_line_classes
+
+    pool = enumerate_line_classes(ctx, 12)
+    return [pool[rng.randrange(len(pool))] for _ in range(CLASSES)]
+
+
 def bench_decompose():
     from modwd import make_ctx, realize
     from modwd._linalg import FMat
     from modwd.matrixmodel import MatrixDeligne, decompose
-    from modwd.verify import enumerate_line_classes
 
     ctx = make_ctx(5, 2)
     field = ctx.field
-    pool = enumerate_line_classes(ctx, 12)
     rng = random.Random(SEED)
-    sample = [pool[rng.randrange(len(pool))] for _ in range(CLASSES)]
+    sample = _class_sample(ctx, rng)
     moved = []
     for a in sample:
         m = realize(a, ctx)
@@ -320,10 +342,13 @@ def bench_oracle():
     return out
 
 
-def bench_preservation():
-    import cProfile
-    import pstats
+def _factor_passes():
+    """Row -> (fn, items) for the AGAINST_ROWS, each warmed once, and row
+    -> sha256 of the results (report lines or reprs).  The items are
+    PRESERVATION_PAIRS seeded pairs of the (5,2) criterion-2 grid, their
+    precomputed `PairSide`s, and the classes of the `decompose` rows."""
     from modwd import check_preservation, make_ctx
+    from modwd.factors import local_constants
     from modwd.gln import PairSide, compare_sides
     from modwd.verify import enumerate_generic_reps
 
@@ -334,24 +359,101 @@ def bench_preservation():
              for _ in range(PRESERVATION_PAIRS)]
     pairs = [(reps[i], reps[j]) for i, j in pairs]
     sides = [(PairSide(a), PairSide(b)) for a, b in pairs]
+    classes = _class_sample(ctx, random.Random(SEED))
 
     def check(pair):
-        if not check_preservation(*pair, with_v_side=False).all_match:
+        report = check_preservation(*pair, with_v_side=False)
+        if not report.all_match:
             _check(False, f"{pair[0]!r} x {pair[1]!r}")
+        return report
 
-    for pair in pairs:  # warm the caches, as the sweeps are warm
-        check(pair)
+    passes = {"preservation_pair_us": (check, pairs),
+              "compare_sides_us": (lambda s: compare_sides(*s), sides),
+              "local_constants_us": (local_constants, classes)}
+    digests = {}
+    for row, (fn, items) in passes.items():
+        digest = hashlib.sha256()
+        for x in items:  # warm the caches, as the sweeps are warm
+            out = fn(x)
+            for line in (map(repr, out) if isinstance(out, tuple)
+                         else out.lines()):
+                digest.update(line.encode() + b"\n")
+        digests[row] = digest.hexdigest()
+    return passes, digests
+
+
+def bench_preservation():
+    import cProfile
+    import pstats
+
+    passes, digests = _factor_passes()
+    check, pairs = passes["preservation_pair_us"]
     prof = cProfile.Profile()
     prof.runcall(lambda: [check(pair) for pair in pairs])
     hashes = sum(calls for (_, _, name), (_, calls, *_) in
                  pstats.Stats(prof).stats.items()
                  if name == "<built-in method builtins.hash>")
     extra = dict(context="(5,2)", pairs=PRESERVATION_PAIRS)
-    return {"preservation_pair_us": _median_row(_per_call(check, pairs),
-                                                **extra),
-            "compare_sides_us": _median_row(_per_call(
-                lambda s: compare_sides(*s), sides), **extra),
-            "hash_calls_per_pair": dict(extra, value=hashes / len(pairs))}
+    rows = {row: _median_row(_per_call(*passes[row]), **extra)
+            for row in ("preservation_pair_us", "compare_sides_us")}
+    rows["local_constants_us"] = _median_row(
+        _per_call(*passes["local_constants_us"]), context="(5,2)",
+        classes=CLASSES, result_sha256=digests["local_constants_us"])
+    rows["hash_calls_per_pair"] = dict(extra, value=hashes / len(pairs))
+    return rows
+
+
+def worker():
+    """Serve --against: print the AGAINST_ROWS digests, then for each row
+    name read on stdin run one pass and print its CPU microseconds per
+    call."""
+    passes, digests = _factor_passes()
+    print(json.dumps(digests), flush=True)
+    for line in sys.stdin:
+        fn, items = passes[line.strip()]
+        t0 = time.process_time()
+        for x in items:
+            fn(x)
+        t = time.process_time() - t0
+        print(json.dumps(t / len(items) * 1e6), flush=True)
+
+
+def against(src: Path, parent: Path, rounds):
+    """The AGAINST_ROWS of src and of parent, interleaved in two workers."""
+    procs = {}
+    times = {row: {"change": [], "parent": []} for row in AGAINST_ROWS}
+    try:
+        for side, path in (("change", src), ("parent", parent)):
+            env = dict(os.environ, PYTHONPATH=str(path))
+            procs[side] = subprocess.Popen(
+                [sys.executable, __file__, "--worker", "--src", str(path)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+                env=env)
+        digests = {side: json.loads(p.stdout.readline())
+                   for side, p in procs.items()}
+        _check(digests["change"] == digests["parent"],
+               f"the two checkouts' results differ: {digests}")
+        for r in range(rounds):
+            order = (("change", "parent") if r % 2 == 0
+                     else ("parent", "change"))
+            for row in AGAINST_ROWS:
+                for side in order:
+                    p = procs[side]
+                    p.stdin.write(row + "\n")
+                    p.stdin.flush()
+                    times[row][side].append(json.loads(p.stdout.readline()))
+    finally:
+        for p in procs.values():  # end of input ends the worker
+            p.stdin.close()
+            p.wait()
+    out = {"parent_src": str(parent), "rounds": rounds}
+    for row, t in times.items():
+        ratios = [c / b for c, b in zip(t["change"], t["parent"])]
+        out[row] = dict(change_us=t["change"], parent_us=t["parent"],
+                        ratios=ratios, median_ratio=statistics.median(ratios),
+                        wins=sum(x < 1 for x in ratios),
+                        result_sha256=digests["change"][row])
+    return out
 
 
 def bench_criterion_4():
@@ -375,14 +477,23 @@ def bench_criterion_4():
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--n", required=True, help="suffix of BENCH_<n>.json")
+    ap.add_argument("--n", help="suffix of BENCH_<n>.json")
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="directory holding the modwd package to measure")
+    ap.add_argument("--against", type=Path, metavar="PATH",
+                    help="a second modwd package directory (e.g. the "
+                    "parent's src/) to interleave the factor rows with")
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     src = args.src.resolve()
-    if not (src / "modwd").is_dir():
-        ap.error(f"no modwd package under {src}")
+    for path in (src, args.against and args.against.resolve()):
+        if path and not (path / "modwd").is_dir():
+            ap.error(f"no modwd package under {path}")
     sys.path.insert(0, str(src))
+    if args.worker:
+        return worker()
+    if args.n is None:
+        ap.error("--n is required")
     # perfbench/calibrate.py, last so that no name there shadows another
     sys.path.append(str(ROOT / "perfbench"))
     os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -396,6 +507,8 @@ def main(argv=None):
     rows["oracle_us"] = bench_oracle()
     rows.update(bench_preservation())
     rows["criterion_4_s"] = bench_criterion_4()
+    if args.against:
+        rows["against"] = against(src, args.against.resolve(), ROUNDS)
     record = {
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
                 "numpy": np.__version__, "git_sha": _git_sha(src),
@@ -409,7 +522,8 @@ def main(argv=None):
     print(f"{'row':32s} {'raw':>10s} {'scaled':>10s}")
     named = [(name, rows[name]) for name in
              ("realize_us", "decompose_realized_us", "decompose_transported_us",
-              "preservation_pair_us", "compare_sides_us")]
+              "preservation_pair_us", "compare_sides_us",
+              "local_constants_us")]
     for group, label in (("charpoly_us", "n={}"), ("rref_us", "{}"),
                          ("matmul_us", "{}"),
                          ("field_build_ms", "F({})"), ("oracle_us", "{}")):
@@ -422,6 +536,13 @@ def main(argv=None):
     c4 = rows["criterion_4_s"]
     print(f"{'criterion_4_s CPU':32s} {c4['cpu_s']:10.1f} {c4['scaled_cpu_s']:10.1f}"
           f"  ({c4['wall_s']:.1f} s wall)")
+    if args.against:
+        print(f"against {rows['against']['parent_src']}, "
+              f"{ROUNDS} rounds: median change / parent, wins")
+        for row in AGAINST_ROWS:
+            r = rows["against"][row]
+            print(f"{row:32s} {r['median_ratio']:10.3f} "
+                  f"{r['wins']:4d}/{ROUNDS}")
 
 
 if __name__ == "__main__":

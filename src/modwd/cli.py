@@ -14,7 +14,7 @@ import sys
 from . import dsl
 from .deligne import cv_map, dsum, dual_class, tensor_ss, twist_class
 from .errors import ModwdError
-from .factors import epsilon_factor, gamma_factor, l_factor
+from .factors import local_constants
 from .field import make_ctx
 from .gln import c_map, check_preservation, v_map
 from .matrixmodel import decompose, oracle_tensor_ss, realize
@@ -196,10 +196,9 @@ def run(argv, out=None) -> int:
             _emit(args, ctx, [("class", repr(cv_map(a)))], out)
         elif args.command == "factors":
             a = dsl.parse_class(args.expr, ctx)
-            payload = [("L", repr(l_factor(a))),
-                       ("GAMMA", repr(gamma_factor(a))),
-                       ("EPSILON", repr(epsilon_factor(a)))]
-            _emit(args, ctx, payload, out)
+            l, gamma, eps = local_constants(a)
+            _emit(args, ctx, [("L", repr(l)), ("GAMMA", repr(gamma)),
+                              ("EPSILON", repr(eps))], out)
         elif args.command == "realize":
             a = dsl.parse_class(args.expr, ctx)
             m = realize(a, ctx)

@@ -10,8 +10,10 @@ form of laurent.py, a unit times an exponent map on reciprocal roots:
 - gamma is a product over all irreducible constituents, with the banal
   unramified character contributing its Tate factor and everything else
   an opaque epsilon token.
-- epsilon is the unit gamma * L(X) / L(q^-1 X^-1, dual), and the
-  invertibility assertion is a hard error, not a convention.
+- epsilon is the unit gamma * L(X) / L(q^-1 X^-1, dual), read off the
+  exponent maps: gamma's and L's exponents minus e at q a^-1 for each
+  (1 - aX)^e of the dual's L, and gamma's unit times (-q^-1 a)^-e X^e.
+  The invertibility assertion is a hard error, not a convention.
 
 The matrix route l_factor_matrix stays polynomial: it expands
 det(Id - X Frob) from a characteristic polynomial and finds no roots.
@@ -26,8 +28,7 @@ from __future__ import annotations
 from .deligne import DeligneClass, Seg, tensor_ss, seg
 from .errors import EpsilonNotUnit
 from .field import FieldElem
-from .laurent import (FactorExpr, LaurentPoly, RationalFraction, UnitExpr,
-                      is_unit)
+from .laurent import FactorExpr, LaurentPoly, RationalFraction, UnitExpr
 from .matrixmodel import MatrixDeligne, raw_tensor, realize
 from .weil import UnramifiedChar
 
@@ -133,13 +134,28 @@ def gamma_factor(a: DeligneClass) -> FactorExpr:
 
 
 def epsilon_from(gamma, l, l_dual, ctx) -> FactorExpr:
-    """gamma * L(X) / L(q^-1 X^-1) for L = l and the dual's L = l_dual;
-    raises EpsilonNotUnit unless the result is a unit."""
-    eps = (gamma * FactorExpr.from_rational(l)
-           / FactorExpr.from_rational(l_dual).subst_qinv(ctx.q_img))
-    if not is_unit(eps)[0]:
+    """gamma * L(X) / L(q^-1 X^-1) for L = l and the dual's L = l_dual,
+    read off the exponent maps.  Each (1 - aX)^e of l_dual becomes
+    (-a q^-1 X^-1)^e (1 - q a^-1 X)^e, so epsilon has gamma's and l's
+    exponents minus e at q a^-1, and gamma's unit times (-q^-1 a)^-e X^e.
+    Raises EpsilonNotUnit unless every exponent cancels."""
+    F = ctx.field
+    q = ctx.q_img.i
+    neg_qinv = F.neg_idx(ctx.q_inv.i)
+    scalar, x_power = gamma.unit.scalar, gamma.unit.x_power
+    exponents = dict(gamma.frac.roots)
+    for a, e in l.roots:
+        exponents[a] = exponents.get(a, 0) + e
+    for a, e in l_dual.roots:
+        scalar = F.mul_idx(scalar, F.pow_idx(F.mul_idx(neg_qinv, a), -e))
+        x_power += e
+        b = F.mul_idx(q, F.inv_idx(a))
+        exponents[b] = exponents.get(b, 0) - e
+    unit = UnitExpr(F, scalar, x_power, gamma.unit.tokens)
+    if any(exponents.values()):
+        eps = FactorExpr(F, unit, RationalFraction.make(F, exponents))
         raise EpsilonNotUnit(f"epsilon is not a unit: {eps!r}")
-    return eps
+    return FactorExpr.from_unit(unit)
 
 
 def local_constants(a: DeligneClass):

@@ -14,6 +14,8 @@ X -> q^-1 X^-1 act on the exponents, the latter by
 
 so the form is closed under all of them.  The representation is unique,
 so equality of local constants is equality of the stored tuples.
+factors.epsilon_from reads epsilon off the exponent maps without these
+operations; the tests check it against them.
 
 The numerator prod_{e>0} (1 - aX)^e and the denominator
 prod_{e<0} (1 - aX)^-e are coprime polynomials with constant term 1.  They

@@ -87,6 +87,40 @@ def test_cli_factors_example():
     assert "L= ([1,0]@F(5^2))/([1,0]@F(5^2))\n" in out
 
 
+ONE52 = "([1,0]@F(5^2))/([1,0]@F(5^2))"
+ONE23 = "([1]@F(2^1))/([1]@F(2^1))"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["--ell", "5", "--q", "2",
+      "{ seg(chi(t=2); r=3; a=1), cyc(line(chi(t=1)); r=2) }"],
+     "ctx ell=5 q=2 k=2\n"
+     "L= ([1,0]@F(5^2))/([1,0]@F(5^2) + [1,0]@F(5^2)*X)\n"
+     "GAMMA= unit: [4,0]@F(5^2)*X^11  frac: ([1,0]@F(5^2) + "
+     "[1,0]@F(5^2)*X)/([1,0]@F(5^2) + [3,0]@F(5^2)*X)\n"
+     f"EPSILON= unit: [3,0]@F(5^2)*X^10  frac: {ONE52}\n"),
+    (["--ell", "5", "--q", "2", "{ seg(irr(psi, dim=2, ord=2, dual=psiv); "
+      "r=2; a=1), seg(chi(t=3); r=2) }"],
+     "ctx ell=5 q=2 k=2\n"
+     "L= ([1,0]@F(5^2))/([1,0]@F(5^2) + [1,0]@F(5^2)*X)\n"
+     "GAMMA= unit: [3,0]@F(5^2)*X^2*eps(psi@0)*eps(psi@1)  frac: "
+     "([1,0]@F(5^2) + [1,0]@F(5^2)*X)/([1,0]@F(5^2) + [4,0]@F(5^2)*X)\n"
+     "EPSILON= unit: [2,0]@F(5^2)*X^1*eps(psi@0)*eps(psi@1)  "
+     f"frac: {ONE52}\n"),
+    (["--ell", "2", "--q", "3",
+      "{ seg(chi(t=1); r=2; a=1), cyc(line(chi(t=1)); r=1) }"],
+     "ctx ell=2 q=3 k=1\n"
+     "L= ([1]@F(2^1))/([1]@F(2^1) + [1]@F(2^1)*X)\n"
+     f"GAMMA= unit: [1]@F(2^1)*eps(chi@[1]@F(2^1))^3  frac: {ONE23}\n"
+     "EPSILON= unit: [1]@F(2^1)*X^-1*eps(chi@[1]@F(2^1))^3  "
+     f"frac: {ONE23}\n"),
+])
+def test_cli_factors_golden(argv, expected):
+    rc, out = capture(["factors", *argv])
+    assert rc == 0
+    assert out == expected
+
+
 def test_cli_byte_stability():
     argv = ["tensor", "--ell", "5", "--q", "2",
             "{ seg(chi(t=1); r=2) }", "{ cyc(line(chi(t=2)); r=1) }"]

@@ -178,17 +178,72 @@ def test_epsilon_duality_identity(ctx52):
     assert eps == g * lf / ld
 
 
-def test_epsilon_matches_dual_class_route(ctx52, ctx23):
+def test_epsilon_matches_dual_class_route(ctx52, ctx23, ctx32, ctx34):
     # epsilon reads L of the dual off the class's own segments; building
     # the dual class and taking its L must give the same epsilon
     from modwd import dual_class
     from modwd.verify import enumerate_line_classes
-    for ctx in (ctx52, ctx23):
+    for ctx in (ctx52, ctx23, ctx32, ctx34):
         for a in enumerate_line_classes(ctx, 6):
             ld = FactorExpr.from_rational(
                 l_factor(dual_class(a))).subst_qinv(ctx.q_img)
             lf = FactorExpr.from_rational(l_factor(a))
             assert epsilon_factor(a) == gamma_factor(a) * lf / ld
+
+
+def group_epsilon(gamma, l, l_dual, ctx):
+    """The reference epsilon through the group operations of laurent.py."""
+    return (gamma * FactorExpr.from_rational(l)
+            / FactorExpr.from_rational(l_dual).subst_qinv(ctx.q_img))
+
+
+def test_epsilon_matches_group_formula_with_tokens(ctx52):
+    # ramified segments and cycles put tokens in gamma beside the banal
+    # constituents' scalars and X-powers
+    import random
+    from modwd import dual_class
+    irrs = [RamifiedAbstract("psi", 2, o, "psiv") for o in (1, 2, 4)]
+    rng = random.Random(13)
+    seen = 0
+    for _ in range(300):
+        parts = []
+        for _ in range(rng.randrange(1, 4)):
+            kind = rng.randrange(4)
+            if kind == 0:
+                parts.append(Seg(rng.choice(irrs), rng.randrange(1, 4),
+                                 rng.randrange(4)))
+            elif kind == 1:
+                parts.append(Cyc(line_of(rng.choice(irrs), ctx52)[0],
+                                 rng.randrange(1, 3)))
+            elif kind == 2:
+                parts.append(Seg(chi(ctx52, rng.randrange(1, 5)),
+                                 rng.randrange(1, 5), rng.randrange(4)))
+            else:
+                parts.append(Cyc(line_of(chi(ctx52, rng.randrange(1, 5)),
+                                         ctx52)[0], rng.randrange(1, 3)))
+        a = normalize(parts, ctx52)
+        want = group_epsilon(gamma_factor(a), l_factor(a),
+                             l_factor(dual_class(a)), ctx52)
+        eps = epsilon_factor(a)
+        assert eps == want and repr(eps) == repr(want), a
+        seen += bool(eps.unit.tokens)
+    assert seen > 100
+
+
+def test_epsilon_not_unit_names_the_fraction(ctx52):
+    # L of the class in place of its dual's leaves (1 - aX)/(1 - q a^-1 X)
+    # factors that do not cancel
+    from modwd.errors import EpsilonNotUnit
+    from modwd.factors import epsilon_from
+    a = normalize([(Seg(chi(ctx52, 2), 2, 1), 1),
+                   (Seg(RamifiedAbstract("psi", 2, 2, "psiv"), 1, 0), 1)],
+                  ctx52)
+    g, l = gamma_factor(a), l_factor(a)
+    want = group_epsilon(g, l, l, ctx52)
+    assert not want.frac.is_one()
+    with pytest.raises(EpsilonNotUnit) as exc:
+        epsilon_from(g, l, l, ctx52)
+    assert str(exc.value) == "epsilon is not a unit: " + repr(want)
 
 
 def test_l_matrix_agreement_full_population():

@@ -206,6 +206,31 @@ def test_pair_side_dual_segments(ctx52, ctx32, ctx23, ctx34):
             assert report.rs_eps == rs_epsilon_factor(pi, pi2), (pi, pi2)
 
 
+def test_epsilon_both_sides_match_group_formula(ctx52, ctx32, ctx23, ctx34):
+    # the reference goes through laurent.py's group operations, with the
+    # dual representations and dual class built, not read off the sides
+    from modwd import gamma_factor, l_factor, tensor_ss
+    from modwd.laurent import FactorExpr
+
+    def group_epsilon(gamma, l, l_dual, ctx):
+        return (gamma * FactorExpr.from_rational(l)
+                / FactorExpr.from_rational(l_dual).subst_qinv(ctx.q_img))
+
+    rng = random.Random(13)
+    for ctx in (ctx52, ctx32, ctx23, ctx34):
+        reps = enumerate_generic_reps(ctx, max_segments=3, max_len=4, max_k=1)
+        for _ in range(300):
+            pi, pi2 = rng.choice(reps), rng.choice(reps)
+            report = compare_sides(PairSide(pi), PairSide(pi2))
+            rs = group_epsilon(rs_gamma_factor(pi, pi2), rs_l_factor(pi, pi2),
+                               rs_l_factor(dual_rep(pi), dual_rep(pi2)), ctx)
+            assert report.rs_eps == rs, (pi, pi2)
+            c = tensor_ss(c_map(pi), c_map(pi2))
+            gal = group_epsilon(gamma_factor(c), l_factor(c),
+                                l_factor(dual_class(c)), ctx)
+            assert report.gal_eps == gal, (pi, pi2)
+
+
 def test_c_map_commutes_with_everything(ctx52):
     reps = [
         make_generic([sc_seg(ctx52, 2, 1)], ctx52),
