@@ -4,7 +4,9 @@
 
 writes BENCH_<N>.json at the repository root.  It imports modwd from
 PATH (default: src/ of this checkout), so one copy of this script can
-measure another checkout, e.g. a clone of an earlier commit.  Rows:
+measure another checkout, e.g. a clone of an earlier commit.  The
+record's `env` names that package by `src_sha256` and gives its size as
+`src_lines`, the summed `wc -l` of its modules.  Rows:
 
 - `decompose_transported_us`: CPU microseconds per `decompose` of a
   transported realization P (lam U) P^-1, P F P^-1, over 2,000 seeded
@@ -113,6 +115,12 @@ def _src_digest(src: Path):
     for p in sorted((src / "modwd").glob("*.py")):
         h.update(p.name.encode() + b"\0" + p.read_bytes())
     return h.hexdigest()
+
+
+def _src_lines(src: Path):
+    """The summed `wc -l` of the package's modules."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (src / "modwd").glob("*.py"))
 
 
 def _cpu():
@@ -512,7 +520,7 @@ def main(argv=None):
     record = {
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
                 "numpy": np.__version__, "git_sha": _git_sha(src),
-                "src_sha256": _src_digest(src),
+                "src_sha256": _src_digest(src), "src_lines": _src_lines(src),
                 "unit": "CPU microseconds unless a row says otherwise"},
         "rows": rows,
     }

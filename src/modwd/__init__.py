@@ -11,9 +11,8 @@ from .deligne import (Character, Cyc, DeligneClass, Seg, cv_map, cyc,
                       det_class, dsum, dual_class, normalize, seg,
                       seg_tensor_profile, split_cyclic, tensor_ss, twist_class,
                       zero_class)
-from .matrixmodel import (JordanPair, MatrixDeligne, decompose,
-                          jordan_chevalley, matrix_dual, oracle_tensor_ss,
-                          raw_tensor, realize, rescale_witness, semisimplify,
+from .matrixmodel import (MatrixDeligne, decompose, matrix_dual,
+                          oracle_tensor_ss, raw_tensor, realize, semisimplify,
                           validate)
 from .factors import (check_multiplicativity, epsilon_factor, gamma_factor,
                       l_factor, l_factor_matrix)

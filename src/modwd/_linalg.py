@@ -136,9 +136,6 @@ class FMat:
     def ncols(self):
         return self.a.shape[1]
 
-    def copy(self):
-        return FMat(self.field, self.a.copy())
-
     def is_zero(self):
         return not self.a.any()
 

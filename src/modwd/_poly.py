@@ -113,39 +113,6 @@ def peval(F, f, x):
     return acc
 
 
-def pxgcd(F, f, g):
-    """Extended gcd; returns (d, u, v) with u*f + v*g = d, d monic."""
-    r0, r1 = list(f), list(g)
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
-    while r1:
-        q, r = pdivmod(F, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, psub(F, u0, pmul(F, q, u1))
-        v0, v1 = v1, psub(F, v0, pmul(F, q, v1))
-    if r0:
-        s = F.inv_idx(r0[-1])
-        r0, u0, v0 = pscale(F, r0, s), pscale(F, u0, s), pscale(F, v0, s)
-    return r0, u0, v0
-
-
-def pinv_mod(F, f, m):
-    d, u, _ = pxgcd(F, f, m)
-    if d != [1]:
-        raise ZeroDivisionError("element not invertible in quotient ring")
-    return pmod(F, u, m)
-
-
-def pcompose_mod(F, f, g, m):
-    """f(g) mod m, by Horner."""
-    acc = []
-    for c in reversed(f):
-        acc = pmod(F, pmul(F, acc, g), m)
-        if c:
-            acc = padd(F, acc, [c])
-    return acc
-
-
 def pth_root(F, f):
     """Inverse Frobenius on coefficients of f(x) = g(x^p); returns g."""
     p = F.ell

@@ -65,10 +65,6 @@ class NotSemisimple(ModwdError):
     pass
 
 
-class NotNilpotent(ModwdError):
-    pass
-
-
 class EpsilonNotUnit(ModwdError):
     pass
 

@@ -29,9 +29,8 @@ from . import _poly
 from ._linalg import FMat
 from .deligne import (Cyc, DeligneClass, Seg, cyc, merge, normalize,
                       zero_class)
-from .errors import (FNotInvertible, NeedsLargerField, NotNilpotent,
-                     NotSemisimple, RamifiedLine, RelationViolated,
-                     ZeroElement)
+from .errors import (FNotInvertible, NeedsLargerField, NotSemisimple,
+                     RamifiedLine, RelationViolated)
 from .field import check_dim, check_field_order, finite_field, make_ctx
 from .weil import UnramifiedChar, line_of
 
@@ -44,12 +43,6 @@ class MatrixDeligne:
     @property
     def dim(self):
         return self.F.nrows
-
-
-@dataclass
-class JordanPair:
-    D: FMat
-    N: FMat
 
 
 def validate(m: MatrixDeligne, ctx) -> bool:
@@ -128,42 +121,6 @@ def _min_poly(F: FMat):
     raise RuntimeError("no dependency among the first n + 1 powers")
 
 
-# -- Jordan-Chevalley ----------------------------------------------------------
-
-def _jc_newton(U: FMat) -> JordanPair:
-    """Exact additive Jordan decomposition by Newton iteration on the
-    radical of the characteristic polynomial; D and N are polynomials in U."""
-    field = U.field
-    n = U.nrows
-    if n == 0:
-        return JordanPair(U.copy(), U.copy())
-    cp = U.charpoly()
-    rad = _poly.radical(field, cp)
-    radd = _poly.pderiv(field, rad)
-    d = _poly.pmod(field, [0, 1], cp)
-    for _ in range(n.bit_length() + 2):
-        e = _poly.pcompose_mod(field, rad, d, cp)
-        if not e:
-            break
-        der = _poly.pcompose_mod(field, radd, d, cp)
-        d = _poly.pmod(field, _poly.psub(field, d, _poly.pmul(
-            field, e, _poly.pinv_mod(field, der, cp))), cp)
-    else:
-        raise RuntimeError("Jordan-Chevalley iteration failed to converge")
-    D = U.poly_eval(d)
-    return JordanPair(D, U - D)
-
-
-def jordan_chevalley(U: FMat, ctx=None) -> JordanPair:
-    """Jordan decomposition U = D + N under the strict contract that the
-    eigenvalues of U lie in the context field."""
-    if U.nrows:
-        _, rem = _poly.roots_with_multiplicity(U.field, U.charpoly())
-        if rem:
-            raise NeedsLargerField("eigenvalues of U lie outside the field")
-    return _jc_newton(U)
-
-
 # -- realization ----------------------------------------------------------------
 
 def _cycle_matrix(field, o):
@@ -227,9 +184,11 @@ def raw_tensor(m1: MatrixDeligne, m2: MatrixDeligne) -> MatrixDeligne:
 
 
 def matrix_dual(m: MatrixDeligne) -> MatrixDeligne:
-    """(F, U) -> ((F^-1)^T, (D - N)^T): the dual pair in coordinates."""
-    jp = _jc_newton(m.U)
-    return MatrixDeligne(m.F.inverse().T, (jp.D - jp.N).T)
+    """(F, U) -> ((F^-1)^T, -U^T): the contragredient in the dual basis.
+    UF = qFU gives F^-1 U = q U F^-1, whose transpose is U'F' = qF'U' for
+    F' = (F^-1)^T and U' = -U^T.  The sign is the contragredient's; it
+    does not change the class, which does not see a rescaled operator."""
+    return MatrixDeligne(m.F.inverse().T, (-m.U).T)
 
 
 # -- decomposition ----------------------------------------------------------------
@@ -415,75 +374,6 @@ def semisimplify(m: MatrixDeligne, ctx) -> DeligneClass:
         else:
             out.append((Cyc(ind.line, 1), ind.r * mult))
     return normalize(out, ctx)
-
-
-def rescale_witness(m: MatrixDeligne, lam, ctx) -> FMat:
-    """For nilpotent U and lam != 0, an invertible P with PF = FP and
-    P (lam U) = U P, built as lam^i on graded complements S_i."""
-    field = m.F.field
-    n = m.F.nrows
-    if hasattr(lam, "i"):
-        lam_idx = lam.i
-    else:
-        lam_idx = int(lam) % field.order
-    if lam_idx == 0:
-        raise ZeroElement("rescaling by zero")
-    if not m.U.power(n).is_zero():
-        raise NotNilpotent("rescale_witness needs a nilpotent operator")
-    ranges, G, P, Pinv = _adapted(m, ctx)
-    blocks = [np.arange(lo, hi, dtype=np.intp) for lo, hi in
-              sorted(ranges.values())]
-
-    def graded_basis(X):
-        """Split the columns of a graded subspace along the eigen blocks."""
-        pieces = []
-        for blk in blocks:
-            proj = np.zeros_like(X.a)
-            proj[blk, :] = X.a[blk, :]
-            pieces.append(FMat(field, proj).column_space_basis())
-        return pieces
-
-    def graded_complement(A, B):
-        """Graded complement of A inside B (A a graded subspace of B)."""
-        outs = []
-        for Ab, Bb in zip(graded_basis(A), graded_basis(B)):
-            if Bb.ncols == 0:
-                continue
-            aug = FMat.hstack([Ab, Bb]) if Ab.ncols else Bb
-            _, pivots = aug.rref()
-            ext = [p - Ab.ncols for p in pivots if p >= Ab.ncols]
-            if ext:
-                outs.append(FMat(field, Bb.a[:, ext]))
-        if not outs:
-            return FMat.zeros(field, n, 0)
-        return FMat.hstack(outs)
-
-    # iterated kernels of U in the adapted basis
-    kernels = [FMat.zeros(field, n, 0)]
-    j = 0
-    Gp = FMat.identity(field, n)
-    while kernels[-1].ncols < n:
-        Gp = Gp @ G
-        kernels.append(Gp.kernel())
-        j += 1
-    r = j
-    S = [None] * r
-    S[r - 1] = graded_complement(kernels[r - 1], FMat.identity(field, n))
-    for k in range(r - 2, -1, -1):
-        NS = G @ S[k + 1]
-        NS = NS.column_space_basis() if NS.ncols else NS
-        span = FMat.hstack([NS, kernels[k]]) if NS.ncols else kernels[k]
-        span = span.column_space_basis() if span.ncols else span
-        C = graded_complement(span, kernels[k + 1])
-        S[k] = FMat.hstack([NS, C]) if NS.ncols else C
-    cols = []
-    scalings = []
-    for i, Si in enumerate(S):
-        cols.append(Si)
-        scalings.extend([field.pow_idx(lam_idx, i)] * Si.ncols)
-    B = FMat.hstack(cols)
-    Pm = B @ FMat.diag(field, scalings) @ B.inverse()
-    return P @ Pm @ Pinv
 
 
 # -- the tensor oracle ------------------------------------------------------------

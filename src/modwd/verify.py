@@ -13,6 +13,7 @@ import multiprocessing
 import random
 from dataclasses import dataclass, field as dc_field
 
+from ._linalg import FMat
 from .deligne import (Cyc, DeligneClass, Seg, cyc, det_class, dual_class,
                       interval_profile, normalize, seg, tensor_ss,
                       twist_class)
@@ -269,7 +270,6 @@ def run_random_transport(ell, q, count=1000, max_dim=10, seed=20240901) -> Sweep
     line = line_of(chi1, ctx)[0]
     o = ctx.o_nu
     s = SweepSummary(f"random conjugation/rescale transport ({ell},{q})")
-    from ._linalg import FMat
     for _ in range(count):
         parts = []
         budget = rng.randrange(1, max_dim + 1)

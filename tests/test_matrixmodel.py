@@ -4,16 +4,17 @@ import sys
 import numpy as np
 import pytest
 
-from modwd import (Cyc, Seg, UnramifiedChar, jordan_chevalley, normalize,
-                   oracle_tensor_ss, raw_tensor, realize, rescale_witness,
-                   semisimplify, tensor_ss, validate)
+from modwd import (Cyc, Seg, UnramifiedChar, dual_class, normalize,
+                   oracle_tensor_ss, raw_tensor, realize, semisimplify,
+                   tensor_ss, validate)
 from modwd import _poly, matrixmodel
 from modwd._linalg import FMat
 from modwd.deligne import cyc
-from modwd.errors import (FNotInvertible, NeedsLargerField, NotNilpotent,
-                          NotSemisimple, RamifiedLine, RelationViolated)
+from modwd.errors import (FNotInvertible, NeedsLargerField, NotSemisimple,
+                          RamifiedLine, RelationViolated)
 from modwd.field import finite_field, make_ctx
 from modwd.matrixmodel import MatrixDeligne, decompose, matrix_dual
+from modwd.verify import enumerate_line_classes
 from modwd.weil import RamifiedAbstract, line_of
 
 
@@ -66,36 +67,22 @@ def test_realize_rejects_ramified(ctx52):
         realize(normalize([Seg(psi, 1, 0)], ctx52), ctx52)
 
 
-def test_jordan_chevalley(ctx52):
-    F = ctx52.field
-    m = realize(normalize([Seg(chi(ctx52, 1), 3, 0)], ctx52), ctx52)
-    jp = jordan_chevalley(m.U, ctx52)
-    assert jp.D.is_zero() and jp.N == m.U  # nilpotent input
-    jp = jordan_chevalley(m.F, ctx52)
-    assert jp.N.is_zero() and jp.D == m.F  # semisimple input
-    # construct-and-recover roundtrip on a mixed operator
-    mixed = realize(normalize([(Cyc(line_of(chi(ctx52, 2), ctx52)[0], 2), 1),
-                               (Seg(chi(ctx52, 1), 2, 1), 1)], ctx52), ctx52)
-    jp = jordan_chevalley(mixed.U, ctx52)
-    assert jp.D + jp.N == mixed.U
-    assert (jp.D @ jp.N) == (jp.N @ jp.D)
-    assert jp.N.power(mixed.dim).is_zero()
-    # both parts satisfy the Deligne relation
-    q = ctx52.q_img
-    assert (jp.D @ mixed.F) == (mixed.F @ jp.D).scale(q)
-    assert (jp.N @ mixed.F) == (mixed.F @ jp.N).scale(q)
-    # D is semisimple: annihilated by a squarefree polynomial
-    from modwd import _poly
-    rad = _poly.radical(F, jp.D.charpoly())
-    assert jp.D.poly_eval(rad).is_zero()
-
-
-def test_jordan_chevalley_needs_splitting(ctx23):
-    F = ctx23.field
-    # companion matrix of x^2 + x + 1, irreducible over F_2
-    U = FMat(F, [[0, 1], [1, 1]])
-    with pytest.raises(NeedsLargerField):
-        jordan_chevalley(U, ctx23)
+def test_matrix_dual_matches_dual_class(ctx52, ctx32, ctx23, ctx34):
+    # (F^-T, -U^T) against the formal dual on every class of dim <= 6, and
+    # on conjugated, operator-rescaled copies, whose F is not diagonal
+    rng = random.Random(14)
+    for ctx in (ctx52, ctx32, ctx23, ctx34):
+        field = ctx.field
+        classes = enumerate_line_classes(ctx, 6)
+        for a in classes:
+            assert decompose(matrix_dual(realize(a, ctx)), ctx) == dual_class(a)
+        for a in rng.sample(classes, 50):
+            m = realize(a, ctx)
+            P = rand_invertible(field, m.dim, rng)
+            Pi = P.inverse()
+            lam = rng.randrange(1, field.order)
+            mc = MatrixDeligne(P @ m.F @ Pi, P @ m.U.scale(lam) @ Pi)
+            assert decompose(matrix_dual(mc), ctx) == dual_class(a)
 
 
 def test_decompose_roundtrip_examples(ctx52):
@@ -335,32 +322,6 @@ def test_oracle_refuses_oversized_extension(ctx34, monkeypatch):
     with pytest.raises(NeedsLargerField):
         oracle_tensor_ss(a, a)
     assert asked == [2, 4]
-
-
-def test_rescale_witness(ctx52):
-    F = ctx52.field
-    # single segment: P = diag(1, lam, lam^2)
-    a = normalize([Seg(chi(ctx52, 1), 3, 0)], ctx52)
-    m = realize(a, ctx52)
-    lam = F.from_int(3)
-    P = rescale_witness(m, lam, ctx52)
-    # lam^i on the graded piece S_i; our shift puts Ker(U) at the last
-    # basis vector, so the diagonal reads top grade first
-    assert P.a.tolist() == FMat.diag(F, [(lam * lam).i, lam.i, 1]).a.tolist()
-    assert rescale_witness(m, F.one, ctx52) == FMat.identity(F, 3)
-    # random nilpotent pair: the defining identities hold
-    b = normalize([(Seg(chi(ctx52, 2), 2, 1), 2), (Seg(chi(ctx52, 2), 1, 3), 1)],
-                  ctx52)
-    mb = realize(b, ctx52)
-    lam = F.elem(F.gen_idx)
-    P = rescale_witness(mb, lam, ctx52)
-    assert (P @ mb.F) == (mb.F @ P)
-    assert (P @ mb.U.scale(lam)) == (mb.U @ P)
-    assert P.rank() == mb.dim
-    with pytest.raises(NotNilpotent):
-        cyc_m = realize(normalize([Cyc(line_of(chi(ctx52, 1), ctx52)[0], 1)],
-                                  ctx52), ctx52)
-        rescale_witness(cyc_m, lam, ctx52)
 
 
 def test_semisimplify_examples(ctx52):
