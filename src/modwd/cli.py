@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Every invocation prints the context header line first, then the report.
-Exit codes: 0 on success, 1 on domain errors (named error codes, no
-tracebacks), 2 when a verification finds a mismatch.
+Exit codes: 0 on success, 1 on domain errors and unreadable input files
+(named error codes, no tracebacks), 2 when a verification finds a mismatch.
 """
 
 from __future__ import annotations
@@ -81,11 +81,18 @@ def _need_ctx(args):
     return make_ctx(args.ell, args.q, args.field_deg)
 
 
+def _read_text(path):
+    """The UTF-8 text of the file at `path`, or of stdin when path is None."""
+    if path is None:
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _load_table(args, ctx):
     if not args.fusion_file:
         return None
-    with open(args.fusion_file, "r", encoding="utf-8") as fh:
-        return dsl.load_fusion_table(fh.read(), ctx)
+    return dsl.load_fusion_table(_read_text(args.fusion_file), ctx)
 
 
 def _emit(args, ctx, payload, out):
@@ -207,9 +214,7 @@ def run(argv, out=None) -> int:
             else:
                 out.write(dsl.format_matrix(m, ctx))
         elif args.command == "decompose":
-            text = (open(args.file, "r", encoding="utf-8").read()
-                    if args.file else sys.stdin.read())
-            m = dsl.parse_matrix(text, ctx)
+            m = dsl.parse_matrix(_read_text(args.file), ctx)
             _emit(args, ctx, [("class", repr(decompose(m, ctx)))], out)
         elif args.command == "oracle":
             a = dsl.parse_class(args.expr, ctx)
@@ -236,8 +241,8 @@ def run(argv, out=None) -> int:
                               ("V", repr(v_map(pi))),
                               ("C", repr(c_map(pi)))], out)
         return 0
-    except ModwdError as exc:
-        out.write(f"error {exc.code}: {exc}\n")
+    except (ModwdError, OSError, UnicodeDecodeError) as exc:
+        out.write(f"error {type(exc).__name__}: {exc}\n")
         return 1
 
 

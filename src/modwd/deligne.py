@@ -471,8 +471,8 @@ def det_class(a: DeligneClass) -> Character:
             val = base.t ** (r * reps) * ctx.nu_value(nu_exp)
             contrib = Character(val)
         else:
-            lbl = base.det_hint or f"det({base.label})"
-            contrib = Character(ctx.nu_value(nu_exp), ((lbl, r * reps),))
+            contrib = Character(ctx.nu_value(nu_exp),
+                                ((f"det({base.label})", r * reps),))
         for _ in range(m):
             acc = acc * contrib
     return acc

@@ -32,57 +32,42 @@ from ._linalg import FMat
 from .weil import FusionTable, RamifiedAbstract, UnramifiedChar, line_of
 
 
-class _Scanner:
-    PUNCT = ("->", "{", "}", "(", ")", "[", "]", ",", ";", "=", "*", "@", "^")
+# punctuation, an integer or an identifier; the last group is any other
+# character, which no token starts with
+_TOKEN = re.compile(r"\s*(?:(->|[{}()\[\],;=*@^])|(-?\d+)|([^\W\d][\w.]*)|(\S))")
 
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
+
+class Parser:
+    """Recursive descent over the tokens of `text`: (kind, value, position)
+    with kind punct, int, ident or eof."""
+
+    def __init__(self, text, ctx, declarations=None):
         self.tokens = []
-        self._scan()
+        for m in _TOKEN.finditer(text):
+            kind = ("punct", "int", "ident", "bad")[m.lastindex - 1]
+            v, p = m.group(m.lastindex), m.start(m.lastindex)
+            if kind == "bad":
+                raise ParseError(f"unexpected character {v!r}", p)
+            self.tokens.append((kind, int(v) if kind == "int" else v, p))
+        self.tokens.append(("eof", None, len(text)))
         self.i = 0
+        self.ctx = ctx
+        self.declarations = declarations or {}
 
-    def _scan(self):
-        t, n = self.text, len(self.text)
-        p = 0
-        while p < n:
-            ch = t[p]
-            if ch.isspace():
-                p += 1
-                continue
-            two = t[p:p + 2]
-            if two == "->":
-                self.tokens.append(("punct", "->", p))
-                p += 2
-                continue
-            if ch in "{}()[],;=*@^":
-                self.tokens.append(("punct", ch, p))
-                p += 1
-                continue
-            if ch.isdigit() or (ch == "-" and p + 1 < n and t[p + 1].isdigit()):
-                q = p + 1
-                while q < n and t[q].isdigit():
-                    q += 1
-                self.tokens.append(("int", int(t[p:q]), p))
-                p = q
-                continue
-            if ch.isalpha() or ch == "_":
-                q = p + 1
-                while q < n and (t[q].isalnum() or t[q] in "_."):
-                    q += 1
-                self.tokens.append(("ident", t[p:q], p))
-                p = q
-                continue
-            raise ParseError(f"unexpected character {ch!r}", p)
-        self.tokens.append(("eof", None, n))
-
-    def peek(self):
-        return self.tokens[self.i]
+    # -- tokens -------------------------------------------------------------
 
     def next(self):
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def accept(self, value):
+        """Consume the punctuation `value` if it comes next; say whether."""
+        kind, v, _ = self.tokens[self.i]
+        if kind == "punct" and v == value:
+            self.i += 1
+            return True
+        return False
 
     def expect_punct(self, value):
         kind, v, p = self.next()
@@ -95,251 +80,205 @@ class _Scanner:
             raise ParseError(f"expected identifier {value or ''}, found {v!r}", p)
         return v
 
-    def expect_int(self):
+    def expect_int(self, least=None, message=None):
+        """An integer; ParseError(message) when it is below `least`."""
         kind, v, p = self.next()
         if kind != "int":
             raise ParseError(f"expected integer, found {v!r}", p)
+        if least is not None and v < least:
+            raise ParseError(message, p)
         return v
 
-    def expect_int_at_least(self, least, message):
-        """An integer of at least `least`; ParseError(message) below it."""
-        pos = self.peek()[2]
-        v = self.expect_int()
-        if v < least:
-            raise ParseError(message, pos)
-        return v
+    def key(self, name):
+        """Consume `name =`."""
+        self.expect_ident(name)
+        self.expect_punct("=")
 
-    def at_punct(self, value):
-        kind, v, _ = self.peek()
-        return kind == "punct" and v == value
+    def twist(self):
+        """The optional `; a=INT` that ends seg(...) and st(...)."""
+        if not self.accept(";"):
+            return 0
+        self.key("a")
+        return self.expect_int()
 
-    def expect_eof(self):
-        kind, v, p = self.peek()
+    def multiset(self, item):
+        """`{ item (*INT)?, ... }` as a list of (item, multiplicity)."""
+        self.expect_punct("{")
+        items = []
+        if self.accept("}"):
+            return items
+        while True:
+            x = item()
+            items.append((x, self.expect_int(0, "negative multiplicity")
+                          if self.accept("*") else 1))
+            if not self.accept(","):
+                break
+        self.expect_punct("}")
+        return items
+
+    def whole(self, read):
+        """read(), which must consume every token."""
+        out = read()
+        kind, v, p = self.tokens[self.i]
         if kind != "eof":
             raise ParseError(f"trailing input starting at {v!r}", p)
-
-
-class Parser:
-    def __init__(self, text, ctx, declarations=None):
-        self.s = _Scanner(text)
-        self.ctx = ctx
-        self.declarations = declarations or {}
+        return out
 
     # -- atoms ------------------------------------------------------------
 
     def elem(self):
-        kind, v, p = self.s.peek()
+        kind, v, p = self.next()
         field = self.ctx.field
         if kind == "int":
-            self.s.next()
             e = field.from_int(v)
-        elif kind == "punct" and v == "[":
-            self.s.next()
-            coeffs = [self.s.expect_int()]
-            while self.s.at_punct(","):
-                self.s.next()
-                coeffs.append(self.s.expect_int())
-            self.s.expect_punct("]")
+        elif (kind, v) == ("punct", "["):
+            coeffs = [self.expect_int()]
+            while self.accept(","):
+                coeffs.append(self.expect_int())
+            self.expect_punct("]")
             if len(coeffs) > field.k:
                 raise ParseError(f"element has {len(coeffs)} coefficients "
                                  f"but the field has degree {field.k}", p)
             e = field.from_coeffs(coeffs + [0] * (field.k - len(coeffs)))
         else:
             raise ParseError(f"expected a field element, found {v!r}", p)
-        if self.s.at_punct("@"):
-            self.s.next()
-            name = self.s.expect_ident()
-            if name != "F":
+        if self.accept("@"):
+            if self.expect_ident() != "F":
                 raise ParseError("expected F(ell^k) after @", p)
-            self.s.expect_punct("(")
-            ell = self.s.expect_int()
-            self.s.expect_punct("^")
-            k = self.s.expect_int()
-            self.s.expect_punct(")")
+            self.expect_punct("(")
+            ell = self.expect_int()
+            self.expect_punct("^")
+            k = self.expect_int()
+            self.expect_punct(")")
             if (ell, k) != (field.ell, field.k):
                 raise ParseError(
                     f"element tagged F({ell}^{k}) in a F({field.ell}^{field.k}) context", p)
         return e
 
     def irr(self):
-        kind, v, p = self.s.peek()
+        kind, v, p = self.next()
         if kind != "ident":
             raise ParseError(f"expected chi(...) or irr(...), found {v!r}", p)
         if v == "chi":
-            self.s.next()
-            self.s.expect_punct("(")
-            self.s.expect_ident("t")
-            self.s.expect_punct("=")
+            self.expect_punct("(")
+            self.key("t")
             t = self.elem()
-            self.s.expect_punct(")")
+            self.expect_punct(")")
             if t.is_zero():
                 raise ParseError("character value must be nonzero", p)
             return UnramifiedChar(t)
         if v == "irr":
-            self.s.next()
-            self.s.expect_punct("(")
-            label = self.s.expect_ident()
-            self.s.expect_punct(",")
-            self.s.expect_ident("dim")
-            self.s.expect_punct("=")
-            dim = self.s.expect_int_at_least(1, "dimension must be positive")
-            self.s.expect_punct(",")
-            self.s.expect_ident("ord")
-            self.s.expect_punct("=")
-            order = self.s.expect_int_at_least(1,
-                                               "twist order must be positive")
-            self.s.expect_punct(",")
-            self.s.expect_ident("dual")
-            self.s.expect_punct("=")
-            dual = self.s.expect_ident()
-            self.s.expect_punct(")")
+            self.expect_punct("(")
+            label = self.expect_ident()
+            self.expect_punct(",")
+            self.key("dim")
+            dim = self.expect_int(1, "dimension must be positive")
+            self.expect_punct(",")
+            self.key("ord")
+            order = self.expect_int(1, "twist order must be positive")
+            self.expect_punct(",")
+            self.key("dual")
+            dual = self.expect_ident()
+            self.expect_punct(")")
             return RamifiedAbstract(label, dim, order, dual)
         if v in self.declarations:
-            self.s.next()
             return self.declarations[v]
         raise ParseError(f"unknown atom {v!r}", p)
 
     # -- Deligne classes ----------------------------------------------------
 
     def indec(self):
-        kind, v, p = self.s.peek()
+        kind, v, p = self.next()
         if kind != "ident":
             raise ParseError(f"expected seg(...) or cyc(...), found {v!r}", p)
         if v == "seg":
-            self.s.next()
-            self.s.expect_punct("(")
+            self.expect_punct("(")
             psi = self.irr()
-            self.s.expect_punct(";")
-            self.s.expect_ident("r")
-            self.s.expect_punct("=")
-            r = self.s.expect_int_at_least(1,
-                                           "segment length must be positive")
-            a = 0
-            if self.s.at_punct(";"):
-                self.s.next()
-                self.s.expect_ident("a")
-                self.s.expect_punct("=")
-                a = self.s.expect_int()
-            self.s.expect_punct(")")
+            self.expect_punct(";")
+            self.key("r")
+            r = self.expect_int(1, "segment length must be positive")
+            a = self.twist()
+            self.expect_punct(")")
             return Seg(psi, r, a)
         if v == "cyc":
-            self.s.next()
-            self.s.expect_punct("(")
-            self.s.expect_ident("line")
-            self.s.expect_punct("(")
+            self.expect_punct("(")
+            self.expect_ident("line")
+            self.expect_punct("(")
             psi = self.irr()
-            self.s.expect_punct(")")
-            self.s.expect_punct(";")
-            self.s.expect_ident("r")
-            self.s.expect_punct("=")
-            r = self.s.expect_int_at_least(1, "cycle length must be positive")
-            self.s.expect_punct(")")
+            self.expect_punct(")")
+            self.expect_punct(";")
+            self.key("r")
+            r = self.expect_int(1, "cycle length must be positive")
+            self.expect_punct(")")
             return Cyc(line_of(psi, self.ctx)[0], r)
         raise ParseError(f"expected seg or cyc, found {v!r}", p)
 
     def deligne_class(self):
-        self.s.expect_punct("{")
-        items = []
-        if self.s.at_punct("}"):
-            self.s.next()
-            return normalize(items, self.ctx)
-        while True:
-            ind = self.indec()
-            mult = 1
-            if self.s.at_punct("*"):
-                self.s.next()
-                mult = self.s.expect_int_at_least(0, "negative multiplicity")
-            items.append((ind, mult))
-            if self.s.at_punct(","):
-                self.s.next()
-                continue
-            break
-        self.s.expect_punct("}")
-        return normalize(items, self.ctx)
+        return normalize(self.multiset(self.indec), self.ctx)
 
     # -- generic representations ----------------------------------------------
 
     def glseg(self):
-        kind, v, p = self.s.peek()
+        kind, v, p = self.next()
         if kind != "ident":
             raise ParseError(f"expected st(...) or stk(...), found {v!r}", p)
         if v == "st":
-            self.s.next()
-            self.s.expect_punct("(")
-            self.s.expect_ident("r")
-            self.s.expect_punct("=")
-            r = self.s.expect_int()
-            self.s.expect_punct(";")
-            self.s.expect_ident("cusp")
-            self.s.expect_punct("=")
+            self.expect_punct("(")
+            self.key("r")
+            r = self.expect_int()
+            self.expect_punct(";")
+            self.key("cusp")
             psi = self.irr()
-            a = 0
-            if self.s.at_punct(";"):
-                self.s.next()
-                self.s.expect_ident("a")
-                self.s.expect_punct("=")
-                a = self.s.expect_int()
-            self.s.expect_punct(")")
+            a = self.twist()
+            self.expect_punct(")")
             return GLSegment(SuperCusp(psi), r, a)
         if v == "stk":
-            self.s.next()
-            self.s.expect_punct("(")
-            self.s.expect_ident("line")
-            self.s.expect_punct("=")
+            self.expect_punct("(")
+            self.key("line")
             psi = self.irr()
-            self.s.expect_punct(",")
-            self.s.expect_ident("k")
-            self.s.expect_punct("=")
-            k = self.s.expect_int()
-            self.s.expect_punct(";")
-            self.s.expect_ident("r")
-            self.s.expect_punct("=")
-            r = self.s.expect_int()
-            self.s.expect_punct(")")
+            self.expect_punct(",")
+            self.key("k")
+            k = self.expect_int()
+            self.expect_punct(";")
+            self.key("r")
+            r = self.expect_int()
+            self.expect_punct(")")
             return GLSegment(NonSuperCusp(line_of(psi, self.ctx)[0], k), r, 0)
         raise ParseError(f"expected st or stk, found {v!r}", p)
 
     def generic_rep(self):
-        self.s.expect_ident("prod")
-        self.s.expect_punct("{")
-        items = []
-        if self.s.at_punct("}"):
-            self.s.next()
-            return make_generic(items, self.ctx)
-        while True:
-            seg = self.glseg()
-            mult = 1
-            if self.s.at_punct("*"):
-                self.s.next()
-                mult = self.s.expect_int_at_least(0, "negative multiplicity")
-            items.append((seg, mult))
-            if self.s.at_punct(","):
-                self.s.next()
-                continue
-            break
-        self.s.expect_punct("}")
-        return make_generic(items, self.ctx)
+        self.expect_ident("prod")
+        return make_generic(self.multiset(self.glseg), self.ctx)
+
+    # -- fusion statements ------------------------------------------------------
+
+    def fuse(self):
+        """`<a> <b> -> (k1,e1) (k2,e2) ...` as (a, b, [(k, e), ...])."""
+        a = self.irr()
+        b = self.irr()
+        self.expect_punct("->")
+        entries = []
+        while self.accept("("):
+            k = self.expect_int()
+            self.expect_punct(",")
+            entries.append((k, self.irr()))
+            self.expect_punct(")")
+        return a, b, entries
 
 
 def parse_class(text, ctx, declarations=None):
     p = Parser(text, ctx, declarations)
-    out = p.deligne_class()
-    p.s.expect_eof()
-    return out
+    return p.whole(p.deligne_class)
 
 
 def parse_rep(text, ctx, declarations=None):
     p = Parser(text, ctx, declarations)
-    out = p.generic_rep()
-    p.s.expect_eof()
-    return out
+    return p.whole(p.generic_rep)
 
 
 def parse_irr(text, ctx, declarations=None):
     p = Parser(text, ctx, declarations)
-    out = p.irr()
-    p.s.expect_eof()
-    return out
+    return p.whole(p.irr)
 
 
 def load_fusion_table(text, ctx) -> FusionTable:
@@ -359,21 +298,8 @@ def load_fusion_table(text, ctx) -> FusionTable:
                 continue
             if not line.startswith("FUSE"):
                 raise ParseError("expected DECL or FUSE", 0)
-            body = line[4:].strip()
-            p = Parser(body, ctx, declarations)
-            a = p.irr()
-            b = p.irr()
-            p.s.expect_punct("->")
-            entries = []
-            while p.s.at_punct("("):
-                p.s.expect_punct("(")
-                k = p.s.expect_int()
-                p.s.expect_punct(",")
-                theta = p.irr()
-                p.s.expect_punct(")")
-                entries.append((k, theta))
-            p.s.expect_eof()
-            table.add(a, b, entries)
+            p = Parser(line[4:].strip(), ctx, declarations)
+            table.add(*p.whole(p.fuse))
         except (ParseError, ValueError) as exc:
             raise ParseError(f"fusion file line {lineno}: {exc}", lineno) from exc
     return table

@@ -8,10 +8,6 @@ report failures uniformly and scripts can match on them.
 class ModwdError(Exception):
     """Base class for all library errors."""
 
-    @property
-    def code(self):
-        return type(self).__name__
-
 
 class NonPrime(ModwdError):
     pass

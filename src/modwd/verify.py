@@ -24,7 +24,7 @@ from .field import make_ctx
 from .gln import (GLSegment, NonSuperCusp, PairSide, SuperCusp, c_map,
                   central_char, check_preservation, compare_sides, dual_rep,
                   make_generic, twist_rep, unlinked)
-from .laurent import UnitExpr, euler_factor, is_unit
+from .laurent import UnitExpr, euler_factor
 from .matrixmodel import MatrixDeligne, decompose, oracle_tensor_ss, realize
 from .weil import UnramifiedChar, line_of
 
@@ -344,30 +344,25 @@ def run_tensor_oracle(ell, q, rmax=4) -> SweepSummary:
 
 # -- criterion 6: epsilon invertibility ---------------------------------------------
 
-def run_epsilon(ell, q, max_dim=12, classes=None) -> SweepSummary:
-    """is_unit(epsilon) over the roundtrip population, and the banal cycle
+def run_epsilon(ell, q, max_dim=12) -> SweepSummary:
+    """epsilon is a unit over the roundtrip population, and the banal cycle
     unit values match (-(tX)^o)^r exactly."""
     ctx = make_ctx(ell, q)
     field = ctx.field
-    if classes is None:
-        classes = enumerate_line_classes(ctx, max_dim)
     s = SweepSummary(f"epsilon invertibility ({ell},{q})")
-    for a in classes:
+    for a in enumerate_line_classes(ctx, max_dim):
         s.checked += 1
         try:
-            eps = epsilon_factor(a)
+            epsilon_factor(a)
         except Exception as exc:  # EpsilonNotUnit or anything else
             s.failures.append((repr(a), repr(exc)))
-            continue
-        if not is_unit(eps)[0]:
-            s.failures.append((repr(a), "not a unit"))
     if ctx.o_nu > 1:
         o = ctx.o_nu
         for t_idx in sorted({1, field.gen_idx}):
             t = field.elem(t_idx)
             for r in range(1, 4):
                 a = DeligneClass(ctx, ((cyc(UnramifiedChar(t), r, ctx), 1),))
-                unit = is_unit(epsilon_factor(a))[1]
+                unit = epsilon_factor(a).unit
                 want = UnitExpr(field, ((-field.one) ** r * t ** (o * r)).i, o * r)
                 s.checked += 1
                 if unit != want:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 from .errors import MissingFusionRule
 from .field import FieldElem, FieldCtx
@@ -36,7 +35,6 @@ class RamifiedAbstract:
     dim: int
     order: int
     dual_label: str
-    det_hint: Optional[str] = None
 
     def __repr__(self):
         return f"irr({self.label}, dim={self.dim}, ord={self.order}, dual={self.dual_label})"
@@ -55,8 +53,7 @@ def dual_irr(psi):
     """Contragredient: t -> t^(-1) for characters, declared partner else."""
     if isinstance(psi, UnramifiedChar):
         return UnramifiedChar(psi.t.inverse())
-    return RamifiedAbstract(psi.dual_label, psi.dim, psi.order, psi.label,
-                            psi.det_hint)
+    return RamifiedAbstract(psi.dual_label, psi.dim, psi.order, psi.label)
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ def _char_times_abstract(chi: UnramifiedChar, psi: RamifiedAbstract, ctx):
             return (j % o, psi)
     label = f"{chi.t!r}*{psi.label}"
     dual = f"{chi.t.inverse()!r}*{psi.dual_label}"
-    return (0, RamifiedAbstract(label, psi.dim, psi.order, dual, None))
+    return (0, RamifiedAbstract(label, psi.dim, psi.order, dual))
 
 
 def fuse(psi, psi2, ctx: FieldCtx, table: FusionTable = None):

@@ -8,10 +8,10 @@ tests/test_acceptance.py` to see one PASS/FAIL line per criterion.
 import time
 
 from modwd import make_ctx
-from modwd.verify import (enumerate_line_classes, run_correspondence,
-                          run_epsilon, run_multiplicativity, run_preservation,
-                          run_profile_law, run_random_transport, run_roundtrip,
-                          run_tensor_oracle, run_witness)
+from modwd.verify import (run_correspondence, run_epsilon,
+                          run_multiplicativity, run_preservation,
+                          run_profile_law, run_random_transport,
+                          run_roundtrip, run_tensor_oracle, run_witness)
 
 PRESERVATION_PARAMS = ((5, 2), (3, 2), (2, 3), (3, 4))
 
@@ -78,9 +78,7 @@ def test_criterion_6_epsilon_invertibility():
     t0 = time.time()
     summaries = []
     for ell, q in ((5, 2), (2, 3)):
-        ctx = make_ctx(ell, q)
-        classes = enumerate_line_classes(ctx, 12)
-        summaries.append(run_epsilon(ell, q, classes=classes))
+        summaries.append(run_epsilon(ell, q, max_dim=12))
     _report("criterion 6 (epsilon invertibility + cycle units)", t0, summaries)
 
 

@@ -340,7 +340,8 @@ GLSEG = st.one_of(
 TOKENS = st.lists(st.sampled_from(
     ["{", "}", "(", ")", "[", "]", ",", ";", "=", "*", "@", "^", "->", "seg",
      "cyc", "chi", "irr", "line", "t", "r", "a", "dim", "ord", "dual", "F",
-     "prod", "st", "stk", "cusp", "k", "psi", "-1", "0", "1", "2", "5", "%"]),
+     "prod", "st", "stk", "cusp", "k", "psi", "-1", "0", "1", "2", "5", "%",
+     "²"]),
     max_size=12).map(" ".join)
 
 
@@ -403,17 +404,28 @@ def test_cli_fuzz_matrix_dump(text):
         assert_clean_exit(*capture(["decompose", "--ell", "5", "--q", "2"]))
 
 
-def test_cli_reports_bad_input():
+def test_cli_reports_bad_input(tmp_path):
+    missing, bad = tmp_path / "missing", tmp_path / "bad.txt"
+    bad.write_bytes(b"dim 1\n\xff\n")
     cases = [
         (["normalize", "{ seg(chi(t=1); r=0) }"], "ParseError"),
         (["normalize", "{ seg(chi(t=1); r=1)*-1 }"], "ParseError"),
         (["normalize", "{ }", "--field-deg", "0"], "ModwdError"),
         (["dual", "{ seg(irr(p, dim=1, ord=0, dual=p); r=1) }"], "ParseError"),
+        (["normalize", "{ seg(chi(t=²); r=1) }"], "ParseError"),
+        (["decompose", "--file", str(missing)], "FileNotFoundError"),
+        (["normalize", "{ }", "--fusion-file", str(missing)], "FileNotFoundError"),
+        (["decompose", "--file", str(bad)], "UnicodeDecodeError"),
+        (["normalize", "{ }", "--fusion-file", str(bad)], "UnicodeDecodeError"),
     ]
     for argv, code in cases:
         rc, out = capture(argv + ["--ell", "5", "--q", "2"])
         assert rc == 1 and out.startswith(f"error {code}: "), out
-    for dump in ("dim x\n", "dim 1\nF:\n[a]\nU:\n[0]\n"):
-        with mock.patch("sys.stdin", io.StringIO(dump)):
+        assert out.count("\n") == 1, out
+    for stdin, code in ((io.StringIO("dim x\n"), "ParseError"),
+                        (io.StringIO("dim 1\nF:\n[a]\nU:\n[0]\n"), "ParseError"),
+                        (io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"),
+                         "UnicodeDecodeError")):
+        with mock.patch("sys.stdin", stdin):
             rc, out = capture(["decompose", "--ell", "5", "--q", "2"])
-        assert rc == 1 and out.startswith("error ParseError: "), out
+        assert rc == 1 and out.startswith(f"error {code}: "), out
