@@ -44,8 +44,11 @@ record's `env` names that package by `src_sha256` and gives its size as
   gamma and epsilon) over the CLASSES classes of the `decompose` rows,
   with the sha256 of their reprs (`result_sha256`).
 - `criterion_4_s`: the sweeps of `test_criterion_4_classification_roundtrip`,
-  run in this process (two pool workers for the full roundtrips, as in
-  the test), wall and CPU seconds.
+  the full grid of `verify.SWEEPS["roundtrip"]` through
+  `verify.run_named`, run in this process (two pool workers for the full
+  roundtrips, as in the test), wall and CPU seconds.  A modwd package
+  older than `run_named` has no such row: measure it with its own
+  checkout's copy of this script.
 
 Each row but criterion 4 is the median of REPEAT passes, with every
 pass reported.  Times are CPU seconds of this process.  A shared virtual
@@ -466,14 +469,11 @@ def against(src: Path, parent: Path, rounds):
 
 def bench_criterion_4():
     """The sweeps of test_criterion_4_classification_roundtrip."""
-    from modwd.verify import run_random_transport, run_roundtrip
+    from modwd.verify import run_named
 
     f0 = _speed()
     w0, c0 = time.perf_counter(), _cpu()
-    summaries = [run_roundtrip(5, 2, max_dim=12, processes=2),
-                 run_roundtrip(2, 3, max_dim=12, processes=2),
-                 run_random_transport(5, 2, count=500),
-                 run_random_transport(2, 3, count=500)]
+    summaries = run_named("roundtrip", "full")
     wall, cpu = time.perf_counter() - w0, _cpu() - c0
     f = (f0 + _speed()) / 2
     _check(all(s.passed for s in summaries),

@@ -22,13 +22,14 @@ from . import verify as verify_mod
 
 
 def _build_parser():
-    shared = argparse.ArgumentParser(add_help=False)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    shared = argparse.ArgumentParser(add_help=False, parents=[fmt])
     shared.add_argument("--ell", type=int, help="residue characteristic ell")
     shared.add_argument("--q", type=int, help="residual cardinality q")
     shared.add_argument("--field-deg", type=int, default=1,
                         help="requested extension degree k (auto-doubled for sqrt q)")
     shared.add_argument("--fusion-file", help="fusion table file for abstract pairs")
-    shared.add_argument("--format", choices=("text", "json"), default="text")
 
     p = argparse.ArgumentParser(
         prog="modwd",
@@ -65,10 +66,8 @@ def _build_parser():
     sp.add_argument("expr2")
     sp = sub.add_parser("correspond", parents=[shared])
     sp.add_argument("expr")
-    sp = sub.add_parser("verify", parents=[shared])
-    sp.add_argument("what", choices=("all", "witness", "preservation",
-                                     "multiplicativity", "roundtrip", "tensor",
-                                     "epsilon", "correspondence", "profile"))
+    sp = sub.add_parser("verify", parents=[fmt])
+    sp.add_argument("what", choices=("all", *verify_mod.SWEEPS))
     sp.add_argument("--grid", choices=("small", "full"), default="small")
     return p
 
@@ -111,59 +110,18 @@ def _emit(args, ctx, payload, out):
                 out.write(f"{k}= {v}\n")
 
 
-_VERIFY_GRIDS = {
-    "small": dict(max_segments=2, max_len=3, roundtrip_dim=6, rmax=2,
-                  eps_dim=6, nmax=3, profile_nmax=4, randoms=100),
-    "full": dict(max_segments=3, max_len=4, roundtrip_dim=12, rmax=4,
-                 eps_dim=12, nmax=5, profile_nmax=6, randoms=1000),
-}
-
-_VERIFY_PARAMS = ((5, 2), (3, 2), (2, 3), (3, 4))
-
-
 def _run_verify(what, grid, fmt, out):
-    g = _VERIFY_GRIDS[grid]
-    summaries = []
-    if what in ("all", "witness"):
-        summaries.append(verify_mod.run_witness())
-    if what in ("all", "preservation"):
-        for ell, q in _VERIFY_PARAMS:
-            summaries.append(verify_mod.run_preservation(
-                ell, q, max_segments=g["max_segments"], max_len=g["max_len"],
-                processes=2))
-    if what in ("all", "multiplicativity"):
-        summaries.append(verify_mod.run_multiplicativity(nmax=g["nmax"]))
-    if what in ("all", "roundtrip"):
-        for ell, q in ((5, 2), (2, 3)):
-            summaries.append(verify_mod.run_roundtrip(
-                ell, q, max_dim=g["roundtrip_dim"], processes=2))
-            summaries.append(verify_mod.run_random_transport(
-                ell, q, count=g["randoms"]))
-    if what in ("all", "tensor"):
-        for ell, q in _VERIFY_PARAMS:
-            summaries.append(verify_mod.run_tensor_oracle(ell, q, rmax=g["rmax"]))
-    if what in ("all", "epsilon"):
-        for ell, q in ((5, 2), (2, 3)):
-            summaries.append(verify_mod.run_epsilon(ell, q, max_dim=g["eps_dim"]))
-    if what in ("all", "correspondence"):
-        for ell, q in _VERIFY_PARAMS:
-            summaries.append(verify_mod.run_correspondence(
-                ell, q, max_segments=g["max_segments"], max_len=g["max_len"]))
-    if what in ("all", "profile"):
-        summaries.append(verify_mod.run_profile_law(nmax=g["profile_nmax"]))
+    summaries = [s for name in (verify_mod.SWEEPS if what == "all" else [what])
+                 for s in verify_mod.run_named(name, grid)]
     ok = all(s.passed for s in summaries)
     verdict = "ALL PASS" if ok else "MISMATCH"
-    for s in summaries:
-        if fmt == "json":
-            out.write(json.dumps({"name": s.name, "checked": s.checked,
-                                  "passed": s.passed, "failures": s.failures,
-                                  "note": s.note}) + "\n")
-        else:
-            out.write(s.line() + "\n")
     if fmt == "json":
-        out.write(json.dumps({"verdict": verdict}) + "\n")
+        docs = [{"name": s.name, "checked": s.checked, "passed": s.passed,
+                 "failures": s.failures, "note": s.note} for s in summaries]
+        lines = [json.dumps(doc) for doc in docs + [{"verdict": verdict}]]
     else:
-        out.write(verdict + "\n")
+        lines = [s.line() for s in summaries] + [verdict]
+    out.writelines(line + "\n" for line in lines)
     return 0 if ok else 2
 
 

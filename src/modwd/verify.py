@@ -1,17 +1,18 @@
-"""Verification harness: grid generators and sweep drivers.
+"""Verification harness: grid generators, sweeps, one driver, one table.
 
-Each run_* function implements one acceptance-style sweep and returns a
-small summary object with a passed flag, counts and any counterexamples.
-The CLI `verify` subcommand and the acceptance tests both go through
-these; the heavy sweeps can fan out over worker processes (the checks are
-independent pair computations).
+A sweep is a function of its grid whose value is (name, rows, check,
+note); check(row) yields one result per comparison: None when it holds,
+else a failure record, strings (DSL text where there is a class or a
+representation) ending in a tag.  `run` checks every row of a sweep,
+serially or over worker processes, and SWEEPS gives each `modwd verify`
+name its sweeps, contexts and grids; the acceptance tests read it too.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from ._linalg import FMat
 from .deligne import (Cyc, DeligneClass, Seg, cyc, det_class, dual_class,
@@ -32,9 +33,9 @@ from .weil import UnramifiedChar, line_of
 @dataclass
 class SweepSummary:
     name: str
-    checked: int = 0
-    failures: list = dc_field(default_factory=list)
-    note: str = ""
+    checked: int
+    failures: list
+    note: str
 
     @property
     def passed(self):
@@ -123,144 +124,99 @@ def enumerate_line_classes(ctx, max_dim=12):
     return out
 
 
+def _first_failure(laws, *texts):
+    """The result of one comparison made of several (tag, ok) laws: None
+    when all hold, else the texts and the tag of the first that fails."""
+    return next((texts + (tag,) for tag, ok in laws if not ok), None)
+
+
 # -- criterion 1: the non-preservation witness -----------------------------------
 
-def run_witness(ctx=None) -> SweepSummary:
-    ctx = ctx or make_ctx(5, 2)
+def witness(ell, q):
+    """The pair (rho, 1) on which C keeps L, gamma and epsilon while the
+    V-side L differs; a failure names the pair and the identity."""
+    ctx = make_ctx(ell, q)
     chi1 = UnramifiedChar(ctx.field.one)
     rho = make_generic([GLSegment(NonSuperCusp(line_of(chi1, ctx)[0], 0), 1, 0)], ctx)
     triv = make_generic([GLSegment(SuperCusp(chi1), 1, 0)], ctx)
     rep = check_preservation(rho, triv)
-    s = SweepSummary("non-preservation witness")
     expected_v = euler_factor([ctx.nu_value(k) for k in range(ctx.o_nu)])
-    checks = [
+    rows = [
         ("rs L = 1", rep.rs_l.is_one()),
         ("C-side L = 1", rep.gal_l.is_one()),
         ("V-side L = prod (1-q^-k X)^-1", rep.v_side_l == expected_v),
         ("V-side L != 1", not rep.v_side_l.is_one()),
         ("pair identities hold", rep.all_match),
     ]
-    s.checked = len(checks)
-    s.failures = [name for name, ok in checks if not ok]
-    return s
 
+    def check(row):
+        tag, ok = row
+        yield None if ok else (repr(rho), repr(triv), tag)
 
-# -- the sweep driver ----------------------------------------------------------------
-
-_POOL_STATE = {}
-
-
-def _sweep(init, init_args, chunk, processes):
-    """Run chunk over the rows 0..n-1 of a sweep, n = init(*init_args).
-
-    init fills _POOL_STATE in the parent, which then checks every row
-    itself when processes <= 1; otherwise each worker runs init too and
-    the rows are interleaved into 2 * processes buckets, so that workers
-    see equal loads when early rows cost more.  chunk(rows) returns
-    (checked, failures); the result is (n, checked, failures).
-    """
-    n = init(*init_args)
-    if processes <= 1:
-        return (n, *chunk(range(n)))
-    buckets = [range(w, n, 2 * processes) for w in range(2 * processes)]
-    with multiprocessing.Pool(processes, initializer=init,
-                              initargs=init_args) as pool:
-        results = pool.map(chunk, buckets)
-    return n, sum(r[0] for r in results), [f for r in results for f in r[1]]
+    return "non-preservation witness", rows, check, ""
 
 
 # -- criterion 2: the preservation sweep ------------------------------------------
 
-def _presv_init(ell, q, max_segments, max_len, max_k):
+def preservation(ell, q, max_segments, max_len, max_k=1):
+    """All pairs (i, j >= i) of grid representations: L, gamma and epsilon
+    agree on both sides, token-exactly, with the comparison
+    check_preservation makes, both epsilon unit checks included.  A
+    failure is (rep text, rep text, tag): `modwd pair` replays it."""
     ctx = make_ctx(ell, q)
     reps = enumerate_generic_reps(ctx, max_segments, max_len, max_k)
-    _POOL_STATE["reps"] = reps
-    _POOL_STATE["sides"] = [PairSide(pi) for pi in reps]
-    return len(reps)
+    sides = [PairSide(pi) for pi in reps]
 
-
-def _presv_rows(rows):
-    """Check all pairs (i, j >= i) for the given rows with the comparison
-    check_preservation makes, both epsilon unit checks included.  A failure
-    is (rep text, rep text, tag): `modwd pair` replays it."""
-    reps, sides = _POOL_STATE["reps"], _POOL_STATE["sides"]
-    checked = 0
-    fails = []
-    for i in rows:
+    def check(i):
         for j in range(i, len(sides)):
             try:
                 tag = compare_sides(sides[i], sides[j]).mismatch()
             except EpsilonNotUnit:
                 tag = "epsilon-not-unit"
-            checked += 1
-            if tag:
-                fails.append((repr(reps[i]), repr(reps[j]), tag))
-    return checked, fails
+            yield None if tag is None else (repr(reps[i]), repr(reps[j]), tag)
 
-
-def run_preservation(ell, q, max_segments=3, max_len=4, max_k=1,
-                     processes=1) -> SweepSummary:
-    """All ordered-up-to-symmetry pairs of grid representations: L, gamma
-    and epsilon must agree on both sides, token-exactly."""
-    n, checked, fails = _sweep(_presv_init,
-                               (ell, q, max_segments, max_len, max_k),
-                               _presv_rows, processes)
-    return SweepSummary(f"preservation sweep ({ell},{q})", checked, fails,
-                        note=f"{n} reps")
+    return (f"preservation sweep ({ell},{q})", range(len(reps)), check,
+            f"{len(reps)} reps")
 
 
 # -- criterion 3: multiplicativity -------------------------------------------------
 
-def run_multiplicativity(params=((5, 2), (3, 2), (2, 3)), nmax=5) -> SweepSummary:
-    s = SweepSummary("L multiplicativity")
-    for ell, q in params:
+def multiplicativity(contexts, nmax):
+    """check_multiplicativity for segments of length m <= n <= nmax on
+    the characters of t = 1 and of the field generator."""
+    rows = []
+    for ell, q in contexts:
         ctx = make_ctx(ell, q)
-        values = [ctx.field.one]
-        if ctx.field.order > 2:
-            values.append(ctx.field.elem(ctx.field.gen_idx))
-        for t in values:
-            for t2 in values:
-                psi, psi2 = UnramifiedChar(t), UnramifiedChar(t2)
-                for n in range(1, nmax + 1):
-                    for m in range(1, n + 1):
-                        s.checked += 1
-                        if not check_multiplicativity(n, m, psi, psi2, ctx):
-                            s.failures.append((ell, q, repr(t), repr(t2), n, m))
-    return s
+        values = [ctx.field.elem(i) for i in sorted({1, ctx.field.gen_idx})]
+        rows += [(ctx, UnramifiedChar(t), UnramifiedChar(t2), n, m)
+                 for t in values for t2 in values
+                 for n in range(1, nmax + 1) for m in range(1, n + 1)]
+
+    def check(row):
+        ctx, psi, psi2, n, m = row
+        ok = check_multiplicativity(n, m, psi, psi2, ctx)
+        yield None if ok else (ctx.header(), repr(psi), repr(psi2), str(n),
+                               str(m), "multiplicativity")
+
+    return "L multiplicativity", rows, check, ""
 
 
 # -- criterion 4: classification round trips --------------------------------------
 
-def _roundtrip_init(ell, q, max_dim):
-    ctx = make_ctx(ell, q)
-    _POOL_STATE["ctx"] = ctx
-    _POOL_STATE["classes"] = enumerate_line_classes(ctx, max_dim)
-    return len(_POOL_STATE["classes"])
-
-
-def _roundtrip_chunk(idxs):
-    ctx = _POOL_STATE["ctx"]
-    classes = _POOL_STATE["classes"]
-    checked = 0
-    fails = []
-    for i in idxs:
-        a = classes[i]
-        if decompose(realize(a, ctx), ctx) != a:
-            fails.append(repr(a))
-        checked += 1
-    return checked, fails
-
-
-def run_roundtrip(ell, q, max_dim=12, processes=1) -> SweepSummary:
+def roundtrip(ell, q, max_dim):
     """decompose(realize(a)) = a for every class on the trivial-character
     line up to max_dim."""
-    _, checked, fails = _sweep(_roundtrip_init, (ell, q, max_dim),
-                               _roundtrip_chunk, processes)
-    return SweepSummary(f"classification roundtrip ({ell},{q})", checked,
-                        fails, note=f"dim<={max_dim}")
+    ctx = make_ctx(ell, q)
+
+    def check(a):
+        ok = decompose(realize(a, ctx), ctx) == a
+        yield None if ok else (repr(a), "roundtrip")
+
+    return (f"classification roundtrip ({ell},{q})",
+            enumerate_line_classes(ctx, max_dim), check, f"dim<={max_dim}")
 
 
-def run_random_transport(ell, q, count=1000, max_dim=10, seed=20240901) -> SweepSummary:
+def transport(ell, q, count, max_dim=10, seed=20240901):
     """Random conjugated and operator-rescaled realizations decompose to
     the original class (equivalence invariance at the matrix level)."""
     ctx = make_ctx(ell, q)
@@ -269,7 +225,7 @@ def run_random_transport(ell, q, count=1000, max_dim=10, seed=20240901) -> Sweep
     chi1 = UnramifiedChar(field.one)
     line = line_of(chi1, ctx)[0]
     o = ctx.o_nu
-    s = SweepSummary(f"random conjugation/rescale transport ({ell},{q})")
+    rows = []
     for _ in range(count):
         parts = []
         budget = rng.randrange(1, max_dim + 1)
@@ -296,137 +252,187 @@ def run_random_transport(ell, q, count=1000, max_dim=10, seed=20240901) -> Sweep
                 break
             except ValueError:  # singular: draw again
                 pass
-        mc = MatrixDeligne(P @ m.F @ Pi, P @ U @ Pi)
-        s.checked += 1
-        if decompose(mc, ctx) != a:
-            s.failures.append(repr(a))
-    return s
+        rows.append((a, MatrixDeligne(P @ m.F @ Pi, P @ U @ Pi)))
+
+    def check(row):
+        a, mc = row
+        yield None if decompose(mc, ctx) == a else (repr(a), "transport")
+
+    return f"random conjugation/rescale transport ({ell},{q})", rows, check, ""
 
 
-def _lmatrix_chunk(idxs):
-    ctx = _POOL_STATE["ctx"]
-    classes = _POOL_STATE["classes"]
-    checked = 0
-    fails = []
-    for i in idxs:
-        a = classes[i]
-        if l_factor_matrix(realize(a, ctx), ctx) != l_factor(a).expanded():
-            fails.append(repr(a))
-        checked += 1
-    return checked, fails
-
-
-def run_l_matrix_agreement(ell, q, max_dim=12, processes=1) -> SweepSummary:
+def l_matrix(ell, q, max_dim):
     """l_factor computed from normal forms, expanded, equals the literal
     kernel and characteristic-polynomial computation on realizations."""
-    _, checked, fails = _sweep(_roundtrip_init, (ell, q, max_dim),
-                               _lmatrix_chunk, processes)
-    return SweepSummary(f"L formal vs matrix ({ell},{q})", checked, fails,
-                        note=f"dim<={max_dim}")
+    ctx = make_ctx(ell, q)
+
+    def check(a):
+        ok = l_factor_matrix(realize(a, ctx), ctx) == l_factor(a).expanded()
+        yield None if ok else (repr(a), "L-matrix")
+
+    return (f"L formal vs matrix ({ell},{q})",
+            enumerate_line_classes(ctx, max_dim), check, f"dim<={max_dim}")
 
 
 # -- criterion 5: tensor against the matrix oracle ---------------------------------
 
-def run_tensor_oracle(ell, q, rmax=4) -> SweepSummary:
-    """tensor_ss == oracle_tensor_ss on all indecomposable pairs with
-    r <= rmax on the trivial-character line."""
+def tensor_oracle(ell, q, rmax):
+    """tensor_ss == oracle_tensor_ss on all pairs (i, j >= i) of
+    indecomposables with r <= rmax on the trivial-character line; a
+    failure is (class text, class text, tag): `modwd oracle` replays it."""
     ctx = make_ctx(ell, q)
-    indecs = _trivial_line_pool(ctx, rmax, rmax)
-    s = SweepSummary(f"tensor vs oracle ({ell},{q})")
-    for i, A in enumerate(indecs):
-        for B in indecs[i:]:
-            a, b = DeligneClass(ctx, ((A, 1),)), DeligneClass(ctx, ((B, 1),))
-            s.checked += 1
-            if tensor_ss(a, b) != oracle_tensor_ss(a, b):
-                s.failures.append((repr(A), repr(B)))
-    return s
+    classes = [DeligneClass(ctx, ((A, 1),))
+               for A in _trivial_line_pool(ctx, rmax, rmax)]
+
+    def check(i):
+        a = classes[i]
+        for b in classes[i:]:
+            ok = tensor_ss(a, b) == oracle_tensor_ss(a, b)
+            yield None if ok else (repr(a), repr(b), "oracle")
+
+    return f"tensor vs oracle ({ell},{q})", range(len(classes)), check, ""
 
 
 # -- criterion 6: epsilon invertibility ---------------------------------------------
 
-def run_epsilon(ell, q, max_dim=12) -> SweepSummary:
+def epsilon(ell, q, max_dim):
     """epsilon is a unit over the roundtrip population, and the banal cycle
     unit values match (-(tX)^o)^r exactly."""
     ctx = make_ctx(ell, q)
-    field = ctx.field
-    s = SweepSummary(f"epsilon invertibility ({ell},{q})")
-    for a in enumerate_line_classes(ctx, max_dim):
-        s.checked += 1
-        try:
-            epsilon_factor(a)
-        except Exception as exc:  # EpsilonNotUnit or anything else
-            s.failures.append((repr(a), repr(exc)))
-    if ctx.o_nu > 1:
-        o = ctx.o_nu
+    field, o = ctx.field, ctx.o_nu
+    rows = [(a, None) for a in enumerate_line_classes(ctx, max_dim)]
+    if o > 1:
         for t_idx in sorted({1, field.gen_idx}):
             t = field.elem(t_idx)
-            for r in range(1, 4):
-                a = DeligneClass(ctx, ((cyc(UnramifiedChar(t), r, ctx), 1),))
-                unit = epsilon_factor(a).unit
-                want = UnitExpr(field, ((-field.one) ** r * t ** (o * r)).i, o * r)
-                s.checked += 1
-                if unit != want:
-                    s.failures.append((repr(a), f"unit {unit!r} != {want!r}"))
-    return s
+            rows += [(DeligneClass(ctx, ((cyc(UnramifiedChar(t), r, ctx), 1),)),
+                      UnitExpr(field, ((-field.one) ** r * t ** (o * r)).i, o * r))
+                     for r in range(1, 4)]
+
+    def check(row):
+        a, want = row
+        try:
+            unit = epsilon_factor(a).unit
+        except EpsilonNotUnit:
+            yield (repr(a), "epsilon-not-unit")
+            return
+        yield None if want is None or unit == want else (repr(a), "cycle unit")
+
+    return f"epsilon invertibility ({ell},{q})", rows, check, ""
 
 
 # -- criterion 7: correspondence properties ------------------------------------------
 
-def run_correspondence(ell, q, max_segments=3, max_len=4, max_k=1) -> SweepSummary:
-    """C commutes with twists and duals and matches central characters on
-    the whole grid."""
+def correspondence(ell, q, max_segments, max_len, max_k=1):
+    """C commutes with twists and duals, matches central characters, and
+    is injective on the grid: two results per representation."""
     ctx = make_ctx(ell, q)
-    field = ctx.field
     reps = enumerate_generic_reps(ctx, max_segments, max_len, max_k)
-    chis = [UnramifiedChar(field.elem(field.gen_idx))]
-    s = SweepSummary(f"correspondence properties ({ell},{q})",
-                     note=f"{len(reps)} reps")
-    for pi in reps:
+    chi = UnramifiedChar(ctx.field.elem(ctx.field.gen_idx))
+    # C-parameter -> the first grid representation with it
+    firsts = {c_map(pi): pi for pi in reversed(reps)}
+
+    def check(pi):
         C = c_map(pi)
-        s.checked += 1
-        if c_map(dual_rep(pi)) != dual_class(C):
-            s.failures.append(("dual", repr(pi)))
-            continue
-        if c_map(twist_rep(pi, nu_power=1)) != twist_class(C, nu_power=1):
-            s.failures.append(("nu-twist", repr(pi)))
-            continue
-        ok = True
-        for chi in chis:
-            if c_map(twist_rep(pi, chi=chi)) != twist_class(C, chi=chi):
-                s.failures.append(("chi-twist", repr(pi)))
-                ok = False
-                break
-        if not ok:
-            continue
-        if central_char(pi) != det_class(C):
-            s.failures.append(("central char", repr(pi)))
-    # injectivity of c_map on the grid
-    images = {}
-    for pi in reps:
-        key = c_map(pi)
-        if key in images and images[key] != pi:
-            s.failures.append(("injectivity", repr(pi), repr(images[key])))
-        images[key] = pi
-    s.checked += len(reps)
-    return s
+        laws = (("dual", c_map(dual_rep(pi)) == dual_class(C)),
+                ("nu-twist", c_map(twist_rep(pi, nu_power=1))
+                 == twist_class(C, nu_power=1)),
+                ("chi-twist", c_map(twist_rep(pi, chi=chi))
+                 == twist_class(C, chi=chi)),
+                ("central char", central_char(pi) == det_class(C)))
+        yield _first_failure(laws, repr(pi))
+        first = firsts[C]
+        yield None if first == pi else (repr(pi), repr(first), "injectivity")
+
+    return (f"correspondence properties ({ell},{q})", reps, check,
+            f"{len(reps)} reps")
 
 
 # -- criterion 8: profile laws --------------------------------------------------------
 
-def run_profile_law(ells=(2, 3, 5, 7), nmax=6) -> SweepSummary:
-    s = SweepSummary("interval profile laws")
-    for ell in ells:
-        for n in range(1, nmax + 1):
-            for m in range(1, n + 1):
-                prof = interval_profile(n, m, ell)
-                rights = sorted(d for (c, d), mult in prof for _ in range(mult))
-                lefts = sorted(c for (c, d), mult in prof for _ in range(mult))
-                total = sum((d - c + 1) * mult for (c, d), mult in prof)
-                s.checked += 1
-                if rights != list(range(n - 1, n + m - 1)):
-                    s.failures.append((ell, n, m, "right endpoints"))
-                elif lefts != list(range(m)):
-                    s.failures.append((ell, n, m, "left endpoints"))
-                elif total != n * m:
-                    s.failures.append((ell, n, m, "total length"))
-    return s
+def profile_law(ells, nmax):
+    """The intervals of interval_profile(n, m, ell) end at n-1..n+m-2,
+    start at 0..m-1 and have total length n*m."""
+    rows = [(ell, n, m) for ell in ells for n in range(1, nmax + 1)
+            for m in range(1, n + 1)]
+
+    def check(row):
+        ell, n, m = row
+        prof = interval_profile(n, m, ell)
+        rights = sorted(d for (c, d), mult in prof for _ in range(mult))
+        lefts = sorted(c for (c, d), mult in prof for _ in range(mult))
+        total = sum((d - c + 1) * mult for (c, d), mult in prof)
+        laws = (("right endpoints", rights == list(range(n - 1, n + m - 1))),
+                ("left endpoints", lefts == list(range(m))),
+                ("total length", total == n * m))
+        yield _first_failure(laws, str(ell), str(n), str(m))
+
+    return "interval profile laws", rows, check, ""
+
+
+# -- the driver and the table ---------------------------------------------------------
+
+_worker_population = None
+
+
+def _init_worker(sweep, args):
+    global _worker_population
+    _worker_population = sweep(*args)
+
+
+def _check_rows(bucket, population=None):
+    """(checked, failures) over the rows at the indices in bucket, one
+    count per result that check(row) yields; a worker checks its own
+    population."""
+    _, rows, check, _ = population or _worker_population
+    checked, failures = 0, []
+    for i in bucket:
+        for result in check(rows[i]):
+            checked += 1
+            if result is not None:
+                failures.append(result)
+    return checked, failures
+
+
+def run(sweep, *args, processes=1) -> SweepSummary:
+    """The summary of sweep(*args).  With processes > 1 each worker builds
+    the population too, and the rows are interleaved into 2 * processes
+    buckets, so that workers see equal loads when early rows cost more."""
+    population = sweep(*args)
+    name, rows, _, note = population
+    if processes <= 1:
+        checked, failures = _check_rows(range(len(rows)), population)
+    else:
+        buckets = [range(w, len(rows), 2 * processes)
+                   for w in range(2 * processes)]
+        with multiprocessing.Pool(processes, initializer=_init_worker,
+                                  initargs=(sweep, args)) as pool:
+            results = pool.map(_check_rows, buckets)
+        checked = sum(r[0] for r in results)
+        failures = [f for r in results for f in r[1]]
+    return SweepSummary(name, checked, failures, note)
+
+
+_FOUR = ((5, 2), (3, 2), (2, 3), (3, 4))
+_LINE = ((5, 2), (2, 3))
+
+# `modwd verify` name -> [(sweep, small-grid args, full-grid args, processes)];
+# the full grid is the one the acceptance tests run
+SWEEPS = {
+    "witness": [(witness, (5, 2), (5, 2), 1)],
+    "preservation": [(preservation, (*c, 2, 3), (*c, 3, 4), 2) for c in _FOUR],
+    "multiplicativity": [(multiplicativity, (_FOUR[:3], 3), (_FOUR[:3], 5), 1)],
+    "roundtrip": [entry for c in _LINE for entry in (
+        (roundtrip, (*c, 6), (*c, 12), 2), (transport, (*c, 100), (*c, 500), 1))],
+    "lmatrix": [(l_matrix, (*c, 6), (*c, 12), 2) for c in _LINE],
+    "tensor": [(tensor_oracle, (*c, 2), (*c, 4), 1) for c in _FOUR],
+    "epsilon": [(epsilon, (*c, 6), (*c, 12), 1) for c in _LINE],
+    "correspondence": [(correspondence, (*c, 2, 3), (*c, 3, 4), 1) for c in _FOUR],
+    "profile": [(profile_law, ((2, 3, 5, 7), 4), ((2, 3, 5, 7), 6), 1)],
+}
+
+
+def run_named(what, grid):
+    """The summaries of SWEEPS[what] on the "small" or the "full" grid."""
+    return [run(sweep, *(small if grid == "small" else full),
+                processes=processes)
+            for sweep, small, full, processes in SWEEPS[what]]

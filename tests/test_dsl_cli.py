@@ -289,6 +289,14 @@ def test_cli_verify_witness():
     assert out.strip().endswith("ALL PASS")
 
 
+def test_cli_verify_takes_only_format_and_grid(capsys):
+    # verify runs fixed contexts: a context option is a usage error, not
+    # silently ignored
+    rc, out = capture(["verify", "witness", "--ell", "7"])
+    assert rc == 2 and out == ""
+    assert "unrecognized arguments: --ell 7" in capsys.readouterr().err
+
+
 def test_cli_verify_json():
     import json
     rc, out = capture(["verify", "profile", "--format", "json"])

@@ -249,7 +249,6 @@ def test_epsilon_not_unit_names_the_fraction(ctx52):
 def test_l_matrix_agreement_full_population():
     # formal L must equal the matrix-route L on every unramified-line
     # class of dimension <= 12
-    from modwd.verify import run_l_matrix_agreement
-    for ell, q in ((5, 2), (2, 3)):
-        s = run_l_matrix_agreement(ell, q, max_dim=12, processes=2)
+    from modwd.verify import run_named
+    for s in run_named("lmatrix", "full"):
         assert s.passed, s.line()

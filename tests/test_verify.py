@@ -1,36 +1,42 @@
 import io
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from modwd import Cyc, Seg, UnramifiedChar, make_ctx, normalize
-from modwd.verify import (enumerate_line_classes, run_preservation,
-                          run_roundtrip)
+from modwd import Cyc, DeligneClass, Seg, UnramifiedChar, make_ctx, normalize
+from modwd import verify
+from modwd.cli import run as cli_run
+from modwd.dsl import parse_class
+from modwd.verify import SWEEPS, enumerate_line_classes, run
 from modwd.weil import line_of
 
 ROOT = Path(__file__).resolve().parents[1]
 
+SMALL = [pytest.param(sweep, small, id=f"{what}-{i}")
+         for what, entries in SWEEPS.items()
+         for i, (sweep, small, _, _) in enumerate(entries)]
 
-def test_sweep_serial_and_pooled_agree():
-    serial = run_roundtrip(5, 2, max_dim=4, processes=1)
-    pooled = run_roundtrip(5, 2, max_dim=4, processes=2)
+
+@pytest.mark.parametrize("sweep,args", SMALL)
+def test_sweep_serial_and_pooled_agree(sweep, args):
+    serial = run(sweep, *args, processes=1)
+    pooled = run(sweep, *args, processes=2)
     assert serial.checked == pooled.checked > 0
     assert serial.failures == pooled.failures
     assert serial.line() == pooled.line()
 
 
 def test_preservation_sweep_counts_every_pair():
-    s = run_preservation(3, 2, max_segments=1, max_len=2, processes=2)
+    s = run(verify.preservation, 3, 2, 1, 2, processes=2)
     n = int(s.note.split()[0])
     assert s.passed and s.checked == n * (n + 1) // 2
 
 
 def test_preservation_failure_replays(monkeypatch):
     # one injected mismatch is recorded as DSL text that `modwd pair` takes
-    from modwd import verify
-    from modwd.cli import run
     from modwd.dsl import parse_rep
     from modwd.verify import enumerate_generic_reps
 
@@ -47,14 +53,47 @@ def test_preservation_failure_replays(monkeypatch):
         return Mismatch() if len(calls) == 3 else real(side, side2)
 
     monkeypatch.setattr(verify, "compare_sides", one_mismatch)
-    s = run_preservation(3, 2, max_segments=1, max_len=2, processes=1)
+    s = run(verify.preservation, 3, 2, 1, 2, processes=1)
     (a, b, tag), = s.failures
     assert tag == "L"
     ctx = make_ctx(3, 2)
     reps = enumerate_generic_reps(ctx, max_segments=1, max_len=2)
     assert (parse_rep(a, ctx), parse_rep(b, ctx)) == (reps[0], reps[2])
-    assert run(["pair", "--ell", "3", "--q", "2", a, b],
-               out=io.StringIO()) == 0
+    assert cli_run(["pair", "--ell", "3", "--q", "2", a, b],
+                   out=io.StringIO()) == 0
+
+
+def test_verify_json_failure_is_dsl_text(monkeypatch):
+    # one injected roundtrip failure is printed as [class text, tag], and
+    # the text parses back to the class
+    ctx = make_ctx(5, 2)
+    target = enumerate_line_classes(ctx, 6)[5]
+    real = verify.decompose
+
+    def one_failure(m, c):
+        got = real(m, c)
+        if c.ell == 5 and got == target:
+            return DeligneClass(c, ())
+        return got
+
+    monkeypatch.setattr(verify, "decompose", one_failure)
+    out = io.StringIO()
+    assert cli_run(["verify", "roundtrip", "--format", "json"], out=out) == 2
+    docs = {d.get("name"): d for d in map(json.loads, out.getvalue().splitlines())}
+    (text, tag), = docs["classification roundtrip (5,2)"]["failures"]
+    assert tag == "roundtrip"
+    assert parse_class(text, ctx) == target
+    assert docs[None] == {"verdict": "MISMATCH"}
+
+
+def test_epsilon_sweep_propagates_errors(monkeypatch):
+    # only EpsilonNotUnit is a verdict; a programming error is raised
+    def broken(a):
+        raise TypeError("broken epsilon_factor")
+
+    monkeypatch.setattr(verify, "epsilon_factor", broken)
+    with pytest.raises(TypeError, match="broken epsilon_factor"):
+        run(verify.epsilon, 2, 3, 2)
 
 
 def _line_classes_by_normalize(ctx, max_dim):
