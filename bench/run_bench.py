@@ -14,6 +14,9 @@ record's `env` names that package by `src_sha256` and gives its size as
   transport is built before timing.  `decompose_realized_us` times
   `decompose(realize(a))` of the same classes, and `realize_us` the
   realization alone.
+- `line_classes_s`: CPU seconds to build `enumerate_line_classes(ctx,
+  12)` at (5,2) (80,139 classes) and look up CLASSES seeded indices in
+  it, with the sha256 of the looked-up classes' reprs (`result_sha256`).
 - `charpoly_us` at n = 12, 32 and 64 over F(5^2), on seeded random
   matrices.  `rref_us` over F(5^2) at 3 x 3, 12 x 12 and 64 x 64 of full
   rank, 12 x 12 of rank 3 (an eigenspace projector) and 12 x 24 [P | I]
@@ -170,6 +173,24 @@ def _class_sample(ctx, rng):
 
     pool = enumerate_line_classes(ctx, 12)
     return [pool[rng.randrange(len(pool))] for _ in range(CLASSES)]
+
+
+def bench_line_classes():
+    from modwd import make_ctx
+    from modwd.verify import enumerate_line_classes
+
+    ctx = make_ctx(5, 2)
+    sample = []
+
+    def build_and_look_up():
+        pool = enumerate_line_classes(ctx, 12)
+        rng = random.Random(SEED)
+        sample[:] = [pool[rng.randrange(len(pool))] for _ in range(CLASSES)]
+
+    passes = [_timed(build_and_look_up) for _ in range(REPEAT)]
+    digest = hashlib.sha256("".join(f"{a!r}\n" for a in sample).encode())
+    return _median_row(passes, context="(5,2)", max_dim=12, lookups=CLASSES,
+                       result_sha256=digest.hexdigest())
 
 
 def bench_decompose():
@@ -508,7 +529,8 @@ def main(argv=None):
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     import numpy as np
 
-    rows = bench_decompose()
+    rows = {"line_classes_s": bench_line_classes()}
+    rows.update(bench_decompose())
     rows.update(bench_kernels())
     rows["matmul_us"] = bench_matmul()
     rows["field_build_ms"] = bench_fields()
@@ -541,6 +563,8 @@ def main(argv=None):
         print(f"{name:32s} {row['median']:10.1f} {row['scaled_median']:10.1f}")
     print(f"{'hash_calls_per_pair':32s} "
           f"{rows['hash_calls_per_pair']['value']:10.1f}")
+    lc = rows["line_classes_s"]
+    print(f"{'line_classes_s':32s} {lc['median']:10.3f} {lc['scaled_median']:10.3f}")
     c4 = rows["criterion_4_s"]
     print(f"{'criterion_4_s CPU':32s} {c4['cpu_s']:10.1f} {c4['scaled_cpu_s']:10.1f}"
           f"  ({c4['wall_s']:.1f} s wall)")

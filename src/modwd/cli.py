@@ -117,7 +117,9 @@ def _run_verify(what, grid, fmt, out):
     verdict = "ALL PASS" if ok else "MISMATCH"
     if fmt == "json":
         docs = [{"name": s.name, "checked": s.checked, "passed": s.passed,
-                 "failures": s.failures, "note": s.note} for s in summaries]
+                 "failures": s.failures, "note": s.note,
+                 "population_s": s.population_s, "check_s": s.check_s,
+                 "workers": s.workers} for s in summaries]
         lines = [json.dumps(doc) for doc in docs + [{"verdict": verdict}]]
     else:
         lines = [s.line() for s in summaries] + [verdict]

@@ -12,7 +12,11 @@ from __future__ import annotations
 
 import multiprocessing
 import random
+import time
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 from ._linalg import FMat
 from .deligne import (Cyc, DeligneClass, Seg, cyc, det_class, dual_class,
@@ -36,6 +40,9 @@ class SweepSummary:
     checked: int
     failures: list
     note: str
+    population_s: float  # wall seconds of sweep(*args) in the calling process
+    check_s: float  # wall seconds of the checks, worker start-up included
+    workers: int
 
     @property
     def passed(self):
@@ -102,26 +109,73 @@ def _trivial_line_pool(ctx, seg_rmax, cyc_rmax):
 def enumerate_line_classes(ctx, max_dim=12):
     """All normalized classes of dimension <= max_dim supported on the
     line of the trivial character, in the depth-first order of their
-    non-decreasing sequences of pool indices.  The pool is in class order,
-    so the runs of such a sequence are the sorted parts of its class."""
-    pool = [(ind, ind.dim(ctx))
-            for ind in _trivial_line_pool(ctx, max_dim, max_dim // ctx.o_nu)]
-    out = []
+    non-decreasing sequences of pool indices, as a read-only Sequence.
+    The pool is in class order, so the runs of such a sequence are the
+    sorted parts of its class."""
+    return _LineClasses(ctx, max_dim)
 
-    def extend(parts, start, budget):
-        for i in range(start, len(pool)):
-            ind, d = pool[i]
-            if d > budget:
-                continue
-            if i == start and parts:
-                cand = parts[:-1] + ((ind, parts[-1][1] + 1),)
-            else:
-                cand = parts + ((ind, 1),)
-            out.append(DeligneClass(ctx, cand))
-            extend(cand, i, budget - d)
 
-    extend((), 0, max_dim)
-    return out
+class _LineClasses(Sequence):
+    """enumerate_line_classes, counted and unranked rather than stored
+    (Nijenhuis and Wilf, Combinatorial Algorithms, ch. 13).  The children
+    of a node (parts, start, budget) are the pool indices i >= start of
+    dim <= budget; below[b][i] counts the classes in the subtrees of the
+    children 0..i-1 of a node with budget b."""
+
+    def __init__(self, ctx, max_dim):
+        self.ctx, self.max_dim = ctx, max_dim
+        self.pool = [(ind, ind.dim(ctx)) for ind in
+                     _trivial_line_pool(ctx, max_dim, max_dim // ctx.o_nu)]
+        self.below = []
+        for b in range(max_dim + 1):
+            col = [0]
+            for i, (_, d) in enumerate(self.pool):
+                sub = self.below[b - d] if d <= b else None
+                col.append(col[-1] + (0 if sub is None else 1 + sub[-1] - sub[i]))
+            self.below.append(col)
+
+    def __len__(self):
+        return self.below[self.max_dim][-1]
+
+    def __getitem__(self, k):
+        """Down from the root, bisecting each node's counts of subtrees."""
+        k += len(self) if k < 0 else 0
+        if not 0 <= k < len(self):
+            raise IndexError("line class index out of range")
+        parts, start, budget = (), 0, self.max_dim
+        while True:
+            col = self.below[budget]
+            k += col[start]
+            i = bisect_right(col, k) - 1
+            k -= col[i]
+            ind, d = self.pool[i]
+            parts = _with_part(parts, start, i, ind)
+            if k == 0:
+                return DeligneClass(self.ctx, parts)
+            k, start, budget = k - 1, i, budget - d
+
+    def __iter__(self):
+        pool, ctx = self.pool, self.ctx
+        # fits[b]: the pool indices of dim <= b, last first, for one stack
+        fits = [[i for i in reversed(range(len(pool))) if pool[i][1] <= b]
+                for b in range(self.max_dim + 1)]
+        stack = [((), 0, self.max_dim)]
+        while stack:
+            parts, start, budget = stack.pop()
+            if parts:
+                yield DeligneClass(ctx, parts)
+            for i in fits[budget]:
+                if i < start:
+                    break
+                ind, d = pool[i]
+                stack.append((_with_part(parts, start, i, ind), i, budget - d))
+
+
+def _with_part(parts, start, i, ind):
+    # the child i of a node whose last part is at start: a repeat bumps it
+    if i == start and parts:
+        return parts[:-1] + ((ind, parts[-1][1] + 1),)
+    return parts + ((ind, 1),)
 
 
 def _first_failure(laws, *texts):
@@ -379,14 +433,14 @@ def _init_worker(sweep, args):
     _worker_population = sweep(*args)
 
 
-def _check_rows(bucket, population=None):
-    """(checked, failures) over the rows at the indices in bucket, one
+def _check_rows(offset, stride, population=None):
+    """(checked, failures) over the rows offset, offset + stride, ..., one
     count per result that check(row) yields; a worker checks its own
-    population."""
+    population, walking it rather than indexing it."""
     _, rows, check, _ = population or _worker_population
     checked, failures = 0, []
-    for i in bucket:
-        for result in check(rows[i]):
+    for row in islice(rows, offset, None, stride):
+        for result in check(row):
             checked += 1
             if result is not None:
                 failures.append(result)
@@ -394,22 +448,26 @@ def _check_rows(bucket, population=None):
 
 
 def run(sweep, *args, processes=1) -> SweepSummary:
-    """The summary of sweep(*args).  With processes > 1 each worker builds
+    """The summary of sweep(*args), with the wall seconds of building the
+    population and of checking it.  With processes > 1 each worker builds
     the population too, and the rows are interleaved into 2 * processes
     buckets, so that workers see equal loads when early rows cost more."""
+    t0 = time.perf_counter()
     population = sweep(*args)
-    name, rows, _, note = population
+    name, _, _, note = population
+    t1 = time.perf_counter()
     if processes <= 1:
-        checked, failures = _check_rows(range(len(rows)), population)
+        checked, failures = _check_rows(0, 1, population)
     else:
-        buckets = [range(w, len(rows), 2 * processes)
-                   for w in range(2 * processes)]
         with multiprocessing.Pool(processes, initializer=_init_worker,
                                   initargs=(sweep, args)) as pool:
-            results = pool.map(_check_rows, buckets)
+            results = pool.starmap(_check_rows, [(w, 2 * processes)
+                                                 for w in range(2 * processes)])
         checked = sum(r[0] for r in results)
         failures = [f for r in results for f in r[1]]
-    return SweepSummary(name, checked, failures, note)
+    return SweepSummary(name, checked, failures, note, population_s=t1 - t0,
+                        check_s=time.perf_counter() - t1,
+                        workers=max(processes, 1))
 
 
 _FOUR = ((5, 2), (3, 2), (2, 3), (3, 4))

@@ -302,8 +302,12 @@ def test_cli_verify_json():
     rc, out = capture(["verify", "profile", "--format", "json"])
     assert rc == 0
     docs = [json.loads(line) for line in out.splitlines()]
+    timings = {k: docs[0].pop(k) for k in ("population_s", "check_s", "workers")}
     assert docs[0] == {"name": "interval profile laws", "checked": 40,
                        "passed": True, "failures": [], "note": ""}
+    assert isinstance(timings["population_s"], float)
+    assert isinstance(timings["check_s"], float)
+    assert timings["workers"] == 1
     assert docs[-1] == {"verdict": "ALL PASS"}
     rc, text = capture(["verify", "profile"])
     assert text == "PASS interval profile laws: 40 checks\nALL PASS\n"

@@ -1,7 +1,9 @@
 import io
 import json
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -124,7 +126,44 @@ def test_enumerate_line_classes_matches_reference(ell, q):
     got = enumerate_line_classes(ctx, 8)
     want = _line_classes_by_normalize(ctx, 8)
     assert [repr(a) for a in got] == [repr(a) for a in want]
-    assert got == want
+    assert list(got) == want
+
+
+@pytest.mark.parametrize("ell,q", [(5, 2), (3, 2), (2, 3), (3, 4)])
+def test_line_classes_unrank_every_index(ell, q):
+    seq = enumerate_line_classes(make_ctx(ell, q), 8)
+    assert [seq[i] for i in range(len(seq))] == list(seq)
+
+
+def test_line_classes_unrank_seeded_indices():
+    seq = enumerate_line_classes(make_ctx(5, 2), 12)
+    walked = list(seq)
+    assert len(seq) == len(walked) == 80139
+    rng = random.Random(20261019)
+    for k in (rng.randrange(len(seq)) for _ in range(2000)):
+        assert seq[k] == walked[k]
+    assert seq[-1] == walked[-1] and seq[-len(seq)] == walked[0]
+    for k in (len(seq), -len(seq) - 1):
+        with pytest.raises(IndexError):
+            seq[k]
+    empty = enumerate_line_classes(make_ctx(5, 2), 0)
+    assert len(empty) == 0 and list(empty) == []
+    with pytest.raises(IndexError):
+        empty[0]
+
+
+def test_line_classes_are_counted_not_stored():
+    # the (5,2) dim-12 population (80,139 classes, 14.9 MB as a list) is a
+    # pool of 51 indecomposables and a 13 x 52 count table
+    ctx = make_ctx(5, 2)
+    enumerate_line_classes(ctx, 12)  # warm the canonical-form caches
+    tracemalloc.start()
+    try:
+        assert len(enumerate_line_classes(ctx, 12)) == 80139
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_benchmark_tracing_installs():
