@@ -47,16 +47,18 @@ record's `env` names that package by `src_sha256` and gives its size as
   gamma and epsilon) over the CLASSES classes of the `decompose` rows,
   with the sha256 of their reprs (`result_sha256`).
 - `criterion_4_s`: the sweeps of `test_criterion_4_classification_roundtrip`,
-  the full grid of `verify.SWEEPS["roundtrip"]` through
-  `verify.run_named`, run in this process (two pool workers for the full
-  roundtrips, as in the test), wall and CPU seconds.  A modwd package
-  older than `run_named` has no such row: measure it with its own
-  checkout's copy of this script.
+  the full grid of `verify.SWEEPS["roundtrip"]`, each run through
+  `verify.run` in this process (two pool workers for the full roundtrips,
+  as in the test), wall and CPU seconds.  A speed probe is taken before
+  the first sweep and after each one, and each sweep's CPU time is
+  scaled by the probes on either side of it (`sweeps`); `scaled_cpu_s`
+  is their sum.  A modwd package older than `verify.SWEEPS` has no such
+  row: measure it with its own checkout's copy of this script.
 
 Each row but criterion 4 is the median of REPEAT passes, with every
 pass reported.  Times are CPU seconds of this process.  A shared virtual
 machine switches between speeds far apart, and that moves CPU time too,
-so every pass (and criterion 4) is bracketed by probes of
+so every pass (and every criterion-4 sweep) is bracketed by probes of
 `perfbench/calibrate.factor()`, a fixed computation of modwd's kind of
 work in code of its own: the pass's factor is the mean of the median of
 PROBES probes just before it and of PROBES just after, 1 at the
@@ -69,8 +71,10 @@ Even scaled, one pair of files cannot resolve a 20% move.  `--against
 PATH` also runs the AGAINST_ROWS passes of the modwd package under PATH
 (e.g. a clone of the parent commit) and of `--src` alternately, each in a
 worker process of its own, for ROUNDS rounds; the side that goes first
-alternates from round to round.  Both workers must produce the same
-results (sha256 of the reports and reprs).  The record's `against` entry
+alternates from round to round.  The rows are the three factor rows, the
+two `decompose` rows and the (5,2) `oracle_us` row, on the same inputs
+as the rows above.  Both workers must produce the same results (sha256
+of the reports and reprs).  The record's `against` entry
 holds, per row, both sides' CPU microseconds per call in every round, the
 ratio change / parent of each round, the median ratio and the number of
 rounds the change won.
@@ -99,7 +103,8 @@ PRESERVATION_PAIRS = 2000
 PROBES = 5
 ROUNDS = 20
 AGAINST_ROWS = ("preservation_pair_us", "compare_sides_us",
-                "local_constants_us")
+                "local_constants_us", "decompose_realized_us",
+                "decompose_transported_us", "oracle_us (5,2)")
 
 
 def _git_sha(src: Path):
@@ -193,10 +198,12 @@ def bench_line_classes():
                        result_sha256=digest.hexdigest())
 
 
-def bench_decompose():
+def _decompose_inputs():
+    """The (5,2) context, the CLASSES classes of the `decompose` rows and
+    (class, transported realization) pairs."""
     from modwd import make_ctx, realize
     from modwd._linalg import FMat
-    from modwd.matrixmodel import MatrixDeligne, decompose
+    from modwd.matrixmodel import MatrixDeligne
 
     ctx = make_ctx(5, 2)
     field = ctx.field
@@ -214,6 +221,14 @@ def bench_decompose():
             except ValueError:  # singular: draw again
                 pass
         moved.append((a, MatrixDeligne(P @ m.F @ Pi, P @ m.U.scale(lam) @ Pi)))
+    return ctx, sample, moved
+
+
+def bench_decompose():
+    from modwd import realize
+    from modwd.matrixmodel import decompose
+
+    ctx, sample, moved = _decompose_inputs()
     rows = {"realize_us": [], "decompose_realized_us": [],
             "decompose_transported_us": []}
     ms = []
@@ -344,20 +359,29 @@ def bench_fields():
     return out
 
 
-def bench_oracle():
-    from modwd import make_ctx, oracle_tensor_ss, tensor_ss
+def _oracle_pairs(ell, q):
+    """ORACLE_PAIRS seeded (a, b, tensor_ss(a, b)) of the `oracle_us` row
+    of context (ell, q)."""
+    from modwd import make_ctx, tensor_ss
     from modwd.verify import enumerate_line_classes
+
+    ctx = make_ctx(ell, q)
+    classes = [c for c in enumerate_line_classes(ctx, 8) if c.dim() >= 2]
+    rng = random.Random(f"{SEED}:{ell},{q}")
+    pairs = []
+    while len(pairs) < ORACLE_PAIRS:
+        a, b = rng.choice(classes), rng.choice(classes)
+        if 16 <= a.dim() * b.dim() <= 64:
+            pairs.append((a, b, tensor_ss(a, b)))
+    return pairs
+
+
+def bench_oracle():
+    from modwd import oracle_tensor_ss
 
     out = {}
     for ell, q in ((5, 2), (3, 2), (2, 3), (3, 4)):
-        ctx = make_ctx(ell, q)
-        classes = [c for c in enumerate_line_classes(ctx, 8) if c.dim() >= 2]
-        rng = random.Random(f"{SEED}:{ell},{q}")
-        pairs = []
-        while len(pairs) < ORACLE_PAIRS:
-            a, b = rng.choice(classes), rng.choice(classes)
-            if 16 <= a.dim() * b.dim() <= 64:
-                pairs.append((a, b, tensor_ss(a, b)))
+        pairs = _oracle_pairs(ell, q)
 
         def run():
             for a, b, want in pairs:
@@ -374,24 +398,26 @@ def bench_oracle():
     return out
 
 
-def _factor_passes():
-    """Row -> (fn, items) for the AGAINST_ROWS, each warmed once, and row
-    -> sha256 of the results (report lines or reprs).  The items are
-    PRESERVATION_PAIRS seeded pairs of the (5,2) criterion-2 grid, their
-    precomputed `PairSide`s, and the classes of the `decompose` rows."""
-    from modwd import check_preservation, make_ctx
+def _against_passes(rows):
+    """Row -> (fn, items) for the given AGAINST_ROWS, each warmed once,
+    and row -> sha256 of the results (report lines or reprs).  The items
+    are PRESERVATION_PAIRS seeded pairs of the (5,2) criterion-2 grid,
+    their precomputed `PairSide`s, the classes of the `decompose` rows,
+    their realizations and transported realizations, and the (5,2) pairs
+    of the `oracle_us` row."""
+    from modwd import check_preservation, oracle_tensor_ss, realize
     from modwd.factors import local_constants
     from modwd.gln import PairSide, compare_sides
+    from modwd.matrixmodel import decompose
     from modwd.verify import enumerate_generic_reps
 
-    ctx = make_ctx(5, 2)
+    ctx, classes, moved = _decompose_inputs()
     reps = enumerate_generic_reps(ctx, max_segments=3, max_len=4, max_k=1)
     rng = random.Random(f"{SEED}:pairs")
     pairs = [tuple(sorted((rng.randrange(len(reps)), rng.randrange(len(reps)))))
              for _ in range(PRESERVATION_PAIRS)]
     pairs = [(reps[i], reps[j]) for i, j in pairs]
     sides = [(PairSide(a), PairSide(b)) for a, b in pairs]
-    classes = _class_sample(ctx, random.Random(SEED))
 
     def check(pair):
         report = check_preservation(*pair, with_v_side=False)
@@ -399,9 +425,25 @@ def _factor_passes():
             _check(False, f"{pair[0]!r} x {pair[1]!r}")
         return report
 
-    passes = {"preservation_pair_us": (check, pairs),
-              "compare_sides_us": (lambda s: compare_sides(*s), sides),
-              "local_constants_us": (local_constants, classes)}
+    def decomposed(am):
+        got = decompose(am[1], ctx)
+        _check(got == am[0], repr(am[0]))
+        return (got,)
+
+    def oracle(abw):
+        got = oracle_tensor_ss(*abw[:2])
+        _check(got == abw[2], f"{abw[0]!r} (x) {abw[1]!r}")
+        return (got,)
+
+    # the items of a row are built only when the row is asked for
+    passes = {"preservation_pair_us": (check, lambda: pairs),
+              "compare_sides_us": (lambda s: compare_sides(*s), lambda: sides),
+              "local_constants_us": (local_constants, lambda: classes),
+              "decompose_realized_us": (decomposed, lambda: [
+                  (a, realize(a, ctx)) for a in classes]),
+              "decompose_transported_us": (decomposed, lambda: moved),
+              "oracle_us (5,2)": (oracle, lambda: _oracle_pairs(5, 2))}
+    passes = {row: (passes[row][0], passes[row][1]()) for row in rows}
     digests = {}
     for row, (fn, items) in passes.items():
         digest = hashlib.sha256()
@@ -418,7 +460,8 @@ def bench_preservation():
     import cProfile
     import pstats
 
-    passes, digests = _factor_passes()
+    passes, digests = _against_passes(
+        ("preservation_pair_us", "compare_sides_us", "local_constants_us"))
     check, pairs = passes["preservation_pair_us"]
     prof = cProfile.Profile()
     prof.runcall(lambda: [check(pair) for pair in pairs])
@@ -439,7 +482,7 @@ def worker():
     """Serve --against: print the AGAINST_ROWS digests, then for each row
     name read on stdin run one pass and print its CPU microseconds per
     call."""
-    passes, digests = _factor_passes()
+    passes, digests = _against_passes(AGAINST_ROWS)
     print(json.dumps(digests), flush=True)
     for line in sys.stdin:
         fn, items = passes[line.strip()]
@@ -489,19 +532,25 @@ def against(src: Path, parent: Path, rounds):
 
 
 def bench_criterion_4():
-    """The sweeps of test_criterion_4_classification_roundtrip."""
-    from modwd.verify import run_named
+    """The sweeps of test_criterion_4_classification_roundtrip, each scaled
+    by the speed probes on either side of it."""
+    from modwd.verify import SWEEPS, run
 
-    f0 = _speed()
-    w0, c0 = time.perf_counter(), _cpu()
-    summaries = run_named("roundtrip", "full")
-    wall, cpu = time.perf_counter() - w0, _cpu() - c0
-    f = (f0 + _speed()) / 2
-    _check(all(s.passed for s in summaries),
-           "; ".join(s.line() for s in summaries if not s.passed))
-    return {"wall_s": wall, "cpu_s": cpu, "factor": f,
-            "scaled_cpu_s": cpu / f,
-            "checks": sum(s.checked for s in summaries), "budget_s": 60.0}
+    probes, sweeps = [_speed()], []
+    for sweep, _, full, processes in SWEEPS["roundtrip"]:
+        w0, c0 = time.perf_counter(), _cpu()
+        s = run(sweep, *full, processes=processes)
+        wall, cpu = time.perf_counter() - w0, _cpu() - c0
+        probes.append(_speed())
+        _check(s.passed, s.line())
+        f = (probes[-2] + probes[-1]) / 2
+        sweeps.append({"name": s.name, "checks": s.checked, "wall_s": wall,
+                       "cpu_s": cpu, "factor": f, "scaled_cpu_s": cpu / f})
+    return {"wall_s": sum(s["wall_s"] for s in sweeps),
+            "cpu_s": sum(s["cpu_s"] for s in sweeps),
+            "scaled_cpu_s": sum(s["scaled_cpu_s"] for s in sweeps),
+            "checks": sum(s["checks"] for s in sweeps), "budget_s": 60.0,
+            "probes": probes, "sweeps": sweeps}
 
 
 def main(argv=None):
@@ -511,7 +560,7 @@ def main(argv=None):
                     help="directory holding the modwd package to measure")
     ap.add_argument("--against", type=Path, metavar="PATH",
                     help="a second modwd package directory (e.g. the "
-                    "parent's src/) to interleave the factor rows with")
+                    "parent's src/) to interleave the AGAINST_ROWS with")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     src = args.src.resolve()

@@ -98,9 +98,7 @@ class FMat:
 
     @classmethod
     def identity(cls, field, n):
-        a = np.zeros((n, n), dtype=np.intp)
-        np.fill_diagonal(a, 1)
-        return cls(field, a)
+        return cls(field, np.eye(n, dtype=np.intp))
 
     @classmethod
     def diag(cls, field, idx_values):
@@ -136,13 +134,8 @@ class FMat:
     def ncols(self):
         return self.a.shape[1]
 
-    def is_zero(self):
-        return not self.a.any()
-
     def is_diagonal(self):
-        off = self.a.copy()
-        np.fill_diagonal(off, 0)
-        return not off.any()
+        return np.count_nonzero(self.a) == np.count_nonzero(self.a.diagonal())
 
     def __eq__(self, other):
         return (isinstance(other, FMat) and self.field == other.field
@@ -206,22 +199,6 @@ class FMat:
     def T(self):
         return FMat(self.field, self.a.T.copy())
 
-    def power(self, e):
-        """self^e by binary powering, with no product by the identity and no
-        squaring past the top bit of e."""
-        if self.nrows != self.ncols:
-            raise ValueError("power of non-square matrix")
-        if e == 0:
-            return FMat.identity(self.field, self.nrows)
-        acc, base = None, self
-        while True:
-            if e & 1:
-                acc = base if acc is None else acc @ base
-            e >>= 1
-            if not e:
-                return acc
-            base = base @ base
-
     # -- elimination ----------------------------------------------------------------
 
     def rref(self):
@@ -267,12 +244,6 @@ class FMat:
         out[free, np.arange(free.size)] = 1
         out[pivots] = self.field.np_neg[R.a[:len(pivots), free]]
         return FMat(self.field, out)
-
-    def column_space_basis(self):
-        """Columns of self forming a basis of the column space."""
-        _, pivots = self.rref()
-        return FMat(self.field, self.a[:, pivots].copy()
-                    if pivots else np.zeros((self.nrows, 0), dtype=np.intp))
 
     def inverse(self):
         F = self.field

@@ -6,16 +6,20 @@ Weil action).  realize() builds the normal-form blocks; decompose() is the
 inverse.  It splits by Frobenius eigenvalue orbits and reads the classes
 off ranks alone: segment multiplicities off the ranks of the path maps
 between eigenspace slices, and cycle lengths off the ranks of powers of
-the nilpotent part of the holonomy around each orbit.  semisimplify()
-takes the Jordan-Holder multiset of that decomposition.
+the nilpotent part of the holonomy H0 around each orbit.  The path maps
+M_j from slice 0 also find the cycle summands, since M_(j+o) = M_j H0:
+where the images of the powers of H0 stop shrinking, the last M_j has
+rank b, the dimension of their slice-0 part, and its pivot columns are
+a basis B0 of that part.  semisimplify() takes the Jordan-Holder
+multiset of that decomposition.
 oracle_tensor_ss() decomposes the tensor of each pair of realized parts
 at generic operator scalings and sums them; sharing no code with
 deligne.tensor_ss, it checks every formal tensor rule through matrices.
 
 decompose() and validate() read each property of a non-diagonal F off its
 minimal polynomial m_F: invertible iff m_F(0) != 0, semisimple iff m_F is
-squarefree, eigenvalues in the field iff m_F splits; _adapted builds the
-spectral projectors as the Lagrange polynomials of m_F at F.
+squarefree, eigenvalues in the field iff m_F splits; _spectral_basis
+builds the spectral projectors as the Lagrange polynomials of m_F at F.
 """
 
 from __future__ import annotations
@@ -194,40 +198,40 @@ def matrix_dual(m: MatrixDeligne) -> MatrixDeligne:
 # -- decomposition ----------------------------------------------------------------
 
 def _adapted(m: MatrixDeligne, ctx, mp=None):
-    """Change of basis grouping Frobenius eigenspaces; mp is _min_poly(F)
-    when the caller already has it, and has checked it squarefree.
-
-    Returns (ranges, G, P, Pinv) with ranges: eigenvalue index -> (lo, hi)
-    column range, P the adapted basis, Pinv its inverse and G = Pinv U P.
-
-    A diagonal F only needs a permutation.  Otherwise F is semisimple iff
-    m_F is squarefree, and when m_F then splits with roots v, the
-    Lagrange polynomial L_v = m_F / ((x - v) m_F'(v)) gives the projector
-    E_v = L_v(F) onto the v-eigenspace along the others: all of them are
-    one product of the powers F^0, ..., F^(s-1) by the coefficients.  rref
-    gives E_v = C_v R_v with C_v the pivot columns of E_v and R_v the
-    nonzero rows of its echelon form; E_v E_w = delta_vw E_v gives R_v C_w
-    = delta_vw Id, so P = [C_v] and Pinv = [R_v] stacked.  A non-semisimple
-    F raises NotSemisimple before an unsplit m_F raises NeedsLargerField.
-    """
-    field = m.F.field
-    n = m.F.nrows
+    """(ranges, G): ranges maps each Frobenius eigenvalue index to the
+    (lo, hi) column range of its eigenspace, and G is U in that adapted
+    basis.  A diagonal F only needs the permutation that sorts its
+    diagonal; otherwise see _spectral_basis, which takes mp, _min_poly(F)
+    when the caller has it and has checked it squarefree."""
     if m.F.is_diagonal():
-        groups = {}
-        for i in range(n):
-            groups.setdefault(int(m.F.a[i, i]), []).append(i)
-        vals = sorted(groups)
-        perm = np.array([i for v in vals for i in groups[v]], dtype=np.intp)
-        G = FMat(field, m.U.a[np.ix_(perm, perm)])
-        eye = np.eye(n, dtype=np.intp)
-        ranges = {}
-        lo = 0
-        for v in vals:
-            ranges[v] = (lo, lo + len(groups[v]))
-            lo += len(groups[v])
-        return ranges, G, FMat(field, eye[:, perm]), FMat(field, eye[perm])
+        f = m.F.a.diagonal()
+        perm = np.argsort(f, kind="stable")
+        fs = f[perm]
+        bounds = [0, *(np.flatnonzero(fs[1:] != fs[:-1]) + 1).tolist(), len(f)]
+        ranges = {int(fs[lo]): (lo, hi) for lo, hi in zip(bounds, bounds[1:])}
+        return ranges, FMat(m.F.field, m.U.a.take(perm, 0).take(perm, 1))
+    ranges, P, Pinv = _spectral_basis(m.F, mp)
+    return ranges, Pinv @ m.U @ P
+
+
+def _spectral_basis(F: FMat, mp=None):
+    """(ranges, P, Pinv) for a non-diagonal F: P is a basis of eigenvectors
+    grouped by eigenvalue as in ranges, and Pinv its inverse.
+
+    F is semisimple iff m_F is squarefree, and when m_F then splits with
+    roots v, the Lagrange polynomial L_v = m_F / ((x - v) m_F'(v)) gives
+    the projector E_v = L_v(F) onto the v-eigenspace along the others: all
+    of them are one product of the powers F^0, ..., F^(s-1) by the
+    coefficients.  rref gives E_v = C_v R_v with C_v the pivot columns of
+    E_v and R_v the nonzero rows of its echelon form; E_v E_w = delta_vw
+    E_v gives R_v C_w = delta_vw Id, so P = [C_v] and Pinv = [R_v]
+    stacked.  A non-semisimple F raises NotSemisimple before an unsplit
+    m_F raises NeedsLargerField.
+    """
+    field = F.field
+    n = F.nrows
     if mp is None:
-        mp = _min_poly(m.F)
+        mp = _min_poly(F)
         _require_squarefree(field, mp[0])
     mf, powers = mp
     roots, rem = _poly.roots_with_multiplicity(field, mf)
@@ -248,8 +252,7 @@ def _adapted(m: MatrixDeligne, ctx, mp=None):
         rows.append(R.a[:len(pivots)])
         ranges[v] = (lo, lo + len(pivots))
         lo += len(pivots)
-    P, Pinv = FMat(field, np.hstack(cols)), FMat(field, np.vstack(rows))
-    return ranges, Pinv @ m.U @ P, P, Pinv
+    return ranges, FMat(field, np.hstack(cols)), FMat(field, np.vstack(rows))
 
 
 def _lines_of_values(vals, ctx, field):
@@ -288,6 +291,26 @@ def _path_ranks(steps, c, d, less, top):
     return out + [0] * (top + 2 - len(out))
 
 
+def _slice0_chain(trans):
+    """(ranks, H0, B0): the ranks of the slice-0 path maps M_j =
+    trans[j-1] @ ... @ trans[0] (indices mod o = len(trans)) for j = 0, 1,
+    ... up to the first zero or the first multiple j of o with rank M_j =
+    rank M_(j-o); the holonomy H0 = M_o, when the chain reaches it; and
+    the pivot columns B0 of the last M_j when its rank is not zero."""
+    o = len(trans)
+    ranks, M, H0, B0, j = [trans[0].ncols], None, None, None, 0
+    while ranks[j] and (j < o or j % o or ranks[j] != ranks[j - o]):
+        M = trans[j % o] if M is None else trans[j % o] @ M
+        j += 1
+        if j == o:
+            H0 = M
+        _, pivots = M.rref()
+        ranks.append(len(pivots))
+    if ranks[j]:
+        B0 = FMat(M.field, M.a[:, pivots])
+    return ranks, H0, B0
+
+
 def decompose(m: MatrixDeligne, ctx, check=True) -> DeligneClass:
     """The unique normalized class with realize(decompose(m)) equivalent
     to m.
@@ -298,13 +321,19 @@ def decompose(m: MatrixDeligne, ctx, check=True) -> DeligneClass:
     multiplicities are second differences of the ranks of path maps, and
     cycle lengths are second differences of the ranks of powers of the
     nilpotent part of the holonomy on the cycle summands.
+
+    The slice-0 path maps M_j (j steps from slice 0) go first: M_(j+o) =
+    M_j H0 for the holonomy H0 = M_o, so the images of the powers of H0
+    shrink until the first multiple j of o with rank M_j = rank M_(j-o),
+    and H0 is bijective on im M_j from there on: that image is the
+    slice-0 part of the cycle summands, of dimension b.
     """
     field = m.F.field
     n = m.F.nrows
     if n == 0:
         return zero_class(ctx)
     mp = _checked_min_poly(m, ctx) if check else None
-    ranges, G, _, _ = _adapted(m, ctx, mp)
+    ranges, G = _adapted(m, ctx, mp)
     o = ctx.o_nu
     lines, shifted = [], np.zeros_like(G.a)
     for t0, slice_vals in _lines_of_values(list(ranges), ctx, field):
@@ -320,18 +349,15 @@ def decompose(m: MatrixDeligne, ctx, check=True) -> DeligneClass:
     out = []
     for t0, trans in lines:
         dims = [T.ncols for T in trans]
-        H0 = trans[0]
-        for T in trans[1:]:
-            H0 = T @ H0
-        # the image of H0^d0 is the slice-0 part of the cycle summands
-        B0 = (FMat.zeros(field, dims[0], 0) if H0.is_zero()
-              else H0.power(dims[0]).column_space_basis())
-        b = B0.ncols
+        ranks, H0, B0 = _slice0_chain(trans)
+        b = ranks[-1]
         # every transition maps the cycle summands isomorphically, so they
         # add b to the rank of every path map, and b cancels in the second
         # differences
         jmax = sum(dims) - o * b
-        R = [_path_ranks(trans, c, dims[c], b, jmax) for c in range(o)]
+        R = [[r - b for r in ranks[:jmax + 2]]
+             + [0] * (jmax + 2 - len(ranks))]
+        R += [_path_ranks(trans, c, dims[c], b, jmax) for c in range(1, o)]
         base_char = UnramifiedChar(field.elem(t0))
         for c in range(o):
             for r in range(1, jmax + 1):

@@ -114,18 +114,6 @@ def test_inverse_and_kron(field, n, seed):
     assert (A.kron(B) @ A.kron(C)) == (A @ A).kron(B @ C)
 
 
-@settings(max_examples=20)
-@given(st.sampled_from(FIELDS), st.integers(1, 8), st.integers(0, 20),
-       st.integers(0, 2 ** 32))
-def test_power_matches_repeated_products(field, n, e, seed):
-    F = finite_field(*field)
-    A = rand_fmat(F, n, n, random.Random(seed))
-    acc = FMat.identity(F, n)
-    for _ in range(e):
-        acc = acc @ A
-    assert A.power(e) == acc
-
-
 def count_products(monkeypatch, fn):
     """fn() and the number of FMat products it made."""
     calls = []
@@ -141,19 +129,6 @@ def count_products(monkeypatch, fn):
     return out, len(calls)
 
 
-@pytest.mark.parametrize("e,products", [(0, 0), (1, 0), (2, 1), (3, 2),
-                                        (7, 4), (8, 3), (64, 6), (65, 7)])
-def test_power_product_count(monkeypatch, e, products):
-    F = finite_field(5, 2)
-    A = rand_fmat(F, 3, 3, random.Random(e))
-    P, count = count_products(monkeypatch, lambda: A.power(e))
-    assert count == products
-    expect = FMat.identity(F, 3)
-    for _ in range(e):
-        expect = expect @ A
-    assert P == expect
-
-
 @pytest.mark.parametrize("coeffs,products", [([], 0), ([7], 0), ([4, 1], 0),
                                              ([0, 0, 1], 1), ([3, 0, 9, 1], 2),
                                              ([1, 2, 0, 5, 0, 1], 4)])
@@ -163,10 +138,35 @@ def test_poly_eval_product_count(monkeypatch, coeffs, products):
     A = rand_fmat(F, 3, 3, random.Random(len(coeffs)))
     P, count = count_products(monkeypatch, lambda: A.poly_eval(coeffs))
     assert count == products
-    expect = FMat.zeros(F, 3, 3)
-    for i, c in enumerate(coeffs):
-        expect = expect + A.power(i).scale(c)
+    expect, power = FMat.zeros(F, 3, 3), FMat.identity(F, 3)
+    for c in coeffs:
+        expect, power = expect + power.scale(c), power @ A
     assert P == expect
+
+
+@pytest.mark.parametrize("ell,k", [(5, 1), (5, 2)])
+def test_is_diagonal_and_identity(ell, k):
+    # every matrix with one nonzero entry off the main diagonal, square or
+    # not, with and without a nonzero diagonal, is not diagonal
+    F = finite_field(ell, k)
+    x = F.order - 1
+    assert FMat.identity(F, 0).a.shape == (0, 0)
+    assert FMat.identity(F, 0).is_diagonal()
+    A = rand_fmat(F, 3, 3, random.Random(ell * k))
+    assert FMat.identity(F, 3).a.dtype == np.intp
+    assert A @ FMat.identity(F, 3) == A == FMat.identity(F, 3) @ A
+    for n, m in ((1, 1), (3, 3), (2, 4), (4, 2), (0, 3), (3, 0)):
+        zero = np.zeros((n, m), dtype=np.intp)
+        diag = zero.copy()
+        np.fill_diagonal(diag, x)
+        assert FMat(F, zero).is_diagonal() and FMat(F, diag).is_diagonal()
+        for i in range(n):
+            for j in range(m):
+                if i != j:
+                    for base in (zero, diag):
+                        off = base.copy()
+                        off[i, j] = x
+                        assert not FMat(F, off).is_diagonal()
 
 
 def test_shape_mismatch():
@@ -293,7 +293,7 @@ def test_kernel_matches_reference(ell, k):
         assert np.array_equal(K.a, ref_kernel(A))
         assert K.ncols == A.ncols - A.rank()
         if K.ncols:
-            assert (A @ K).is_zero()
+            assert not (A @ K).a.any()
     # no pivot: every column is free; no free column: an empty basis
     assert FMat.zeros(F, 3, 4).kernel() == FMat.identity(F, 4)
     assert mats[3].kernel().a.shape == (5, 0)

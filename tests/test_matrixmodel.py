@@ -158,9 +158,9 @@ def test_adapted_projector_basis(ctx52, ctx32):
         rng = random.Random(repr((ctx.ell, ctx.q_residue)))
         for lam in (1, 2):
             mc = transported(a, ctx, rng, lam)
-            ranges, G, P, Pinv = matrixmodel._adapted(mc, ctx)
+            ranges, P, Pinv = matrixmodel._spectral_basis(mc.F)
             assert Pinv @ P == FMat.identity(F, mc.dim)
-            assert G == Pinv @ mc.U @ P
+            assert matrixmodel._adapted(mc, ctx) == (ranges, Pinv @ mc.U @ P)
             # F is the scalar v on the columns of range v
             spectrum = [v for v, (lo, hi) in sorted(ranges.items(),
                                                     key=lambda item: item[1])
@@ -198,6 +198,55 @@ def test_transported_decompose_checks_each_property_once(ctx52, monkeypatch):
     assert not linalg["kernel"] and not linalg["inverse"]
     assert linalg["rank"] and set(linalg["rank"]) == {"_path_ranks"}
     assert not poly["radical"]
+
+
+def test_slice0_chain_stopping_rule(ctx52, ctx32, ctx23, monkeypatch):
+    # a segment from slice 0 longer than o keeps the ranks of the slice-0
+    # path maps level from one step to the next before they fall, so only
+    # a stop at whole turns of the holonomy H0 finds b, the dimension of
+    # the cycle summands' slice-0 part
+    rng = random.Random(18)
+    chains = []
+    chain = matrixmodel._slice0_chain
+
+    def spy(trans):
+        chains.append((trans, chain(trans)))
+        return chains[-1][1]
+
+    monkeypatch.setattr(matrixmodel, "_slice0_chain", spy)
+    for ctx in (ctx52, ctx32, ctx23):
+        o, c1 = ctx.o_nu, chi(ctx, 1)
+        line = line_of(c1, ctx)[0]
+        seg = Seg(c1, o + 2, 0)
+        for parts in ([(seg, 1)], [(seg, 1), (Cyc(line, 1), 1)],
+                      [(seg, 2), (Seg(c1, o + 1, 0), 1), (Cyc(line, 2), 1)]):
+            a = normalize(parts, ctx)
+            b = sum(k * ind.r for ind, k in a.parts if isinstance(ind, Cyc))
+            for m in (realize(a, ctx),
+                      transported(a, ctx, rng, ctx.field.order - 1)):
+                chains.clear()
+                assert decompose(m, ctx) == a
+                (trans, (ranks, H0, B0)), = chains
+                # the reference: M_(ko+i) = (trans[i-1] ... trans[0]) H0^k
+                d0, field = trans[0].ncols, ctx.field
+                hol = FMat.identity(field, d0)
+                for T in trans:
+                    hol = T @ hol
+                paths = [FMat.identity(field, d0)]
+                Hk, want = paths[0], []
+                for T in trans[:-1]:
+                    paths.append(T @ paths[-1])
+                for k in range(d0 + 2):
+                    want += [(P @ Hk).rank() for P in paths]
+                    Hk = Hk @ hol
+                assert Hk.rank() == b == ranks[-1]
+                assert ranks == want[:len(ranks)]
+                assert set(want[len(ranks) - 1:]) == {b}
+                if b:
+                    assert H0 == hol
+                    assert B0.rank() == b == FMat.hstack([B0, Hk]).rank()
+                else:
+                    assert B0 is None
 
 
 def test_decompose_error_precedence(ctx52, ctx23, monkeypatch):
@@ -240,9 +289,11 @@ def check_min_poly(F):
     field, n = F.field, F.nrows
     d = len(mf) - 1
     assert mf[-1] == 1 and S.shape == (n * n, d)
-    assert F.poly_eval(mf).is_zero()
+    assert not F.poly_eval(mf).a.any()
+    power = FMat.identity(field, n)
     for i in range(d):
-        assert np.array_equal(S[:, i], F.power(i).a.ravel())
+        assert np.array_equal(S[:, i], power.a.ravel())
+        power = power @ F
     assert FMat(field, S).rank() == d
     assert not _poly.pmod(field, F.charpoly(), mf)
     return mf
