@@ -6,78 +6,67 @@ writes BENCH_<N>.json at the repository root.  It imports modwd from
 PATH (default: src/ of this checkout), so one copy of this script can
 measure another checkout, e.g. a clone of an earlier commit.  The
 record's `env` names that package by `src_sha256` and gives its size as
-`src_lines`, the summed `wc -l` of its modules.  Rows:
+`src_lines`, the summed `wc -l` of its modules.
 
-- `decompose_transported_us`: CPU microseconds per `decompose` of a
-  transported realization P (lam U) P^-1, P F P^-1, over 2,000 seeded
-  classes drawn from `enumerate_line_classes` at (5,2), dim <= 12; the
-  transport is built before timing.  `decompose_realized_us` times
-  `decompose(realize(a))` of the same classes, and `realize_us` the
-  realization alone.
-- `line_classes_s`: CPU seconds to build `enumerate_line_classes(ctx,
-  12)` at (5,2) (80,139 classes) and look up CLASSES seeded indices in
-  it, with the sha256 of the looked-up classes' reprs (`result_sha256`).
-- `charpoly_us` at n = 12, 32 and 64 over F(5^2), on seeded random
-  matrices.  `rref_us` over F(5^2) at 3 x 3, 12 x 12 and 64 x 64 of full
-  rank, 12 x 12 of rank 3 (an eigenspace projector) and 12 x 24 [P | I]
-  (what `inverse` reduces); each row checks the rank and keeps the sha256
-  of its forms and pivots (`result_sha256`).
-- `matmul_us`: CPU microseconds per `FMat` product of seeded random
-  matrices, n x n by n x n and by n x 1 at n = 3, 12, 32 and 64, over
-  F(5^2), F(3^4) and F(2^6).  Every product is checked against a sum of
-  outer products in the field's entrywise arithmetic, and each row keeps
-  the sha256 of its products (`result_sha256`), so that two files can be
-  checked to hold the same results.
-- `field_build_ms`: CPU milliseconds to build F(3^6), F(7^3) and F(2^12)
-  with `FiniteField(ell, k)` (not the cached `finite_field`): the modulus
-  search and the tables.
-- `oracle_us`: CPU microseconds per `oracle_tensor_ss(a, b)` over
-  ORACLE_PAIRS seeded pairs per context at (5,2), (3,2), (2,3) and (3,4),
-  drawn uniformly from the ordered pairs of `enumerate_line_classes(ctx,
-  8)` with 16 <= dim a * dim b <= 64; every result is checked against
-  `tensor_ss`, computed before timing.
-- `preservation_pair_us`: CPU microseconds per `check_preservation(pi,
-  pi2, with_v_side=False)` (both `PairSide`s and the comparison, as the
+Every row is a function and the seeded items it is called on.  A worker
+process imports the package and builds every row, checking its results.
+It calls each row's function once on all its items to warm the caches,
+hashes the results into the row's `result_sha256`, and repeats the items
+in a timed pass often enough for the pass to last MIN_PASS_S by the warm
+pass's CPU time: a shorter pass is decided by one speed switch of a
+shared virtual machine.  This process runs the rows in ROUNDS rounds
+(C4_ROUNDS for `criterion_4_s`), asking the worker for one pass of each
+row in each round.  Every row records, per round, the CPU microseconds
+per call of the worker and its waited children (`change_us`), the wall
+microseconds per call (`change_wall_us`), and the CPU median
+(`median_us`).  Workers get PYTHONHASHSEED=0 (one set order on both
+sides) and OPENBLAS_NUM_THREADS=1 (no BLAS thread spins through a pass).
+
+`--against PATH` starts a second worker on the modwd package under PATH
+(e.g. a clone of the parent commit), the side named `parent`.  In each
+round the two sides run each row one after the other, and the side that
+goes first alternates from round to round.  Both sides must give every
+row the same `result_sha256`.  Each row then also holds `parent_us` and
+`parent_wall_us`, the ratio change / parent of each round (`ratios`), the
+`median_ratio`, and the rounds the change won (`wins`, ratio < 1) and
+lost (`losses`, ratio > 1); a tie counts for neither.
+
+Rows, all at (5,2) over F(5^2) unless named otherwise:
+- `line_classes_s`: one call builds `enumerate_line_classes(ctx, 12)`
+  (80,139 classes) and looks up CLASSES seeded indices in it.
+- `realize_us`, `decompose_realized_us` and `decompose_transported_us`:
+  `realize(a)`, `decompose(realize(a))` and `decompose` of a transported
+  realization P (lam U) P^-1, P F P^-1, over CLASSES seeded classes of
+  `enumerate_line_classes(ctx, 12)`; realizations and transports are
+  built before timing.
+- `charpoly_us` at n = 12, 32 and 64 on seeded random matrices.
+  `rref_us` at 3 x 3, 12 x 12 and 64 x 64 of full rank, 12 x 12 of rank 3
+  (an eigenspace projector) and 12 x 24 [P | I] (what `inverse` reduces),
+  each rank checked.
+- `matmul_us`: `FMat` products of seeded random matrices, n x n by n x n
+  and by n x 1 at n = 3, 12, 32 and 64, over F(5^2), F(3^4) and F(2^6),
+  each checked against a sum of outer products in the field's entrywise
+  arithmetic.
+- `field_build_ms`: `FiniteField(ell, k)` (not the cached `finite_field`)
+  of F(3^6), F(7^3) and F(2^12): the modulus search and the tables.
+- `oracle_us`: `oracle_tensor_ss(a, b)` over ORACLE_PAIRS seeded pairs per
+  context at (5,2), (3,2), (2,3) and (3,4), drawn uniformly from the
+  ordered pairs of `enumerate_line_classes(ctx, 8)` with 16 <= dim a *
+  dim b <= 64; every result is checked against `tensor_ss`.
+- `preservation_pair_us`: `check_preservation(pi, pi2,
+  with_v_side=False)` (both `PairSide`s and the comparison, as the
   `pairs` workload checks a pair) over PRESERVATION_PAIRS seeded pairs of
-  the (5,2) criterion-2 grid; every pair must match.
-  `compare_sides_us` times criterion 2's inner loop alone, `compare_sides`
-  over the same pairs' precomputed sides.  `hash_calls_per_pair` counts
-  the calls of the builtin `hash` per `check_preservation` under cProfile.
-- `local_constants_us`: CPU microseconds per `local_constants(a)` (L,
-  gamma and epsilon) over the CLASSES classes of the `decompose` rows,
-  with the sha256 of their reprs (`result_sha256`).
-- `criterion_4_s`: the sweeps of `test_criterion_4_classification_roundtrip`,
-  the full grid of `verify.SWEEPS["roundtrip"]`, each run through
-  `verify.run` in this process (two pool workers for the full roundtrips,
-  as in the test), wall and CPU seconds.  A speed probe is taken before
-  the first sweep and after each one, and each sweep's CPU time is
-  scaled by the probes on either side of it (`sweeps`); `scaled_cpu_s`
-  is their sum.  A modwd package older than `verify.SWEEPS` has no such
-  row: measure it with its own checkout's copy of this script.
-
-Each row but criterion 4 is the median of REPEAT passes, with every
-pass reported.  Times are CPU seconds of this process.  A shared virtual
-machine switches between speeds far apart, and that moves CPU time too,
-so every pass (and every criterion-4 sweep) is bracketed by probes of
-`perfbench/calibrate.factor()`, a fixed computation of modwd's kind of
-work in code of its own: the pass's factor is the mean of the median of
-PROBES probes just before it and of PROBES just after, 1 at the
-reference speed and above 1 on a slower host.  Each row reports the raw
-times (`median`, `passes`), the factors (`factors`) and the times divided
-by them (`scaled_median`, `scaled_passes`).  Compare the scaled figures
-of two files written on the same machine, one after the other.
-
-Even scaled, one pair of files cannot resolve a 20% move.  `--against
-PATH` also runs the AGAINST_ROWS passes of the modwd package under PATH
-(e.g. a clone of the parent commit) and of `--src` alternately, each in a
-worker process of its own, for ROUNDS rounds; the side that goes first
-alternates from round to round.  The rows are the three factor rows, the
-two `decompose` rows and the (5,2) `oracle_us` row, on the same inputs
-as the rows above.  Both workers must produce the same results (sha256
-of the reports and reprs).  The record's `against` entry
-holds, per row, both sides' CPU microseconds per call in every round, the
-ratio change / parent of each round, the median ratio and the number of
-rounds the change won.
+  the criterion-2 grid; every pair must match.  `compare_sides_us` times
+  criterion 2's inner loop alone, `compare_sides` over the same pairs'
+  precomputed sides.  `hash_calls_per_pair` gives each side's count of
+  calls of the builtin `hash` per `check_preservation`, under cProfile.
+- `local_constants_us`: `local_constants(a)` (L, gamma and epsilon) over
+  the classes of the `decompose` rows.
+- `criterion_4_s`: one call runs the sweeps of
+  `test_criterion_4_classification_roundtrip` (the full grid of
+  `verify.SWEEPS["roundtrip"]`) through `verify.run`, with two pool
+  workers for the full roundtrips as in the test, and checks that each
+  passes: the whole criterion's raw CPU and wall time, in microseconds.
 """
 
 from __future__ import annotations
@@ -85,9 +74,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import random
+import resource
 import statistics
 import subprocess
 import sys
@@ -97,14 +88,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CLASSES = 2000
 SEED = 20261018
-REPEAT = 5
 ORACLE_PAIRS = 100
 PRESERVATION_PAIRS = 2000
-PROBES = 5
+MIN_PASS_S = 0.2
 ROUNDS = 20
-AGAINST_ROWS = ("preservation_pair_us", "compare_sides_us",
-                "local_constants_us", "decompose_realized_us",
-                "decompose_transported_us", "oracle_us (5,2)")
+C4_ROUNDS = 3
 
 
 def _git_sha(src: Path):
@@ -121,45 +109,23 @@ def _git_sha(src: Path):
     return sha + ("+dirty" if dirty else "")
 
 
-def _src_digest(src: Path):
+def _package(src: Path):
+    """Where the package under src comes from, its sha256 and its summed
+    `wc -l`."""
     h = hashlib.sha256()
+    lines = 0
     for p in sorted((src / "modwd").glob("*.py")):
-        h.update(p.name.encode() + b"\0" + p.read_bytes())
-    return h.hexdigest()
-
-
-def _src_lines(src: Path):
-    """The summed `wc -l` of the package's modules."""
-    return sum(p.read_bytes().count(b"\n")
-               for p in (src / "modwd").glob("*.py"))
+        text = p.read_bytes()
+        h.update(p.name.encode() + b"\0" + text)
+        lines += text.count(b"\n")
+    return {"src": str(src), "git_sha": _git_sha(src),
+            "src_sha256": h.hexdigest(), "src_lines": lines}
 
 
 def _cpu():
-    t = os.times()
-    return t.user + t.system + t.children_user + t.children_system
-
-
-def _speed():
-    from calibrate import factor
-    return statistics.median(factor() for _ in range(PROBES))
-
-
-def _timed(fn):
-    """(CPU seconds of fn(), the speed factor probed around it)."""
-    f0 = _speed()
-    t0 = time.process_time()
-    fn()
-    t = time.process_time() - t0
-    return t, (f0 + _speed()) / 2
-
-
-def _median_row(passes, **extra):
-    """A row of (raw time, speed factor) passes, raw and scaled."""
-    raw = [t for t, _ in passes]
-    scaled = [t / f for t, f in passes]
-    return dict(extra, median=statistics.median(raw),
-                scaled_median=statistics.median(scaled), passes=raw,
-                factors=[f for _, f in passes], scaled_passes=scaled)
+    """CPU seconds of this process and of its waited-for children."""
+    c = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + c.ru_utime + c.ru_stime
 
 
 def _rand_fmat(FMat, field, n, m, rng):
@@ -172,30 +138,12 @@ def _check(ok, what):
         raise RuntimeError(f"wrong result: {what}")
 
 
-def _class_sample(ctx, rng):
+def _look_up(ctx, rng):
     """CLASSES classes drawn from `enumerate_line_classes(ctx, 12)`."""
     from modwd.verify import enumerate_line_classes
 
     pool = enumerate_line_classes(ctx, 12)
     return [pool[rng.randrange(len(pool))] for _ in range(CLASSES)]
-
-
-def bench_line_classes():
-    from modwd import make_ctx
-    from modwd.verify import enumerate_line_classes
-
-    ctx = make_ctx(5, 2)
-    sample = []
-
-    def build_and_look_up():
-        pool = enumerate_line_classes(ctx, 12)
-        rng = random.Random(SEED)
-        sample[:] = [pool[rng.randrange(len(pool))] for _ in range(CLASSES)]
-
-    passes = [_timed(build_and_look_up) for _ in range(REPEAT)]
-    digest = hashlib.sha256("".join(f"{a!r}\n" for a in sample).encode())
-    return _median_row(passes, context="(5,2)", max_dim=12, lookups=CLASSES,
-                       result_sha256=digest.hexdigest())
 
 
 def _decompose_inputs():
@@ -208,7 +156,7 @@ def _decompose_inputs():
     ctx = make_ctx(5, 2)
     field = ctx.field
     rng = random.Random(SEED)
-    sample = _class_sample(ctx, rng)
+    sample = _look_up(ctx, rng)
     moved = []
     for a in sample:
         m = realize(a, ctx)
@@ -222,74 +170,6 @@ def _decompose_inputs():
                 pass
         moved.append((a, MatrixDeligne(P @ m.F @ Pi, P @ m.U.scale(lam) @ Pi)))
     return ctx, sample, moved
-
-
-def bench_decompose():
-    from modwd import realize
-    from modwd.matrixmodel import decompose
-
-    ctx, sample, moved = _decompose_inputs()
-    rows = {"realize_us": [], "decompose_realized_us": [],
-            "decompose_transported_us": []}
-    ms = []
-
-    def realized():
-        ms[:] = [realize(a, ctx) for a in sample]
-
-    def decomposed():
-        for a, m in zip(sample, ms):
-            _check(decompose(m, ctx) == a, repr(a))
-
-    def transported():
-        for a, mc in moved:
-            _check(decompose(mc, ctx) == a, f"transported {a!r}")
-
-    for _ in range(REPEAT):
-        for name, fn in (("realize_us", realized),
-                         ("decompose_realized_us", decomposed),
-                         ("decompose_transported_us", transported)):
-            t, f = _timed(fn)
-            rows[name].append((t / CLASSES * 1e6, f))
-    mean_dim = sum(a.dim() for a in sample) / CLASSES
-    return {k: _median_row(v, context="(5,2)", classes=CLASSES,
-                           mean_dim=mean_dim)
-            for k, v in rows.items()}
-
-
-def _per_call(fn, items):
-    """REPEAT passes of fn over items, as (microseconds per call, factor)."""
-    passes = []
-    for _ in range(REPEAT):
-        t, f = _timed(lambda: [fn(x) for x in items])
-        passes.append((t / len(items) * 1e6, f))
-    return passes
-
-
-def bench_kernels():
-    import numpy as np
-    from modwd._linalg import FMat
-    from modwd.field import finite_field
-
-    field = finite_field(5, 2)
-    rng = random.Random(SEED)
-    out = {}
-    out["charpoly_us"] = {
-        str(n): _median_row(_per_call(FMat.charpoly, [
-            _rand_fmat(FMat, field, n, n, rng) for _ in range(count)]),
-            field="F(5^2)", matrices=count)
-        for n, count in ((12, 200), (32, 20), (64, 5))}
-    out["rref_us"] = {}
-    for shape, rank, count, mats in _rref_inputs(FMat, field, rng):
-        digest = hashlib.sha256()
-        for A in mats:
-            R, pivots = A.rref()
-            _check(len(pivots) == rank, f"rank of {shape}")
-            digest.update(R.a.astype(np.int64).tobytes())
-            digest.update(np.array(pivots, dtype=np.int64).tobytes())
-        out["rref_us"][shape] = _median_row(
-            _per_call(FMat.rref, mats), field="F(5^2)", matrices=count,
-            result_sha256=digest.hexdigest())
-    return out
 
 
 def _rref_inputs(FMat, field, rng):
@@ -316,12 +196,24 @@ def _rref_inputs(FMat, field, rng):
             for shape, rank, count, make in rows]
 
 
-def bench_matmul():
+def _kernel_rows():
+    """The `charpoly_us`, `rref_us`, `matmul_us` and `field_build_ms` rows."""
     import numpy as np
     from modwd._linalg import FMat
-    from modwd.field import finite_field
+    from modwd.field import FiniteField, finite_field
 
-    out = {}
+    field = finite_field(5, 2)
+    rng = random.Random(SEED)
+    rows = {}
+    for n, count in ((12, 200), (32, 20), (64, 5)):
+        rows[f"charpoly_us/{n}"] = (FMat.charpoly, [
+            _rand_fmat(FMat, field, n, n, rng) for _ in range(count)],
+            dict(field="F(5^2)", matrices=count))
+    for shape, rank, count, mats in _rref_inputs(FMat, field, rng):
+        for A in mats:
+            _check(len(A.rref()[1]) == rank, f"rank of {shape}")
+        rows[f"rref_us/{shape}"] = (FMat.rref, mats,
+                                    dict(field="F(5^2)", matrices=count))
     for ell, k in ((5, 2), (3, 4), (2, 6)):
         field = finite_field(ell, k)
         rng = random.Random(f"{SEED}:matmul:{ell},{k}")
@@ -331,32 +223,19 @@ def bench_matmul():
                 pairs = [(_rand_fmat(FMat, field, n, n, rng),
                           _rand_fmat(FMat, field, n, m, rng))
                          for _ in range(count)]
-                digest = hashlib.sha256()
                 for A, B in pairs:
-                    C = (A @ B).a
                     want = np.zeros((n, m), dtype=np.intp)
                     for t in range(n):
                         want = field.add_arr(want, field.mul_arr(
                             A.a[:, t, None], B.a[None, t, :]))
-                    _check(np.array_equal(C, want), f"F({ell}^{k}) {n}x{m}")
-                    digest.update(C.astype(np.int64).tobytes())
-                out[f"F({ell}^{k}) {n}x{n}x{m}"] = _median_row(
-                    _per_call(lambda AB: AB[0] @ AB[1], pairs),
-                    products=count, result_sha256=digest.hexdigest())
-    return out
-
-
-def bench_fields():
-    from modwd.field import FiniteField
-
-    out = {}
+                    _check(np.array_equal((A @ B).a, want),
+                           f"F({ell}^{k}) {n}x{m}")
+                rows[f"matmul_us/F({ell}^{k}) {n}x{n}x{m}"] = (
+                    lambda AB: AB[0] @ AB[1], pairs, dict(products=count))
     for ell, k in ((3, 6), (7, 3), (2, 12)):
-        passes = []
-        for _ in range(REPEAT):
-            t, f = _timed(lambda: FiniteField(ell, k))
-            passes.append((t * 1e3, f))
-        out[f"{ell}^{k}"] = _median_row(passes, order=ell ** k)
-    return out
+        rows[f"field_build_ms/{ell}^{k}"] = (
+            lambda ek: FiniteField(*ek), [(ell, k)], dict(order=ell ** k))
+    return rows
 
 
 def _oracle_pairs(ell, q):
@@ -376,180 +255,190 @@ def _oracle_pairs(ell, q):
     return pairs
 
 
-def bench_oracle():
-    from modwd import oracle_tensor_ss
-
-    out = {}
-    for ell, q in ((5, 2), (3, 2), (2, 3), (3, 4)):
-        pairs = _oracle_pairs(ell, q)
-
-        def run():
-            for a, b, want in pairs:
-                _check(oracle_tensor_ss(a, b) == want, f"{a!r} (x) {b!r}")
-
-        passes = []
-        for _ in range(REPEAT):
-            t, f = _timed(run)
-            passes.append((t / ORACLE_PAIRS * 1e6, f))
-        out[f"({ell},{q})"] = _median_row(
-            passes, pairs=ORACLE_PAIRS,
-            mean_dim_product=sum(a.dim() * b.dim() for a, b, _ in pairs)
-            / ORACLE_PAIRS)
-    return out
-
-
-def _against_passes(rows):
-    """Row -> (fn, items) for the given AGAINST_ROWS, each warmed once,
-    and row -> sha256 of the results (report lines or reprs).  The items
-    are PRESERVATION_PAIRS seeded pairs of the (5,2) criterion-2 grid,
-    their precomputed `PairSide`s, the classes of the `decompose` rows,
-    their realizations and transported realizations, and the (5,2) pairs
-    of the `oracle_us` row."""
+def _rows():
+    """Row name -> (fn, items, info) of every row, from the modwd package
+    on sys.path; info describes the inputs.  A name "group/key" is the row
+    `key` of the record's `group`."""
     from modwd import check_preservation, oracle_tensor_ss, realize
     from modwd.factors import local_constants
     from modwd.gln import PairSide, compare_sides
     from modwd.matrixmodel import decompose
-    from modwd.verify import enumerate_generic_reps
+    from modwd.verify import SWEEPS, enumerate_generic_reps, run
 
     ctx, classes, moved = _decompose_inputs()
+
+    def decomposed(am):
+        got = decompose(am[1], ctx)
+        _check(got == am[0], repr(am[0]))
+        return got
+
+    def oracle(abw):
+        got = oracle_tensor_ss(*abw[:2])
+        _check(got == abw[2], f"{abw[0]!r} (x) {abw[1]!r}")
+        return got
+
+    def check(pair):
+        report = check_preservation(*pair, with_v_side=False)
+        _check(report.all_match, f"{pair[0]!r} x {pair[1]!r}")
+        return report
+
+    def criterion_4(grid):
+        lines = [run(sweep, *full, processes=processes).line()
+                 for sweep, _, full, processes in grid]
+        _check(all(line.startswith("PASS") for line in lines), lines)
+        return lines
+
     reps = enumerate_generic_reps(ctx, max_segments=3, max_len=4, max_k=1)
     rng = random.Random(f"{SEED}:pairs")
     pairs = [tuple(sorted((rng.randrange(len(reps)), rng.randrange(len(reps)))))
              for _ in range(PRESERVATION_PAIRS)]
     pairs = [(reps[i], reps[j]) for i, j in pairs]
-    sides = [(PairSide(a), PairSide(b)) for a, b in pairs]
-
-    def check(pair):
-        report = check_preservation(*pair, with_v_side=False)
-        if not report.all_match:
-            _check(False, f"{pair[0]!r} x {pair[1]!r}")
-        return report
-
-    def decomposed(am):
-        got = decompose(am[1], ctx)
-        _check(got == am[0], repr(am[0]))
-        return (got,)
-
-    def oracle(abw):
-        got = oracle_tensor_ss(*abw[:2])
-        _check(got == abw[2], f"{abw[0]!r} (x) {abw[1]!r}")
-        return (got,)
-
-    passes = {"preservation_pair_us": (check, pairs),
-              "compare_sides_us": (lambda s: compare_sides(*s), sides),
-              "local_constants_us": (local_constants, classes),
-              "decompose_realized_us": (decomposed, [
-                  (a, realize(a, ctx)) for a in classes]),
-              "decompose_transported_us": (decomposed, moved),
-              "oracle_us (5,2)": (oracle, _oracle_pairs(5, 2))}
-    passes = {row: passes[row] for row in rows}
-    digests = {}
-    for row, (fn, items) in passes.items():
-        digest = hashlib.sha256()
-        for x in items:  # warm the caches, as the sweeps are warm
-            out = fn(x)
-            for line in (map(repr, out) if isinstance(out, tuple)
-                         else out.lines()):
-                digest.update(line.encode() + b"\n")
-        digests[row] = digest.hexdigest()
-    return passes, digests
+    class_info = dict(context="(5,2)", classes=CLASSES,
+                      mean_dim=sum(a.dim() for a in classes) / CLASSES)
+    pair_info = dict(context="(5,2)", pairs=PRESERVATION_PAIRS)
+    rows = {"line_classes_s": (
+                lambda ctx: _look_up(ctx, random.Random(SEED)), [ctx], dict(
+                context="(5,2)", max_dim=12, lookups=CLASSES)),
+            "realize_us": (lambda a: realize(a, ctx), classes, class_info),
+            "decompose_realized_us": (decomposed, [
+                (a, realize(a, ctx)) for a in classes], class_info),
+            "decompose_transported_us": (decomposed, moved, class_info)}
+    rows.update(_kernel_rows())
+    for ell, q in ((5, 2), (3, 2), (2, 3), (3, 4)):
+        items = _oracle_pairs(ell, q)
+        rows[f"oracle_us/({ell},{q})"] = (oracle, items, dict(
+            pairs=ORACLE_PAIRS, mean_dim_product=sum(
+                a.dim() * b.dim() for a, b, _ in items) / ORACLE_PAIRS))
+    rows["preservation_pair_us"] = (check, pairs, pair_info)
+    rows["compare_sides_us"] = (lambda s: compare_sides(*s), [
+        (PairSide(a), PairSide(b)) for a, b in pairs], pair_info)
+    rows["local_constants_us"] = (local_constants, classes, class_info)
+    rows["criterion_4_s"] = (criterion_4, [SWEEPS["roundtrip"]], dict(
+        budget_s=60.0, rounds=C4_ROUNDS))
+    return rows
 
 
-def bench_preservation():
+def _lines(out):
+    """Text lines naming the value of out, for the result digests."""
+    if isinstance(out, (tuple, list)):
+        for x in out:
+            yield from _lines(x)
+    elif hasattr(out, "lines"):  # a PreservationReport
+        yield from out.lines()
+    elif hasattr(out, "U"):  # a MatrixDeligne
+        yield from _lines((out.F, out.U))
+    elif hasattr(out, "ncols"):  # an FMat
+        yield f"{out.a.shape} {out.a.tolist()}"
+    else:
+        yield repr(out)
+
+
+def worker():
+    """Serve the rows: print a header of the rows' info and digests and of
+    `hash_calls_per_pair`, then for each row name read on stdin run one
+    pass and print [CPU, wall] microseconds per call."""
     import cProfile
     import pstats
 
-    passes, digests = _against_passes(
-        ("preservation_pair_us", "compare_sides_us", "local_constants_us"))
-    check, pairs = passes["preservation_pair_us"]
+    rows = _rows()
+    header, repeats = {}, {}
+    for name, (fn, items, info) in rows.items():
+        t0 = _cpu()
+        outs = [fn(x) for x in items]
+        warm = _cpu() - t0
+        repeats[name] = max(1, math.ceil(MIN_PASS_S / max(warm, 1e-9)))
+        digest = hashlib.sha256()
+        for line in _lines(outs):
+            digest.update(line.encode() + b"\n")
+        header[name] = {"rounds": ROUNDS, **info,
+                        "result_sha256": digest.hexdigest()}
+    check, pairs, _ = rows["preservation_pair_us"]
     prof = cProfile.Profile()
     prof.runcall(lambda: [check(pair) for pair in pairs])
     hashes = sum(calls for (_, _, name), (_, calls, *_) in
                  pstats.Stats(prof).stats.items()
                  if name == "<built-in method builtins.hash>")
-    extra = dict(context="(5,2)", pairs=PRESERVATION_PAIRS)
-    rows = {row: _median_row(_per_call(*passes[row]), **extra)
-            for row in ("preservation_pair_us", "compare_sides_us")}
-    rows["local_constants_us"] = _median_row(
-        _per_call(*passes["local_constants_us"]), context="(5,2)",
-        classes=CLASSES, result_sha256=digests["local_constants_us"])
-    rows["hash_calls_per_pair"] = dict(extra, value=hashes / len(pairs))
-    return rows
-
-
-def worker():
-    """Serve --against: print the AGAINST_ROWS digests, then for each row
-    name read on stdin run one pass and print its CPU microseconds per
-    call."""
-    passes, digests = _against_passes(AGAINST_ROWS)
-    print(json.dumps(digests), flush=True)
+    print(json.dumps({"rows": header,
+                      "hash_calls_per_pair": hashes / len(pairs)}), flush=True)
     for line in sys.stdin:
-        fn, items = passes[line.strip()]
-        t0 = time.process_time()
-        for x in items:
-            fn(x)
-        t = time.process_time() - t0
-        print(json.dumps(t / len(items) * 1e6), flush=True)
+        name = line.rstrip("\n")
+        fn, items, _ = rows[name]
+        c0, w0 = _cpu(), time.perf_counter()
+        for _ in range(repeats[name]):
+            for x in items:
+                fn(x)
+        per_call_us = 1e6 / (repeats[name] * len(items))
+        print(json.dumps([(_cpu() - c0) * per_call_us,
+                          (time.perf_counter() - w0) * per_call_us]), flush=True)
 
 
-def against(src: Path, parent: Path, rounds):
-    """The AGAINST_ROWS of src and of parent, interleaved in two workers."""
-    procs = {}
-    times = {row: {"change": [], "parent": []} for row in AGAINST_ROWS}
-    try:
-        for side, path in (("change", src), ("parent", parent)):
-            env = dict(os.environ, PYTHONPATH=str(path))
-            procs[side] = subprocess.Popen(
-                [sys.executable, __file__, "--worker", "--src", str(path)],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-                env=env)
-        digests = {side: json.loads(p.stdout.readline())
-                   for side, p in procs.items()}
-        _check(digests["change"] == digests["parent"],
-               f"the two checkouts' results differ: {digests}")
-        for r in range(rounds):
-            order = (("change", "parent") if r % 2 == 0
-                     else ("parent", "change"))
-            for row in AGAINST_ROWS:
-                for side in order:
-                    p = procs[side]
-                    p.stdin.write(row + "\n")
-                    p.stdin.flush()
-                    times[row][side].append(json.loads(p.stdout.readline()))
-    finally:
-        for p in procs.values():  # end of input ends the worker
-            p.stdin.close()
-            p.wait()
-    out = {"parent_src": str(parent), "rounds": rounds}
-    for row, t in times.items():
-        ratios = [c / b for c, b in zip(t["change"], t["parent"])]
-        out[row] = dict(change_us=t["change"], parent_us=t["parent"],
-                        ratios=ratios, median_ratio=statistics.median(ratios),
-                        wins=sum(x < 1 for x in ratios),
-                        result_sha256=digests["change"][row])
+class Worker:
+    """A worker process serving the rows of the modwd package under src."""
+
+    def __init__(self, src: Path):
+        self.src = src
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0",
+                   OPENBLAS_NUM_THREADS="1")
+        self.proc = subprocess.Popen(
+            [sys.executable, __file__, "--worker", "--src", str(src)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+
+    def _reply(self):
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"the worker on {self.src} ended")
+        return json.loads(line)
+
+    def header(self):
+        return self._reply()
+
+    def time(self, row):
+        self.proc.stdin.write(row + "\n")
+        self.proc.stdin.flush()
+        return self._reply()
+
+    def close(self):
+        self.proc.stdin.close()  # end of input ends the worker
+        self.proc.wait()
+
+
+def _summary(times, info):
+    """The record of one row: info, and per side (name -> [[CPU, wall]
+    microseconds per call of each round]) its figures."""
+    out = dict(info)
+    for side, t in times.items():
+        out[f"{side}_us"] = [cpu for cpu, _ in t]
+        out[f"{side}_wall_us"] = [wall for _, wall in t]
+    out["median_us"] = statistics.median(out["change_us"])
+    if "parent" in times:
+        ratios = [c / p for c, p in zip(out["change_us"], out["parent_us"])]
+        out.update(ratios=ratios, median_ratio=statistics.median(ratios),
+                   wins=sum(x < 1 for x in ratios),
+                   losses=sum(x > 1 for x in ratios))
     return out
 
 
-def bench_criterion_4():
-    """The sweeps of test_criterion_4_classification_roundtrip, each scaled
-    by the speed probes on either side of it."""
-    from modwd.verify import SWEEPS, run
-
-    probes, sweeps = [_speed()], []
-    for sweep, _, full, processes in SWEEPS["roundtrip"]:
-        w0, c0 = time.perf_counter(), _cpu()
-        s = run(sweep, *full, processes=processes)
-        wall, cpu = time.perf_counter() - w0, _cpu() - c0
-        probes.append(_speed())
-        _check(s.passed, s.line())
-        f = (probes[-2] + probes[-1]) / 2
-        sweeps.append({"name": s.name, "checks": s.checked, "wall_s": wall,
-                       "cpu_s": cpu, "factor": f, "scaled_cpu_s": cpu / f})
-    return {"wall_s": sum(s["wall_s"] for s in sweeps),
-            "cpu_s": sum(s["cpu_s"] for s in sweeps),
-            "scaled_cpu_s": sum(s["scaled_cpu_s"] for s in sweeps),
-            "checks": sum(s["checks"] for s in sweeps), "budget_s": 60.0,
-            "probes": probes, "sweeps": sweeps}
+def interleave(sides):
+    """Run the rows of sides ("change", and "parent" if any, -> an object
+    with `header()` and `time(row)`) in rounds, the side that goes first
+    alternating from round to round.  Returns (row name -> record, side ->
+    header)."""
+    headers = {side: s.header() for side, s in sides.items()}
+    rows = headers["change"]["rows"]
+    for side, h in headers.items():
+        differ = sorted(row for row in set(rows) | set(h["rows"])
+                        if rows.get(row) != h["rows"].get(row))
+        _check(not differ, f"{side} and change differ on rows {differ}")
+    times = {row: {side: [] for side in sides} for row in rows}
+    order = list(sides)
+    for r in range(max(info["rounds"] for info in rows.values())):
+        for row, info in rows.items():
+            if r < info["rounds"]:
+                for side in order:
+                    times[row][side].append(sides[side].time(row))
+        order.reverse()
+    return ({row: _summary(times[row], info) for row, info in rows.items()},
+            headers)
 
 
 def main(argv=None):
@@ -559,70 +448,61 @@ def main(argv=None):
                     help="directory holding the modwd package to measure")
     ap.add_argument("--against", type=Path, metavar="PATH",
                     help="a second modwd package directory (e.g. the "
-                    "parent's src/) to interleave the AGAINST_ROWS with")
+                    "parent's src/) to interleave every row with")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     src = args.src.resolve()
-    for path in (src, args.against and args.against.resolve()):
+    parent = args.against and args.against.resolve()
+    for path in (src, parent):
         if path and not (path / "modwd").is_dir():
             ap.error(f"no modwd package under {path}")
-    sys.path.insert(0, str(src))
     if args.worker:
+        sys.path.insert(0, str(src))
         return worker()
     if args.n is None:
         ap.error("--n is required")
-    # perfbench/calibrate.py, last so that no name there shadows another
-    sys.path.append(str(ROOT / "perfbench"))
-    os.environ["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     import numpy as np
 
-    rows = {"line_classes_s": bench_line_classes()}
-    rows.update(bench_decompose())
-    rows.update(bench_kernels())
-    rows["matmul_us"] = bench_matmul()
-    rows["field_build_ms"] = bench_fields()
-    rows["oracle_us"] = bench_oracle()
-    rows.update(bench_preservation())
-    rows["criterion_4_s"] = bench_criterion_4()
-    if args.against:
-        rows["against"] = against(src, args.against.resolve(), ROUNDS)
+    t0 = time.perf_counter()
+    sides = {"change": Worker(src)}
+    if parent:
+        sides["parent"] = Worker(parent)
+    try:
+        timed, headers = interleave(sides)
+    finally:
+        for s in sides.values():
+            s.close()
+    rows = {}
+    for name, row in timed.items():
+        group, _, key = name.partition("/")
+        if key:
+            rows.setdefault(group, {})[key] = row
+        else:
+            rows[name] = row
+    rows["hash_calls_per_pair"] = dict(
+        context="(5,2)", pairs=PRESERVATION_PAIRS,
+        **{side: h["hash_calls_per_pair"] for side, h in headers.items()})
     record = {
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                "numpy": np.__version__, "git_sha": _git_sha(src),
-                "src_sha256": _src_digest(src), "src_lines": _src_lines(src),
-                "unit": "CPU microseconds unless a row says otherwise"},
+                "numpy": np.__version__, **_package(src),
+                "against": parent and _package(parent),
+                "wall_s": time.perf_counter() - t0,
+                "unit": "microseconds per call, CPU unless named wall"},
         "rows": rows,
     }
     path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
-    print(f"{'row':32s} {'raw':>10s} {'scaled':>10s}")
-    named = [(name, rows[name]) for name in
-             ("realize_us", "decompose_realized_us", "decompose_transported_us",
-              "preservation_pair_us", "compare_sides_us",
-              "local_constants_us")]
-    for group, label in (("charpoly_us", "n={}"), ("rref_us", "{}"),
-                         ("matmul_us", "{}"),
-                         ("field_build_ms", "F({})"), ("oracle_us", "{}")):
-        named += [(f"{group} {label.format(key)}", row)
-                  for key, row in rows[group].items()]
-    for name, row in named:
-        print(f"{name:32s} {row['median']:10.1f} {row['scaled_median']:10.1f}")
-    print(f"{'hash_calls_per_pair':32s} "
-          f"{rows['hash_calls_per_pair']['value']:10.1f}")
-    lc = rows["line_classes_s"]
-    print(f"{'line_classes_s':32s} {lc['median']:10.3f} {lc['scaled_median']:10.3f}")
-    c4 = rows["criterion_4_s"]
-    print(f"{'criterion_4_s CPU':32s} {c4['cpu_s']:10.1f} {c4['scaled_cpu_s']:10.1f}"
-          f"  ({c4['wall_s']:.1f} s wall)")
-    if args.against:
-        print(f"against {rows['against']['parent_src']}, "
-              f"{ROUNDS} rounds: median change / parent, wins")
-        for row in AGAINST_ROWS:
-            r = rows["against"][row]
-            print(f"{row:32s} {r['median_ratio']:10.3f} "
-                  f"{r['wins']:4d}/{ROUNDS}")
+    print(f"wrote {path} in {record['env']['wall_s']:.0f} s")
+    print(f"{'row':40s} {'median us':>12s}"
+          + (f" {'change/parent':>14s} {'wins':>7s}" if parent else ""))
+    for name, row in timed.items():
+        line = f"{name:40s} {row['median_us']:12.1f}"
+        if parent:
+            line += (f" {row['median_ratio']:14.3f} "
+                     f"{row['wins']:3d}/{row['rounds']}")
+        print(line)
+    print("hash_calls_per_pair", ", ".join(
+        f"{side} {h['hash_calls_per_pair']:.1f}" for side, h in headers.items()))
 
 
 if __name__ == "__main__":

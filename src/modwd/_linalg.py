@@ -263,7 +263,7 @@ class FMat:
         w = self.ncols
         aug = FMat.hstack([self, T])
         R, pivots = aug.rref()
-        if pivots[:w] != list(range(w)) or len([p for p in pivots if p < w]) != w:
+        if pivots[:w] != list(range(w)):
             raise ValueError("basis matrix is not full column rank")
         if any(p >= w for p in pivots):
             raise ValueError("columns do not lie in the span of the basis")

@@ -184,19 +184,19 @@ def l_factor_matrix(m: MatrixDeligne, ctx):
     return one, LaurentPoly.from_coeff_list(field, list(reversed(cp)))
 
 
-def check_multiplicativity(n, m, psi, psi2, ctx, table=None) -> bool:
+def check_multiplicativity(n, m, psi, psi2, ctx) -> bool:
     """L(X, [0,n-1]psi (x)ss [0,m-1]psi') = prod_k L(X, nu^(n-1)psi (x)ss
     nu^k psi'), cross-checked against the matrix kernel computation."""
     if m > n:
         raise ValueError("check_multiplicativity expects m <= n")
     A = DeligneClass(ctx, ((seg(psi, n, 0, ctx), 1),))
     B = DeligneClass(ctx, ((seg(psi2, m, 0, ctx), 1),))
-    lhs = l_factor(tensor_ss(A, B, table))
+    lhs = l_factor(tensor_ss(A, B))
     rhs = RationalFraction.one(ctx.field)
     for k in range(m):
         left = DeligneClass(ctx, ((seg(psi, 1, n - 1, ctx), 1),))
         right = DeligneClass(ctx, ((seg(psi2, 1, k, ctx), 1),))
-        rhs = rhs * l_factor(tensor_ss(left, right, table))
+        rhs = rhs * l_factor(tensor_ss(left, right))
     if lhs != rhs:
         return False
     if isinstance(psi, UnramifiedChar) and isinstance(psi2, UnramifiedChar):

@@ -223,28 +223,17 @@ def j_ell(k: int, lift, ctx) -> GenericRep:
         raise ValueError("j_ell needs k >= 1")
     out = []
     if isinstance(lift, NonSuperCusp):
-        line, base_level = lift.line, lift.k
-        digits = []
-        kk = k
-        while kk:
-            digits.append(kk % ctx.ell)
-            kk //= ctx.ell
-        for i, d in enumerate(digits):
-            if d:
-                out.append(GLSegment(NonSuperCusp(line, base_level + i), d, 0))
-        return make_generic(out, ctx)
-    o = irr_order(lift.irr, ctx)
-    u, r = divmod(k, o)
-    if r:
-        out.append(GLSegment(lift, r, 0))
-    line = line_of(lift.irr, ctx)[0]
-    digits = []
+        line, level, u = lift.line, lift.k, k
+    else:
+        u, r = divmod(k, irr_order(lift.irr, ctx))
+        if r:
+            out.append(GLSegment(lift, r, 0))
+        line, level = line_of(lift.irr, ctx)[0], 0
     while u:
-        digits.append(u % ctx.ell)
-        u //= ctx.ell
-    for i, d in enumerate(digits):
+        u, d = divmod(u, ctx.ell)
         if d:
-            out.append(GLSegment(NonSuperCusp(line, i), d, 0))
+            out.append(GLSegment(NonSuperCusp(line, level), d, 0))
+        level += 1
     return make_generic(out, ctx)
 
 

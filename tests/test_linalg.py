@@ -299,6 +299,30 @@ def test_kernel_matches_reference(ell, k):
     assert mats[3].kernel().a.shape == (5, 0)
 
 
+@pytest.mark.parametrize("ell,k", [(5, 1), (5, 2)])
+def test_solve_in_basis(ell, k):
+    """B @ X = T gives back X when B has full column rank and T lies in its
+    span; a basis with a dependent column, or a T with a column outside
+    the span, raises."""
+    F = finite_field(ell, k)
+    rng = random.Random(f"solve:{ell}:{k}")
+    for _ in range(30):
+        n = rng.randrange(2, 10)
+        w, m = rng.randrange(1, n), rng.randrange(0, 4)
+        P = rand_invertible(F, n, rng)
+        B = FMat(F, P.a[:, :w].copy())
+        X = rand_fmat(F, w, m, rng)
+        assert B.solve_in_basis(B @ X) == X
+        # the last column is a combination of the others
+        dependent = FMat.hstack([B, B @ rand_fmat(F, w, 1, rng)])
+        with pytest.raises(ValueError, match="not full column rank"):
+            dependent.solve_in_basis(B @ X)
+        # column w of P is independent of B's columns
+        outside = FMat.hstack([B @ X, FMat(F, P.a[:, w:w + 1].copy())])
+        with pytest.raises(ValueError, match="do not lie in the span"):
+            B.solve_in_basis(outside)
+
+
 def ref_det(F, rows):
     """Determinant by Gaussian elimination on scalar indices."""
     a = [list(r) for r in rows]
