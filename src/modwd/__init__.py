@@ -3,14 +3,13 @@ normal forms, local constants, the semisimple tensor product, the V/CV/C
 correspondences, and a finite-field matrix oracle for all of it."""
 
 from .field import FieldCtx, FieldElem, make_ctx, mult_order
-from .laurent import (FactorExpr, LaurentPoly, RationalFraction, UnitExpr,
-                      euler_factor, is_unit)
+from .laurent import (FactorExpr, RationalFraction, UnitExpr, euler_factor,
+                      is_unit)
 from .weil import (FusionTable, Line, RamifiedAbstract, UnramifiedChar,
                    dual_irr, fuse, line_of, twist)
 from .deligne import (Character, Cyc, DeligneClass, Seg, cv_map, cyc,
                       det_class, dsum, dual_class, normalize, seg,
-                      seg_tensor_profile, split_cyclic, tensor_ss, twist_class,
-                      zero_class)
+                      split_cyclic, tensor_ss, twist_class, zero_class)
 from .matrixmodel import (MatrixDeligne, decompose, matrix_dual,
                           oracle_tensor_ss, raw_tensor, realize, semisimplify,
                           validate)

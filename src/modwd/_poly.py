@@ -5,7 +5,8 @@ zeros ([] is the zero polynomial).  This is the one F_ell[x] arithmetic of
 the package: field.py searches the field modulus with it over the prime
 field, _linalg builds characteristic polynomials, the matrix model takes
 roots, gcds, quotients and radicals and embeds one field in a larger one,
-and laurent expands local factors for printing.
+and laurent expands local factors to print them and to compare them with
+the matrix route.
 """
 
 

@@ -24,7 +24,7 @@ from math import comb
 from .errors import ContainsCyc, MixedLines
 from .field import FieldElem
 from .weil import (Line, UnramifiedChar, dual_irr, fuse, irr_dim, irr_order,
-                   line_key, line_of, line_product)
+                   line_key, line_of)
 
 
 class _Part:
@@ -219,7 +219,8 @@ def twist_class(a: DeligneClass, nu_power=0, chi: UnramifiedChar = None) -> Deli
         else:
             line = ind.line
             if chi is not None:
-                line = line_product(line, line_of(chi, ctx)[0], ctx)
+                (_, base), = fuse(chi, line.base, ctx)
+                line = line_of(base, ctx)[0]
             out.append((cyc(line, ind.r, ctx), m))
     return merge(out, ctx)
 
@@ -287,14 +288,6 @@ def interval_profile(n, m, ell):
             if mult:
                 out.append(((c, d), mult))
     return tuple(sorted(out))
-
-
-def seg_tensor_profile(n, m, ctx) -> tuple:
-    """Interval multiset of [0,n-1] (x) [0,m-1] over the context's residue
-    characteristic."""
-    if n < 1 or m < 1:
-        raise ValueError("profile needs positive lengths")
-    return interval_profile(n, m, ctx.ell)
 
 
 # -- semisimple tensor product ------------------------------------------------
@@ -434,9 +427,6 @@ class Character:
             d[lbl] = d.get(lbl, 0) + e
         fin = tuple(sorted((l, e) for l, e in d.items() if e))
         return Character(self.unram_value * other.unram_value, fin)
-
-    def is_trivial(self):
-        return self.unram_value.i == 1 and not self.finite
 
     def __repr__(self):
         parts = [repr(self.unram_value)]

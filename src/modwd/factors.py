@@ -16,7 +16,8 @@ form of laurent.py, a unit times an exponent map on reciprocal roots:
   The invertibility assertion is a hard error, not a convention.
 
 The matrix route l_factor_matrix stays polynomial: it expands
-det(Id - X Frob) from a characteristic polynomial and finds no roots.
+det(Id - X Frob) from a characteristic polynomial into a _poly index list
+and finds no roots.
 
 The additive character psi is fixed at level 0, which makes epsilon of an
 unramified character 1; every identity checked on both sides of the
@@ -28,7 +29,8 @@ from __future__ import annotations
 from .deligne import DeligneClass, Seg, tensor_ss, seg
 from .errors import EpsilonNotUnit
 from .field import FieldElem
-from .laurent import FactorExpr, LaurentPoly, RationalFraction, UnitExpr
+from . import _poly
+from .laurent import FactorExpr, RationalFraction, UnitExpr
 from .matrixmodel import MatrixDeligne, raw_tensor, realize
 from .weil import UnramifiedChar
 
@@ -171,17 +173,15 @@ def epsilon_factor(a: DeligneClass) -> FactorExpr:
 
 def l_factor_matrix(m: MatrixDeligne, ctx):
     """The same determinant computed literally on a matrix realization, as
-    the expanded fraction (num, den) = (1, det(Id - X M)) with M the
-    Frobenius on Ker(U); compare it with l_factor(a).expanded()."""
-    field = m.F.field
-    one = LaurentPoly.one(field)
+    the expanded fraction (num, den) = ([1], det(Id - X M)) of _poly index
+    lists, with M the Frobenius on Ker(U); compare it with
+    l_factor(a).expanded()."""
     K = m.U.kernel()
     if K.ncols == 0:
-        return one, one
+        return [1], [1]
     M = K.solve_in_basis(m.F @ K)
-    cp = M.charpoly()
     # det(Id - XM) = X^d charpoly(1/X); charpoly monic makes the constant 1
-    return one, LaurentPoly.from_coeff_list(field, list(reversed(cp)))
+    return [1], _poly.pnorm(M.charpoly()[::-1])
 
 
 def check_multiplicativity(n, m, psi, psi2, ctx) -> bool:

@@ -121,17 +121,6 @@ class GenericRep:
         self.ctx = ctx
         self.segs = segs
 
-    def gl_rank(self):
-        ctx = self.ctx
-        out = 0
-        for s, m in self.segs:
-            if isinstance(s.cusp, NonSuperCusp):
-                o = s.cusp.line.order
-                out += m * s.r * o * (ctx.ell ** s.cusp.k)
-            else:
-                out += m * s.r
-        return out
-
     def is_zero(self):
         return not self.segs
 

@@ -109,13 +109,6 @@ def twist(psi, k: int, ctx: FieldCtx):
     return psi, k % psi.order
 
 
-def line_product(a: Line, b: Line, ctx: FieldCtx):
-    """The line of (base of a) * (base of b); unramified lines only."""
-    if not (isinstance(a.base, UnramifiedChar) and isinstance(b.base, UnramifiedChar)):
-        raise MissingFusionRule("product of lines needs unramified bases or a fusion table")
-    return line_of(UnramifiedChar(a.base.t * b.base.t), ctx)[0]
-
-
 def _pair_key(a, b):
     ka = repr(a)
     kb = repr(b)

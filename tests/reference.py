@@ -1,0 +1,49 @@
+"""The group law on local constants, kept apart from factors.epsilon_from
+so the epsilon tests compare against a formula that does not go through it.
+
+A local constant is unit * prod_a (1 - aX)^(e_a).  Products and quotients
+add or subtract the exponent maps and multiply the units; the substitution
+X -> q^-1 X^-1 sends (1 - aX)^e to (-a q^-1 X^-1)^e (1 - q a^-1 X)^e.
+"""
+
+from modwd.laurent import FactorExpr, RationalFraction, UnitExpr
+
+
+def factor(frac, unit=None):
+    """The FactorExpr unit * frac, with unit 1 by default."""
+    return FactorExpr(frac.field, unit or UnitExpr(frac.field), frac)
+
+
+def mul(f, g, sign=1):
+    """f * g, or f / g when sign is -1."""
+    F = f.field
+    toks = dict(f.unit.tokens)
+    for t, e in g.unit.tokens:
+        toks[t] = toks.get(t, 0) + sign * e
+    exponents = dict(f.frac.roots)
+    for a, e in g.frac.roots:
+        exponents[a] = exponents.get(a, 0) + sign * e
+    unit = UnitExpr(F, F.mul_idx(f.unit.scalar, F.pow_idx(g.unit.scalar, sign)),
+                    f.unit.x_power + sign * g.unit.x_power, toks)
+    return FactorExpr(F, unit, RationalFraction.make(F, exponents))
+
+
+def subst_qinv(f, q_img):
+    """f(q^-1 X^-1); epsilon tokens are left fixed."""
+    F = f.field
+    q = q_img.i
+    neg_qinv = F.neg_idx(F.inv_idx(q))
+    scalar = F.mul_idx(f.unit.scalar, F.pow_idx(q, -f.unit.x_power))
+    x_power, exponents = -f.unit.x_power, {}
+    for a, e in f.frac.roots:
+        scalar = F.mul_idx(scalar, F.pow_idx(F.mul_idx(neg_qinv, a), e))
+        x_power -= e
+        exponents[F.mul_idx(q, F.inv_idx(a))] = e
+    return FactorExpr(F, UnitExpr(F, scalar, x_power, f.unit.tokens),
+                      RationalFraction.make(F, exponents))
+
+
+def group_epsilon(gamma, l, l_dual, ctx):
+    """gamma * L(X) / L(q^-1 X^-1, dual) by the group law."""
+    return mul(mul(gamma, factor(l)),
+               subst_qinv(factor(l_dual), ctx.q_img), -1)

@@ -3,10 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from modwd import (Cyc, RamifiedAbstract, Seg, UnramifiedChar, cv_map,
                    det_class, dsum, dual_class, make_ctx, normalize,
-                   seg_tensor_profile, split_cyclic, tensor_ss, twist_class,
-                   zero_class)
+                   split_cyclic, tensor_ss, twist_class, zero_class)
 from modwd import deligne
-from modwd.deligne import interval_profile
+from modwd.deligne import interval_profile, trivial_character
 from modwd.errors import ContainsCyc, MissingFusionRule, MixedLines
 from modwd.matrixmodel import MatrixDeligne, decompose, matrix_dual, realize
 from modwd.weil import FusionTable, line_of
@@ -89,6 +88,25 @@ def test_twist_examples(ctx52):
     assert decompose(twisted, ctx52) == twist_class(cy, chi=UnramifiedChar(s))
 
 
+def test_twist_commutes_with_cv_on_ramified_orbit(ctx52):
+    # a full orbit block of a ramified psi becomes a cycle on its line; a
+    # character twists the cycle's base as it twists each segment, whether
+    # it is a power of q (same line) or not (a new abstract line)
+    F = ctx52.field
+    psi = RamifiedAbstract("psi", 2, 2, "psi")
+    a = normalize([(Seg(psi, r, k), 2) for r in (1, 3) for k in range(2)],
+                  ctx52)
+    powers_of_q = {ctx52.nu_value(j) for j in range(ctx52.o_nu)}
+    inside, outside = F.from_int(2), F.elem(7)
+    assert inside in powers_of_q and outside not in powers_of_q
+    for t in (inside, outside):
+        chi_t = UnramifiedChar(t)
+        assert twist_class(cv_map(a), chi=chi_t) == \
+            cv_map(twist_class(a, chi=chi_t))
+    moved = twist_class(cv_map(a), chi=UnramifiedChar(outside))
+    assert moved != cv_map(a) and not moved.is_nilpotent()
+
+
 def test_profile_examples():
     assert interval_profile(1, 1, 5) == (((0, 0), 1),)
     assert interval_profile(2, 2, 2) == (((0, 1), 1), ((1, 2), 1))
@@ -163,10 +181,11 @@ def test_profile_matches_iterated_products():
                     n, m, ell), (n, m, ell)
 
 
-def test_seg_tensor_profile_signature(ctx23):
-    assert seg_tensor_profile(2, 2, ctx23) == (((0, 1), 1), ((1, 2), 1))
-    with pytest.raises(ValueError):
-        seg_tensor_profile(0, 1, ctx23)
+def test_profile_at_context_characteristic(ctx23, ctx34):
+    # [0,1] (x) [0,1] splits as [0,1] + [1,2] in characteristic 2 and as
+    # [0,2] + [1,1] in characteristic 3
+    assert interval_profile(2, 2, ctx23.ell) == (((0, 1), 1), ((1, 2), 1))
+    assert interval_profile(2, 2, ctx34.ell) == (((0, 2), 1), ((1, 1), 1))
 
 
 def test_tensor_examples(ctx52):
@@ -316,7 +335,7 @@ def test_split_and_cv_match_reference(ell, q):
 def test_det_examples(ctx52):
     F = ctx52.field
     c1 = chi(ctx52, 1)
-    assert det_class(normalize([Seg(c1, 1, 0)], ctx52)).is_trivial()
+    assert det_class(normalize([Seg(c1, 1, 0)], ctx52)) == trivial_character(ctx52)
     t = F.from_int(2)
     r = 3
     d = det_class(normalize([Seg(chi(ctx52, 2), r, 0)], ctx52))
