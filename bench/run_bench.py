@@ -67,6 +67,12 @@ Rows, all at (5,2) over F(5^2) unless named otherwise:
   `verify.SWEEPS["roundtrip"]`) through `verify.run`, with two pool
   workers for the full roundtrips as in the test, and checks that each
   passes: the whole criterion's raw CPU and wall time, in microseconds.
+- `criterion_2_s`: one call checks one interleaved bucket of the (5,2)
+  sweep of `test_criterion_2_preservation_sweep` (the full grid of
+  `verify.SWEEPS["preservation"]`), serially:
+  `verify._check_rows(0, C2_STRIDE, population)` walks the rows 0,
+  C2_STRIDE, 2 C2_STRIDE, ..., 20,150 of the sweep's 316,410 pair checks,
+  and must find 0 failures.  A pass takes 1-2 s, so ROUNDS rounds fit.
 """
 
 from __future__ import annotations
@@ -93,6 +99,7 @@ PRESERVATION_PAIRS = 2000
 MIN_PASS_S = 0.2
 ROUNDS = 20
 C4_ROUNDS = 3
+C2_STRIDE = 16
 
 
 def _git_sha(src: Path):
@@ -263,7 +270,7 @@ def _rows():
     from modwd.factors import local_constants
     from modwd.gln import PairSide, compare_sides
     from modwd.matrixmodel import decompose
-    from modwd.verify import SWEEPS, enumerate_generic_reps, run
+    from modwd.verify import SWEEPS, _check_rows, enumerate_generic_reps, run
 
     ctx, classes, moved = _decompose_inputs()
 
@@ -287,6 +294,14 @@ def _rows():
                  for sweep, _, full, processes in grid]
         _check(all(line.startswith("PASS") for line in lines), lines)
         return lines
+
+    sweep, _, full, _ = SWEEPS["preservation"][0]
+    sweep_52 = sweep(*full)
+
+    def criterion_2(bucket):
+        checked, failures = _check_rows(*bucket, sweep_52)
+        _check(not failures, failures[:1])
+        return checked
 
     reps = enumerate_generic_reps(ctx, max_segments=3, max_len=4, max_k=1)
     rng = random.Random(f"{SEED}:pairs")
@@ -315,6 +330,8 @@ def _rows():
     rows["local_constants_us"] = (local_constants, classes, class_info)
     rows["criterion_4_s"] = (criterion_4, [SWEEPS["roundtrip"]], dict(
         budget_s=60.0, rounds=C4_ROUNDS))
+    rows["criterion_2_s"] = (criterion_2, [(0, C2_STRIDE)], dict(
+        context="(5,2)", budget_s=120.0, stride=C2_STRIDE))
     return rows
 
 

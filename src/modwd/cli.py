@@ -189,7 +189,7 @@ def run(argv, out=None) -> int:
         elif args.command == "pair":
             pi = dsl.parse_rep(args.expr, ctx)
             pi2 = dsl.parse_rep(args.expr2, ctx)
-            report = check_preservation(pi, pi2, table)
+            report = check_preservation(pi, pi2)
             verdict = "MATCH" if report.all_match else "MISMATCH"
             _emit(args, ctx, [("report", list(report.lines())),
                               ("verdict", verdict)], out)

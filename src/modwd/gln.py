@@ -9,17 +9,23 @@ non-banal part, which is invisible to L-factors.  The Rankin-Selberg base
 case is the Tate factor of the product character, computed directly rather
 than through the correspondence, so the preservation check really does
 cross-validate CV, the semisimple tensor and the kernel bookkeeping.
+
+The Galois side of a pair is L, gamma and epsilon of tensor_ss(C(pi),
+C(pi')), whose L, dual L and constituent counts are sums over pairs of
+C-parts: compare_sides sums cached part pair constants, filled by the
+tensor rule and factors.py's readers, and never builds the tensor.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .deligne import (Character, DeligneClass, cv_map, merge, seg,
-                      tensor_ss, trivial_character)
+from .deligne import (Character, DeligneClass, _tensor_indec_cached, cv_map,
+                      merge, seg, tensor_ss, trivial_character)
 from .errors import InvalidGenericRep, MixedLines, RamifiedCuspLine
-from .factors import (epsilon_from, gamma_from_counts, l_factor,
-                      local_constants)
+from .factors import (_l_of, constituent_counts, epsilon_from,
+                      gamma_from_counts, l_factor)
 from .laurent import FactorExpr, RationalFraction
 from .weil import Line, UnramifiedChar, dual_irr, irr_order, line_of
 
@@ -378,7 +384,8 @@ def central_char(pi: GenericRep) -> Character:
 class PairSide:
     """What the preservation check reads off one representation, computed
     once: its C-parameter, its supercuspidal support, and the banal
-    segments of it and of its dual."""
+    segments of it and of its dual.  The support must be unramified
+    (RamifiedCuspLine), so no C-part pair needs a declared fusion rule."""
 
     __slots__ = ("ctx", "c", "support", "banal", "dual_banal")
 
@@ -438,28 +445,50 @@ class PreservationReport:
         yield f"EPS gal={self.gal_eps!r}  [{'MATCH' if self.eps_match else 'MISMATCH'}]"
 
 
-def compare_sides(side: PairSide, side2: PairSide,
-                  table=None) -> PreservationReport:
+@functools.lru_cache(maxsize=8192)
+def _part_pair_constants(A, B, ctx):
+    """What the pair of C-parts (A, B) adds to the Galois side: the
+    exponent maps of L(A (x) B) and of its dual's L, and its constituent
+    counts (unramified character values, ramified (label, twist) pairs),
+    each as (key, count) pairs of the class merge(A (x) B)."""
+    a = merge(_tensor_indec_cached(A, B, ctx), ctx)
+    chars, toks = constituent_counts(a)
+    return (_l_of(a).roots, _l_of(a, dual=True).roots, tuple(chars.items()),
+            tuple(toks.items()))
+
+
+def compare_sides(side: PairSide, side2: PairSide) -> PreservationReport:
     """Both sides of the three preservation identities: the pair factors,
-    and the factors of the semisimple tensor of the C-parameters.  Either
-    epsilon raises EpsilonNotUnit when it is not a unit."""
+    and local_constants(tensor_ss(c, c2)) of the C-parameters, read once
+    off the sums of m_A m2_B times the constants of each part pair (A, B).
+    Either epsilon raises EpsilonNotUnit when it is not a unit."""
     ctx = side.ctx
     rs_l = _pair_l(ctx, side.banal, side2.banal)
     rs_gamma = _pair_gamma(ctx, side.support, side2.support)
     rs_eps = epsilon_from(rs_gamma, rs_l,
                           _pair_l(ctx, side.dual_banal, side2.dual_banal), ctx)
-    gal_l, gal_gamma, gal_eps = local_constants(
-        tensor_ss(side.c, side2.c, table))
+    sums = ({}, {}, {}, {})
+    for A, m in side.c.parts:
+        for B, m2 in side2.c.parts:
+            w = m * m2
+            for acc, items in zip(sums, _part_pair_constants(A, B, ctx)):
+                for key, e in items:
+                    acc[key] = acc.get(key, 0) + w * e
+    l, l_dual, chars, toks = sums
+    gal_l = RationalFraction.make(ctx.field, l)
+    gal_gamma = gamma_from_counts(chars, toks, ctx)
+    gal_eps = epsilon_from(gal_gamma, gal_l,
+                           RationalFraction.make(ctx.field, l_dual), ctx)
     return PreservationReport(rs_l, gal_l, rs_gamma, gal_gamma, rs_eps,
                               gal_eps)
 
 
-def check_preservation(pi: GenericRep, pi2: GenericRep, table=None,
+def check_preservation(pi: GenericRep, pi2: GenericRep,
                        with_v_side=True) -> PreservationReport:
     """Both sides of the three preservation identities, plus (optionally)
     the V-side L-factor witnessing that the plain nilpotent parameter does
     not preserve L."""
-    report = compare_sides(PairSide(pi), PairSide(pi2), table)
+    report = compare_sides(PairSide(pi), PairSide(pi2))
     if with_v_side:
-        report.v_side_l = l_factor(tensor_ss(v_map(pi), v_map(pi2), table))
+        report.v_side_l = l_factor(tensor_ss(v_map(pi), v_map(pi2)))
     return report

@@ -4,11 +4,13 @@ import pytest
 
 from modwd import (Cyc, Seg, UnramifiedChar, banal_tnb_split, c_map,
                    central_char, check_preservation, det_class, dual_class,
-                   dual_rep, euler_factor, is_unit, j_ell, make_generic,
-                   normalize, rs_epsilon_factor, rs_gamma_factor, rs_l_factor,
-                   twist_class, twist_rep, unlinked, v_map)
+                   dual_rep, euler_factor, is_unit, j_ell, make_ctx,
+                   make_generic, normalize, rs_epsilon_factor, rs_gamma_factor,
+                   rs_l_factor, tensor_ss, twist_class, twist_rep, unlinked,
+                   v_map)
 from modwd.deligne import dsum, trivial_character
 from modwd.errors import InvalidGenericRep, MixedLines, RamifiedCuspLine
+from modwd.factors import local_constants
 from modwd.gln import (GLSegment, NonSuperCusp, PairSide, SuperCusp,
                        compare_sides)
 from modwd.verify import enumerate_generic_reps
@@ -192,6 +194,51 @@ def test_preservation_banal_and_duals(ctx52):
             assert check_preservation(pi, pi2, with_v_side=False).all_match
             assert check_preservation(dual_rep(pi), dual_rep(pi2),
                                       with_v_side=False).all_match
+
+
+@pytest.mark.parametrize("ell, q", [(5, 2), (3, 2), (2, 3), (3, 4), (7, 2)])
+def test_galois_side_matches_tensor_reference(ell, q):
+    # compare_sides sums cached part-pair constants; the reference reads
+    # local_constants off the built tensor of the C-parameters.  (7,2) is
+    # the one context here with an odd o > 1 (o = 3)
+    ctx = make_ctx(ell, q)
+    reps = enumerate_generic_reps(ctx, max_segments=3, max_len=4, max_k=1)
+    sides = [PairSide(pi) for pi in reps]
+    rng = random.Random(f"galois:{ell},{q}")
+    for _ in range(2000):
+        side, side2 = rng.choice(sides), rng.choice(sides)
+        report = compare_sides(side, side2)
+        got = (report.gal_l, report.gal_gamma, report.gal_eps)
+        want = local_constants(tensor_ss(side.c, side2.c))
+        assert got == want, (side.c, side2.c)
+        assert list(map(repr, got)) == list(map(repr, want))
+
+
+def test_part_pair_cache_does_not_hide_the_tensor_rule(ctx52, monkeypatch):
+    # a tensor rule that drops the last piece of a segment (x) segment
+    # product reaches compare_sides once the caches are cleared
+    from modwd import deligne
+    from modwd.gln import _part_pair_constants
+
+    tensor_indec = deligne._tensor_indec
+
+    def dropping_last(A, B, ctx, table):
+        out = tensor_indec(A, B, ctx, table)
+        return out[:-1] if isinstance(A, Seg) and isinstance(B, Seg) else out
+
+    assert _part_pair_constants.cache_info().maxsize is not None
+    side = PairSide(make_generic([sc_seg(ctx52, 2, 0)], ctx52))
+    caches = (deligne._tensor_indec_cached, _part_pair_constants)
+    assert compare_sides(side, side).all_match
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(deligne, "_tensor_indec", dropping_last)
+            assert compare_sides(side, side).mismatch() is not None
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_pair_side_dual_segments(ctx52, ctx32, ctx23, ctx34):
