@@ -14,9 +14,8 @@ It calls each row's function once on all its items to warm the caches,
 hashes the results into the row's `result_sha256`, and repeats the items
 in a timed pass often enough for the pass to last MIN_PASS_S by the warm
 pass's CPU time: a shorter pass is decided by one speed switch of a
-shared virtual machine.  This process runs the rows in ROUNDS rounds
-(C4_ROUNDS for `criterion_4_s`), asking the worker for one pass of each
-row in each round.  Every row records, per round, the CPU microseconds
+shared virtual machine.  This process runs the rows in ROUNDS rounds,
+asking the worker for one pass of each row in each round.  Every row records, per round, the CPU microseconds
 per call of the worker and its waited children (`change_us`), the wall
 microseconds per call (`change_wall_us`), and the CPU median
 (`median_us`).  Workers get PYTHONHASHSEED=0 (one set order on both
@@ -62,17 +61,16 @@ Rows, all at (5,2) over F(5^2) unless named otherwise:
   calls of the builtin `hash` per `check_preservation`, under cProfile.
 - `local_constants_us`: `local_constants(a)` (L, gamma and epsilon) over
   the classes of the `decompose` rows.
-- `criterion_4_s`: one call runs the sweeps of
-  `test_criterion_4_classification_roundtrip` (the full grid of
-  `verify.SWEEPS["roundtrip"]`) through `verify.run`, with two pool
-  workers for the full roundtrips as in the test, and checks that each
-  passes: the whole criterion's raw CPU and wall time, in microseconds.
-- `criterion_2_s`: one call checks one interleaved bucket of the (5,2)
-  sweep of `test_criterion_2_preservation_sweep` (the full grid of
-  `verify.SWEEPS["preservation"]`), serially:
-  `verify._check_rows(0, C2_STRIDE, population)` walks the rows 0,
-  C2_STRIDE, 2 C2_STRIDE, ..., 20,150 of the sweep's 316,410 pair checks,
-  and must find 0 failures.  A pass takes 1-2 s, so ROUNDS rounds fit.
+- `criterion_4_s` and `criterion_2_s`: one call checks one interleaved
+  bucket of a (5,2) sweep of an acceptance test, serially, and must find
+  0 failures: `verify._check_rows(0, STRIDE, population)` walks the rows
+  0, STRIDE, 2 STRIDE, ... of the sweep on its full grid.  For
+  `criterion_4_s` that is the roundtrip of
+  `test_criterion_4_classification_roundtrip` (`verify.SWEEPS["roundtrip"]`),
+  2,505 of its 80,139 classes at C4_STRIDE; for `criterion_2_s` the
+  preservation sweep of `test_criterion_2_preservation_sweep`
+  (`verify.SWEEPS["preservation"]`), 20,150 of its 316,410 pair checks at
+  C2_STRIDE.  A pass takes 1-2 s, so ROUNDS rounds fit.
 """
 
 from __future__ import annotations
@@ -98,7 +96,7 @@ ORACLE_PAIRS = 100
 PRESERVATION_PAIRS = 2000
 MIN_PASS_S = 0.2
 ROUNDS = 20
-C4_ROUNDS = 3
+C4_STRIDE = 32
 C2_STRIDE = 16
 
 
@@ -270,7 +268,7 @@ def _rows():
     from modwd.factors import local_constants
     from modwd.gln import PairSide, compare_sides
     from modwd.matrixmodel import decompose
-    from modwd.verify import SWEEPS, _check_rows, enumerate_generic_reps, run
+    from modwd.verify import SWEEPS, _check_rows, enumerate_generic_reps
 
     ctx, classes, moved = _decompose_inputs()
 
@@ -289,19 +287,17 @@ def _rows():
         _check(report.all_match, f"{pair[0]!r} x {pair[1]!r}")
         return report
 
-    def criterion_4(grid):
-        lines = [run(sweep, *full, processes=processes).line()
-                 for sweep, _, full, processes in grid]
-        _check(all(line.startswith("PASS") for line in lines), lines)
-        return lines
+    def first_bucket(name):
+        """The check of one bucket of the first sweep of SWEEPS[name] on
+        its full grid, given the stride."""
+        sweep, _, full, _ = SWEEPS[name][0]
+        population = sweep(*full)
 
-    sweep, _, full, _ = SWEEPS["preservation"][0]
-    sweep_52 = sweep(*full)
-
-    def criterion_2(bucket):
-        checked, failures = _check_rows(*bucket, sweep_52)
-        _check(not failures, failures[:1])
-        return checked
+        def check(stride):
+            checked, failures = _check_rows(0, stride, population)
+            _check(not failures, failures[:1])
+            return checked
+        return check
 
     reps = enumerate_generic_reps(ctx, max_segments=3, max_len=4, max_k=1)
     rng = random.Random(f"{SEED}:pairs")
@@ -328,9 +324,9 @@ def _rows():
     rows["compare_sides_us"] = (lambda s: compare_sides(*s), [
         (PairSide(a), PairSide(b)) for a, b in pairs], pair_info)
     rows["local_constants_us"] = (local_constants, classes, class_info)
-    rows["criterion_4_s"] = (criterion_4, [SWEEPS["roundtrip"]], dict(
-        budget_s=60.0, rounds=C4_ROUNDS))
-    rows["criterion_2_s"] = (criterion_2, [(0, C2_STRIDE)], dict(
+    rows["criterion_4_s"] = (first_bucket("roundtrip"), [C4_STRIDE], dict(
+        context="(5,2)", budget_s=60.0, stride=C4_STRIDE))
+    rows["criterion_2_s"] = (first_bucket("preservation"), [C2_STRIDE], dict(
         context="(5,2)", budget_s=120.0, stride=C2_STRIDE))
     return rows
 

@@ -23,8 +23,8 @@ from math import comb
 
 from .errors import ContainsCyc, MixedLines
 from .field import FieldElem
-from .weil import (Line, UnramifiedChar, dual_irr, fuse, irr_dim, irr_order,
-                   line_key, line_of)
+from .weil import (Line, UnramifiedChar, char_of_log, dual_irr, fuse, irr_dim,
+                   irr_order, line_key, line_of)
 
 
 class _Part:
@@ -101,10 +101,8 @@ def cyc(line_or_irr, r, ctx) -> Cyc:
     if r < 1:
         raise ValueError("cycle length must be positive")
     if isinstance(line_or_irr, Line):
-        line = line_of(line_or_irr.base, ctx)[0]
-    else:
-        line = line_of(line_or_irr, ctx)[0]
-    return Cyc(line, r)
+        line_or_irr = line_or_irr.base
+    return Cyc(line_of(line_or_irr, ctx)[0], r)
 
 
 class DeligneClass:
@@ -211,10 +209,7 @@ def twist_class(a: DeligneClass, nu_power=0, chi: UnramifiedChar = None) -> Deli
         if isinstance(ind, Seg):
             psi, extra = ind.irr, 0
             if chi is not None:
-                if isinstance(psi, UnramifiedChar):
-                    psi = UnramifiedChar(psi.t * chi.t)
-                else:
-                    (extra, psi), = fuse(chi, psi, ctx)
+                (extra, psi), = fuse(chi, psi, ctx)
             out.append((seg(psi, ind.r, ind.a + nu_power + extra, ctx), m))
         else:
             line = ind.line
@@ -421,48 +416,30 @@ class Character:
     unram_value: FieldElem
     finite: tuple = ()
 
-    def __mul__(self, other):
-        d = dict(self.finite)
-        for lbl, e in other.finite:
-            d[lbl] = d.get(lbl, 0) + e
-        fin = tuple(sorted((l, e) for l, e in d.items() if e))
-        return Character(self.unram_value * other.unram_value, fin)
-
     def __repr__(self):
         parts = [repr(self.unram_value)]
         parts += [f"{l}^{e}" for l, e in self.finite]
         return "*".join(parts)
 
 
-def trivial_character(ctx) -> Character:
-    return Character(ctx.field.one)
-
-
 def det_class(a: DeligneClass) -> Character:
-    """Product of the determinant contributions of all constituents; fully
-    concrete on unramified lines."""
+    """Product of the determinant contributions of all constituents, as a
+    sum of discrete logs: nu^i chi_T adds T - iS; fully concrete on
+    unramified lines."""
     ctx = a.ctx
-    acc = trivial_character(ctx)
+    log, finite = 0, {}
     for ind, m in a.parts:
+        # the constituents are nu^i base for i in twists
         if isinstance(ind, Seg):
-            base, r, tw = ind.irr, ind.r, ind.a
-            reps = 1
+            base, twists = ind.irr, range(ind.a, ind.a + ind.r)
         else:
-            base, r, tw = ind.line.base, ind.r, 0
-            reps = ind.line.order
-        d = irr_dim(base)
-        # sum of all nu-exponents over the constituents of the indecomposable
-        if isinstance(ind, Seg):
-            nu_exp = d * (r * tw + r * (r - 1) // 2)
-        else:
-            o = ind.line.order
-            nu_exp = d * (r * o * (o - 1) // 2 + o * r * (r - 1) // 2)
+            base = ind.line.base
+            twists = [i + j for i in range(ind.r) for j in range(ind.line.order)]
+        log -= m * irr_dim(base) * sum(twists) * ctx.q_log
         if isinstance(base, UnramifiedChar):
-            val = base.t ** (r * reps) * ctx.nu_value(nu_exp)
-            contrib = Character(val)
+            log += m * len(twists) * base.log
         else:
-            contrib = Character(ctx.nu_value(nu_exp),
-                                ((f"det({base.label})", r * reps),))
-        for _ in range(m):
-            acc = acc * contrib
-    return acc
+            key = f"det({base.label})"
+            finite[key] = finite.get(key, 0) + m * len(twists)
+    return Character(char_of_log(ctx.field, log).t,
+                     tuple(sorted(finite.items())))

@@ -176,6 +176,9 @@ class Parser:
             self.expect_punct(",")
             self.key("ord")
             order = self.expect_int(1, "twist order must be positive")
+            if self.ctx.o_nu % order:  # nu^o(nu) = 1 must fix psi
+                raise ParseError(f"twist order {order} does not divide "
+                                 f"o(nu)={self.ctx.o_nu}", p)
             self.expect_punct(",")
             self.key("dual")
             dual = self.expect_ident()

@@ -45,31 +45,25 @@ def abstract_token(label: str, twist: int) -> str:
 
 def constituent_counts(a: DeligneClass):
     """Multiset of irreducible constituents: unramified character values
-    with multiplicity, and (label, twist) pairs for ramified ones."""
-    field = a.ctx.field
-    q_inv = a.ctx.q_inv.i
+    with multiplicity, and (label, twist) pairs for ramified ones.  The
+    constituent nu^i chi_T has the value of log T - iS."""
+    field, S = a.ctx.field, a.ctx.q_log
+    exp, n = field.exp, field.order - 1
     chars, toks = {}, {}
     for ind, m in a.parts:
         if isinstance(ind, Seg):
-            base, reps = ind.irr, m
-            if isinstance(base, UnramifiedChar):
-                for i in range(ind.r):
-                    u = field.mul_idx(base.t.i, field.pow_idx(q_inv, ind.a + i))
-                    chars[u] = chars.get(u, 0) + reps
-            else:
-                for i in range(ind.r):
-                    key = (base.label, (ind.a + i) % base.order)
-                    toks[key] = toks.get(key, 0) + reps
+            base, reps, twists = ind.irr, m, range(ind.a, ind.a + ind.r)
         else:
-            base = ind.line.base
-            reps = m * ind.r
-            if isinstance(base, UnramifiedChar):
-                for j in range(ind.line.order):
-                    u = field.mul_idx(base.t.i, field.pow_idx(q_inv, j))
-                    chars[u] = chars.get(u, 0) + reps
-            else:
-                for j in range(ind.line.order):
-                    toks[(base.label, j)] = toks.get((base.label, j), 0) + reps
+            base, reps, twists = ind.line.base, m * ind.r, range(ind.line.order)
+        if isinstance(base, UnramifiedChar):
+            T = base.log
+            for i in twists:
+                u = exp[(T - i * S) % n]
+                chars[u] = chars.get(u, 0) + reps
+        else:
+            for i in twists:
+                key = (base.label, i % base.order)
+                toks[key] = toks.get(key, 0) + reps
     return chars, toks
 
 
@@ -105,20 +99,18 @@ def gamma_from_counts(char_counts, token_counts, ctx) -> FactorExpr:
 
 def _l_of(a: DeligneClass, dual=False) -> RationalFraction:
     """L(X, a), or L(X, dual(a)) when dual is set, read off the unramified
-    segments: the reciprocal root of a segment is the value at its top
-    twist, and the top twist of its dual is the inverse of its bottom
-    one."""
-    field = a.ctx.field
-    q_inv = a.ctx.q_inv.i
+    segments: the reciprocal root of nu^a chi_T of length r is the value
+    at its top twist, of log T - (a + r - 1)S, and the top twist of its
+    dual is the inverse of its bottom one, of log aS - T."""
+    field, S = a.ctx.field, a.ctx.q_log
+    exp, n = field.exp, field.order - 1
     exponents = {}
     for ind, m in a.parts:
         if isinstance(ind, Seg) and isinstance(ind.irr, UnramifiedChar):
             if dual:
-                u = field.inv_idx(field.mul_idx(ind.irr.t.i,
-                                                field.pow_idx(q_inv, ind.a)))
+                u = exp[(ind.a * S - ind.irr.log) % n]
             else:
-                u = field.mul_idx(ind.irr.t.i,
-                                  field.pow_idx(q_inv, ind.a + ind.r - 1))
+                u = exp[(ind.irr.log - (ind.a + ind.r - 1) * S) % n]
             exponents[u] = exponents.get(u, 0) - m
     return RationalFraction.make(field, exponents)
 
@@ -143,7 +135,7 @@ def epsilon_from(gamma, l, l_dual, ctx) -> FactorExpr:
     Raises EpsilonNotUnit unless every exponent cancels."""
     F = ctx.field
     q = ctx.q_img.i
-    neg_qinv = F.neg_idx(ctx.q_inv.i)
+    neg_qinv = F.neg_idx(F.inv_idx(q))
     scalar, x_power = gamma.unit.scalar, gamma.unit.x_power
     exponents = dict(gamma.frac.roots)
     for a, e in l.roots:

@@ -410,14 +410,15 @@ class FieldCtx:
     q_img: FieldElem
     o_nu: int
     sqrt_q: FieldElem
-    q_inv: FieldElem = dc_field(compare=False, default=None)
     _hash: int = dc_field(init=False, repr=False, compare=False)
+    q_log: int = dc_field(init=False, repr=False, compare=False)  # S = dlog q
 
     def __post_init__(self):
         # contexts key the per-context caches, so hash the compared fields
         # once, as the generated __hash__ would on every lookup
         object.__setattr__(self, "_hash", hash(
             (self.field, self.q_residue, self.q_img, self.o_nu, self.sqrt_q)))
+        object.__setattr__(self, "q_log", self.field.log[self.q_img.i])
 
     def __hash__(self):
         return self._hash
@@ -462,4 +463,4 @@ def make_ctx(ell, q_residue, ext_deg=1) -> FieldCtx:
         k *= 2
     o_nu = mult_order(q_img)
     return FieldCtx(field=F, q_residue=q_residue, q_img=q_img, o_nu=o_nu,
-                    sqrt_q=sqrt_q, q_inv=q_img.inverse())
+                    sqrt_q=sqrt_q)

@@ -22,12 +22,13 @@ import functools
 from dataclasses import dataclass
 
 from .deligne import (Character, DeligneClass, _tensor_indec_cached, cv_map,
-                      merge, seg, tensor_ss, trivial_character)
+                      merge, seg, tensor_ss)
 from .errors import InvalidGenericRep, MixedLines, RamifiedCuspLine
 from .factors import (_l_of, constituent_counts, epsilon_from,
                       gamma_from_counts, l_factor)
 from .laurent import FactorExpr, RationalFraction
-from .weil import Line, UnramifiedChar, dual_irr, irr_order, line_of
+from .weil import (Line, UnramifiedChar, char_of_log, dual_irr, fuse,
+                   irr_order, line_of)
 
 
 @dataclass(frozen=True)
@@ -273,14 +274,16 @@ def twist_rep(pi: GenericRep, nu_power=0, chi: UnramifiedChar = None) -> Generic
     out = []
     for s, m in pi.segs:
         if isinstance(s.cusp, SuperCusp):
-            psi = s.cusp.irr
+            psi, extra = s.cusp.irr, 0
             if chi is not None:
-                psi = UnramifiedChar(psi.t * chi.t)
-            out.append((GLSegment(SuperCusp(psi), s.r, s.a + nu_power), m))
+                (extra, psi), = fuse(chi, psi, ctx)
+            out.append((GLSegment(SuperCusp(psi), s.r, s.a + nu_power + extra),
+                        m))
         else:
             line = s.cusp.line
             if chi is not None:
-                line = line_of(UnramifiedChar(line.base.t * chi.t), ctx)[0]
+                (_, base), = fuse(chi, line.base, ctx)
+                line = line_of(base, ctx)[0]
             out.append((GLSegment(NonSuperCusp(line, s.cusp.k), s.r, 0), m))
     return make_generic(out, ctx, check=False)
 
@@ -296,46 +299,45 @@ def _require_unramified(pi: GenericRep):
 
 
 def _support_value_counts(pi: GenericRep):
-    """Supercuspidal support as value -> multiplicity (ell^k weighted)."""
+    """Supercuspidal support as value log -> multiplicity (ell^k
+    weighted): nu^i chi_T has the log T - iS."""
     ctx = pi.ctx
     _require_unramified(pi)
-    field, q_inv = ctx.field, ctx.q_inv.i
+    n, S = ctx.field.order - 1, ctx.q_log
     counts = {}
     for s, m in pi.segs:
         if isinstance(s.cusp, SuperCusp):
-            t = s.cusp.irr.t.i
-            for i in range(s.r):
-                u = field.mul_idx(t, field.pow_idx(q_inv, s.a + i))
-                counts[u] = counts.get(u, 0) + m
+            T, twists = s.cusp.irr.log, range(s.a, s.a + s.r)
         else:
-            t = s.cusp.line.base.t.i
-            w = m * ctx.ell ** s.cusp.k
-            for i in range(s.r):
-                for j in range(s.cusp.line.order):
-                    u = field.mul_idx(t, field.pow_idx(q_inv, i + j))
-                    counts[u] = counts.get(u, 0) + w
+            # St(r, St_k(Z)) holds r ell^k copies of the full orbit Z
+            T, twists = s.cusp.line.base.log, range(s.cusp.line.order)
+            m *= s.r * ctx.ell ** s.cusp.k
+        for i in twists:
+            u = (T - i * S) % n
+            counts[u] = counts.get(u, 0) + m
     return counts
 
 
 def _banal_segments(pi: GenericRep):
-    """(r, a, index of t, multiplicity) of each supercuspidal segment
+    """(r, a, log of t, multiplicity) of each supercuspidal segment
     St(r, nu^a chi_t); the totally non-banal segments have no L-roots."""
     _require_unramified(pi)
-    return tuple((s.r, s.a, s.cusp.irr.t.i, m) for s, m in pi.segs
+    return tuple((s.r, s.a, s.cusp.irr.log, m) for s, m in pi.segs
                  if isinstance(s.cusp, SuperCusp))
 
 
 def _pair_l(ctx, banal, banal2) -> RationalFraction:
-    """L of the pair from the banal segments of both sides."""
-    field = ctx.field
-    q_inv = ctx.q_inv.i
+    """L of the pair from the banal segments of both sides: the roots of
+    a segment pair are nu^k chi_(T + T') for k from top, of log
+    T + T' - kS."""
+    field, S = ctx.field, ctx.q_log
+    exp, n = field.exp, field.order - 1
     exponents = {}
-    for n, a, t, m in banal:
-        for n2, b, t2, m2 in banal2:
-            tt = field.mul_idx(t, t2)
-            top = max(n, n2) - 1 + a + b
-            for k in range(min(n, n2)):
-                u = field.mul_idx(tt, field.pow_idx(q_inv, top + k))
+    for r, a, t, m in banal:
+        for r2, b, t2, m2 in banal2:
+            top = max(r, r2) - 1 + a + b
+            for k in range(top, top + min(r, r2)):
+                u = exp[(t + t2 - k * S) % n]
                 exponents[u] = exponents.get(u, 0) - m * m2
     return RationalFraction.make(field, exponents)
 
@@ -343,11 +345,12 @@ def _pair_l(ctx, banal, banal2) -> RationalFraction:
 def _pair_gamma(ctx, support, support2) -> FactorExpr:
     """Product over supercuspidal support pairs of the gamma factors of
     the product characters."""
-    field = ctx.field
+    exp = ctx.field.exp
     counts = {}
     for u, cu in support.items():
         for v, cv in support2.items():
-            w = field.mul_idx(u, v)
+            # exp repeats its Q - 1 powers, so exp[u + v] needs no reduction
+            w = exp[u + v]
             counts[w] = counts.get(w, 0) + cu * cv
     return gamma_from_counts(counts, {}, ctx)
 
@@ -371,12 +374,9 @@ def rs_epsilon_factor(pi: GenericRep, pi2: GenericRep) -> FactorExpr:
 
 def central_char(pi: GenericRep) -> Character:
     """Product of the supercuspidal support values (= det of the
-    C-parameter, by the correspondence)."""
-    ctx = pi.ctx
-    acc = trivial_character(ctx)
-    for u, c in sorted(_support_value_counts(pi).items()):
-        acc = acc * Character(ctx.field.elem(u) ** c)
-    return acc
+    C-parameter, by the correspondence): the sum of their logs."""
+    log = sum(u * c for u, c in _support_value_counts(pi).items())
+    return Character(char_of_log(pi.ctx.field, log).t)
 
 
 # -- the preservation harness ---------------------------------------------------
@@ -394,10 +394,10 @@ class PairSide:
         self.c = c_map(pi)
         self.support = _support_value_counts(pi)
         self.banal = _banal_segments(pi)
-        # the dual of St(r, nu^a chi_t) is St(r, nu^(1-a-r) chi_(1/t)), and
-        # _pair_l reads a only through q^(-a)
-        field = pi.ctx.field
-        self.dual_banal = tuple((r, 1 - a - r, field.inv_idx(t), m)
+        # the dual of St(r, nu^a chi_T) is St(r, nu^(1-a-r) chi_(-T)), and
+        # _pair_l reads a only through aS mod Q - 1
+        n = pi.ctx.field.order - 1
+        self.dual_banal = tuple((r, 1 - a - r, -t % n, m)
                                 for r, a, t, m in self.banal)
 
 

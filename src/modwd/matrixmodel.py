@@ -263,19 +263,14 @@ def _lines_of_values(vals, ctx, field):
     for v in vals:
         if v in seen:
             continue
-        orbit = []
-        x = v
-        for _ in range(ctx.o_nu):
-            orbit.append(x)
-            x = field.mul_idx(x, ctx.q_img.i)
+        # orbit[i] = v q^i, so the value t0 q^-c at twist c of t0 = orbit[k]
+        # is orbit[k - c]
+        orbit = [v]
+        for _ in range(ctx.o_nu - 1):
+            orbit.append(field.mul_idx(orbit[-1], ctx.q_img.i))
         seen.update(orbit)
-        t0 = min(orbit, key=field.dlog_idx)
-        slice_vals = []
-        x = t0
-        for _ in range(ctx.o_nu):
-            slice_vals.append(x)
-            x = field.mul_idx(x, ctx.q_inv.i)
-        out.append((t0, slice_vals))
+        k = min(range(ctx.o_nu), key=lambda i: field.dlog_idx(orbit[i]))
+        out.append((orbit[k], [orbit[k - c] for c in range(ctx.o_nu)]))
     return sorted(out, key=lambda p: field.dlog_idx(p[0]))
 
 

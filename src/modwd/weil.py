@@ -1,10 +1,18 @@
 """Formal irreducible Weil-group representations and their twist lines.
 
-Unramified characters are concrete (a nonzero field element, the value at
-Frobenius); everything ramified is an abstract label carrying exactly the
-data the factor formulas consume: dimension, twist-orbit size, and a dual
-partner.  Tensor decompositions of abstract pairs come from an explicit
-fusion table, never from guessing.
+Unramified characters are concrete.  F^x is cyclic of order Q - 1, so the
+character with value t at Frobenius is named by its discrete log T = dlog t
+mod Q - 1.  With S = dlog q and g = gcd(S, Q - 1) = (Q - 1)/o(nu):
+nu^j chi_T = chi_(T - jS), the dual of chi_T is chi_(-T), a product of
+characters adds logs, and the line of chi_T is T + gZ/(Q - 1), with
+canonical base chi_(T mod g).
+
+Everything ramified is an abstract label carrying exactly the data the
+factor formulas consume: dimension, twist-orbit size, and a dual partner.
+A label `B.tC` names chi_C (x) B: a character twists it by adding to C,
+its canonical form has 0 < C < g, or is the bare `B` for C = 0, and its
+dual is named with -C mod Q - 1.  Tensor decompositions of abstract pairs
+come from an explicit fusion table, never from guessing.
 """
 
 from __future__ import annotations
@@ -22,8 +30,18 @@ class UnramifiedChar:
 
     t: FieldElem
 
+    @property
+    def log(self):
+        """T = dlog t, in 0 .. Q - 2."""
+        return self.t.field.log[self.t.i]
+
     def __repr__(self):
         return f"chi(t={self.t!r})"
+
+
+def char_of_log(field, T):
+    """chi_T: the unramified character whose value has discrete log T."""
+    return UnramifiedChar(field.elem(field.exp[T % (field.order - 1)]))
 
 
 @dataclass(frozen=True)
@@ -50,17 +68,18 @@ def irr_order(psi, ctx: FieldCtx):
 
 
 def dual_irr(psi):
-    """Contragredient: t -> t^(-1) for characters, declared partner else."""
+    """Contragredient: chi_T -> chi_(-T) for characters, declared partner
+    else."""
     if isinstance(psi, UnramifiedChar):
-        return UnramifiedChar(psi.t.inverse())
+        return char_of_log(psi.t.field, -psi.log)
     return RamifiedAbstract(psi.dual_label, psi.dim, psi.order, psi.label)
 
 
 @dataclass(frozen=True)
 class Line:
     """An irreducible line Z_psi = {nu^k psi}, keyed by its canonical
-    representative (least discrete log of t over the orbit, for characters).
-    key is line_key(base), built once."""
+    representative: chi_(T mod g) for characters, the label of residue
+    C < g for ramified psi.  key is line_key(base), built once."""
 
     base: object
     order: int
@@ -79,33 +98,55 @@ class Line:
 def line_key(base):
     """Sort key of the line with canonical representative base."""
     if isinstance(base, UnramifiedChar):
-        return (0, base.t.field.dlog_idx(base.t.i))
+        return (0, base.log)
     return (1, base.label)
 
 
 @functools.lru_cache(maxsize=4096)
-def _line_of_char(ctx, t_idx):
-    field = ctx.field
+def _line_of_char(ctx, T):
+    """The line of chi_T, 0 <= T < Q - 1, and j with chi_T = nu^j chi_c for
+    c = T mod g: T - c = -jS mod Q - 1, so j = -((T - c)/g) (S/g)^-1 mod o."""
     o = ctx.o_nu
-    orbit = [(field.mul_idx(t_idx, ctx.nu_value(j).i), j) for j in range(o)]
-    # orbit entry (v, j) means v = psi * q^(-j), i.e. psi = nu^(-j) chi_v;
-    # pick the base of least discrete log
-    best_val, best_j = min(orbit, key=lambda p: field.dlog_idx(p[0]))
-    return Line(UnramifiedChar(field.elem(best_val)), o), (-best_j) % o
+    g = (ctx.field.order - 1) // o
+    c = T % g
+    return (Line(char_of_log(ctx.field, c), o),
+            -((T - c) // g) * pow(ctx.q_log // g, -1, o) % o)
+
+
+def _residue(label):
+    """(B, C) of a label naming chi_C (x) B."""
+    base, dot, c = label.rpartition(".t")
+    return (base, int(c)) if dot and c.isdecimal() else (label, 0)
+
+
+def _char_times_abstract(T, psi: RamifiedAbstract, ctx):
+    """chi_T (x) psi as (j, theta) with theta canonical: psi = chi_c (x) B
+    gives chi_(T + c) (x) B = nu^j chi_c2 (x) B, and the dual of theta is
+    chi_(c + d - c2) (x) B' when the dual of psi is chi_d (x) B'."""
+    n = ctx.field.order - 1
+    base, c = _residue(psi.label)
+    dual, d = _residue(psi.dual_label)
+    line, j = _line_of_char(ctx, (T + c) % n)
+    c2 = line.base.log
+    d2 = (c + d - c2) % n
+    return j % psi.order, RamifiedAbstract(
+        f"{base}.t{c2}" if c2 else base, psi.dim, psi.order,
+        f"{dual}.t{d2}" if d2 else dual)
 
 
 def line_of(psi, ctx: FieldCtx):
     """Canonical line of psi and the twist j with psi = nu^j * base."""
     if isinstance(psi, RamifiedAbstract):
-        return Line(psi, psi.order), 0
-    return _line_of_char(ctx, psi.t.i)
+        j, base = _char_times_abstract(0, psi, ctx)
+        return Line(base, psi.order), j
+    return _line_of_char(ctx, psi.log)
 
 
 def twist(psi, k: int, ctx: FieldCtx):
     """nu^k twist.  Characters absorb the twist into their value (residue 0);
     abstract irreducibles keep their label and return k mod o(psi)."""
     if isinstance(psi, UnramifiedChar):
-        return UnramifiedChar(psi.t * ctx.nu_value(k)), 0
+        return char_of_log(ctx.field, psi.log - k * ctx.q_log), 0
     return psi, k % psi.order
 
 
@@ -137,18 +178,6 @@ class FusionTable:
         return self.rules.get(_pair_key(a, b))
 
 
-def _char_times_abstract(chi: UnramifiedChar, psi: RamifiedAbstract, ctx):
-    """chi_t * psi: a nu-power twist of psi when t is a power of q, and a
-    synthesized abstract class (same dim, same orbit size) otherwise."""
-    o = psi.order
-    for j in range(ctx.o_nu):
-        if chi.t == ctx.nu_value(j):
-            return (j % o, psi)
-    label = f"{chi.t!r}*{psi.label}"
-    dual = f"{chi.t.inverse()!r}*{psi.dual_label}"
-    return (0, RamifiedAbstract(label, psi.dim, psi.order, dual))
-
-
 def fuse(psi, psi2, ctx: FieldCtx, table: FusionTable = None):
     """Semisimplified tensor of two irreducibles as a tuple of (twist, irr).
 
@@ -158,11 +187,11 @@ def fuse(psi, psi2, ctx: FieldCtx, table: FusionTable = None):
     a_char = isinstance(psi, UnramifiedChar)
     b_char = isinstance(psi2, UnramifiedChar)
     if a_char and b_char:
-        return ((0, UnramifiedChar(psi.t * psi2.t)),)
+        return ((0, char_of_log(ctx.field, psi.log + psi2.log)),)
     if a_char:
-        return (_char_times_abstract(psi, psi2, ctx),)
+        return (_char_times_abstract(psi.log, psi2, ctx),)
     if b_char:
-        return (_char_times_abstract(psi2, psi, ctx),)
+        return (_char_times_abstract(psi2.log, psi, ctx),)
     if table is not None:
         entry = table.lookup(psi, psi2)
         if entry is not None:

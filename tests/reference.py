@@ -1,5 +1,8 @@
-"""The group law on local constants, kept apart from factors.epsilon_from
-so the epsilon tests compare against a formula that does not go through it.
+"""References kept apart from the code they check: the group law on local
+constants, apart from factors.epsilon_from, so the epsilon tests compare
+against a formula that does not go through it; and the line of a
+character by walking its twist orbit, apart from weil.line_of's closed
+form.
 
 A local constant is unit * prod_a (1 - aX)^(e_a).  Products and quotients
 add or subtract the exponent maps and multiply the units; the substitution
@@ -47,3 +50,16 @@ def group_epsilon(gamma, l, l_dual, ctx):
     """gamma * L(X) / L(q^-1 X^-1, dual) by the group law."""
     return mul(mul(gamma, factor(l)),
                subst_qinv(factor(l_dual), ctx.q_img), -1)
+
+
+def line_by_orbit_walk(ctx, t):
+    """(base value, j) of the line of chi_t, from the values t q^-i of its
+    twists nu^i chi_t: the base has the least discrete log, and chi_t is
+    nu^j times the base."""
+    F, q_inv = ctx.field, ctx.q_img.inverse()
+    orbit, v = [], t
+    for i in range(ctx.o_nu):
+        orbit.append((F.dlog_idx(v.i), i, v))
+        v = v * q_inv
+    _, i, base = min(orbit)
+    return base, -i % ctx.o_nu

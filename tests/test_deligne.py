@@ -5,7 +5,7 @@ from modwd import (Cyc, RamifiedAbstract, Seg, UnramifiedChar, cv_map,
                    det_class, dsum, dual_class, make_ctx, normalize,
                    split_cyclic, tensor_ss, twist_class, zero_class)
 from modwd import deligne
-from modwd.deligne import interval_profile, trivial_character
+from modwd.deligne import Character, interval_profile
 from modwd.errors import ContainsCyc, MissingFusionRule, MixedLines
 from modwd.matrixmodel import MatrixDeligne, decompose, matrix_dual, realize
 from modwd.weil import FusionTable, line_of
@@ -105,6 +105,31 @@ def test_twist_commutes_with_cv_on_ramified_orbit(ctx52):
             cv_map(twist_class(a, chi=chi_t))
     moved = twist_class(cv_map(a), chi=UnramifiedChar(outside))
     assert moved != cv_map(a) and not moved.is_nilpotent()
+
+
+@pytest.mark.parametrize("ell,q,order", [(5, 2, 2), (7, 2, 3)])
+def test_character_twists_compose_on_ramified_classes(ell, q, order):
+    # chi_t (x) psi is named psi.tC, C = dlog t mod g; twists add to C and
+    # carry the nu-power of chi_t over chi_C into the segments' twists
+    from modwd.dsl import parse_class
+    ctx = make_ctx(ell, q)
+    F = ctx.field
+    psi = f"irr(psi, dim=2, ord={order}, dual=psiv)"
+    a = parse_class(f"{{ seg({psi}; r=1; a=0), seg({psi}; r=2; a=1)*2, "
+                    f"cyc(line({psi}); r=1) }}", ctx)
+    assert ctx.o_nu % order == 0
+    g = F.elem(F.gen_idx)
+    assert twist_class(twist_class(a, chi=UnramifiedChar(g)),
+                       chi=UnramifiedChar(g)) == \
+        twist_class(a, chi=UnramifiedChar(g ** 2))
+    for t in F.elements():
+        if t.is_zero():
+            continue
+        b = twist_class(a, chi=UnramifiedChar(t))
+        assert twist_class(b, chi=UnramifiedChar(t.inverse())) == a
+        assert parse_class(repr(b), ctx) == b
+        assert dual_class(b) == \
+            twist_class(dual_class(a), chi=UnramifiedChar(t.inverse()))
 
 
 def test_profile_examples():
@@ -335,7 +360,7 @@ def test_split_and_cv_match_reference(ell, q):
 def test_det_examples(ctx52):
     F = ctx52.field
     c1 = chi(ctx52, 1)
-    assert det_class(normalize([Seg(c1, 1, 0)], ctx52)) == trivial_character(ctx52)
+    assert det_class(normalize([Seg(c1, 1, 0)], ctx52)) == Character(ctx52.field.one)
     t = F.from_int(2)
     r = 3
     d = det_class(normalize([Seg(chi(ctx52, 2), r, 0)], ctx52))

@@ -51,6 +51,19 @@ def test_parse_error_position(ctx52):
     assert "position" in str(exc.value)
 
 
+def test_twist_order_must_divide_o_nu():
+    # o(nu) = 3 at (7,2): a psi with o(psi) = 2 has no consistent nu-twists
+    from modwd import make_ctx
+    ctx = make_ctx(7, 2)
+    assert parse_class("{ seg(irr(psi, dim=2, ord=3, dual=psi); r=1) }", ctx)
+    for text in ("{ seg(irr(psi, dim=2, ord=2, dual=psi); r=1) }",
+                 "{ cyc(line(irr(psi, dim=1, ord=6, dual=psi)); r=1) }"):
+        with pytest.raises(ParseError, match="does not divide"):
+            parse_class(text, ctx)
+    with pytest.raises(ParseError, match="does not divide"):
+        load_fusion_table("DECL irr(psi, dim=2, ord=2, dual=psi)\n", ctx)
+
+
 def test_fusion_file(ctx52):
     text = """
 # abstract pair with a declared fusion

@@ -8,7 +8,7 @@ from modwd import (Cyc, Seg, UnramifiedChar, banal_tnb_split, c_map,
                    make_generic, normalize, rs_epsilon_factor, rs_gamma_factor,
                    rs_l_factor, tensor_ss, twist_class, twist_rep, unlinked,
                    v_map)
-from modwd.deligne import dsum, trivial_character
+from modwd.deligne import Character, dsum
 from modwd.errors import InvalidGenericRep, MixedLines, RamifiedCuspLine
 from modwd.factors import local_constants
 from modwd.gln import (GLSegment, NonSuperCusp, PairSide, SuperCusp,
@@ -292,7 +292,7 @@ def test_c_map_commutes_with_everything(ctx52):
 
 def test_central_char_examples(ctx52):
     triv = make_generic([sc_seg(ctx52, 1, 0)], ctx52)
-    assert central_char(triv) == trivial_character(ctx52)
+    assert central_char(triv) == Character(ctx52.field.one)
     t = ctx52.field.from_int(2)
     st3 = make_generic([GLSegment(SuperCusp(UnramifiedChar(t)), 3, 0)], ctx52)
     expect = t ** 3 * ctx52.nu_value(3)  # t^r q^(-r(r-1)/2)

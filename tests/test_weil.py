@@ -1,8 +1,10 @@
 import pytest
 
-from modwd import FusionTable, RamifiedAbstract, UnramifiedChar, dual_irr, fuse, twist
+from modwd import (FusionTable, RamifiedAbstract, UnramifiedChar, dual_irr, fuse,
+                   make_ctx, twist)
 from modwd.errors import MissingFusionRule
 from modwd.weil import irr_order, line_of
+from reference import line_by_orbit_walk
 
 
 def abstract_pair():
@@ -62,6 +64,20 @@ def test_line_canonical_representative(ctx52):
         # v = q^(-shift)
         assert ctx52.nu_value(shift) == F.from_int(v)
     assert line_of(UnramifiedChar(F.one), ctx52)[0].order == 4
+
+
+@pytest.mark.parametrize("ell,q,k", [
+    (5, 2, 1), (3, 2, 1), (2, 3, 1), (3, 4, 1), (7, 2, 1), (7, 4, 1),
+    (13, 3, 1), (5, 4, 1), (2, 5, 1), (11, 2, 1), (7, 2, 3), (3, 2, 6)])
+def test_line_of_matches_orbit_walk(ell, q, k):
+    ctx = make_ctx(ell, q, k)
+    for t in ctx.field.elements():
+        if t.is_zero():
+            continue
+        line, j = line_of(UnramifiedChar(t), ctx)
+        base, j_walk = line_by_orbit_walk(ctx, t)
+        assert (line.base, line.order, j) == \
+            (UnramifiedChar(base), ctx.o_nu, j_walk)
 
 
 def test_fuse_characters(ctx52):
