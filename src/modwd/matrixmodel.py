@@ -269,8 +269,9 @@ def _lines_of_values(vals, ctx, field):
         for _ in range(ctx.o_nu - 1):
             orbit.append(field.mul_idx(orbit[-1], ctx.q_img.i))
         seen.update(orbit)
-        k = min(range(ctx.o_nu), key=lambda i: field.dlog_idx(orbit[i]))
-        out.append((orbit[k], [orbit[k - c] for c in range(ctx.o_nu)]))
+        t0 = min(orbit, key=field.dlog_idx)
+        k = orbit.index(t0)
+        out.append((t0, [orbit[k - c] for c in range(ctx.o_nu)]))
     return sorted(out, key=lambda p: field.dlog_idx(p[0]))
 
 
