@@ -15,8 +15,9 @@ hashes the results into the row's `result_sha256`, and repeats the items
 in a timed pass often enough for the pass to last MIN_PASS_S by the warm
 pass's CPU time: a shorter pass is decided by one speed switch of a
 shared virtual machine.  This process runs the rows in ROUNDS rounds,
-asking the worker for one pass of each row in each round.  Every row records, per round, the CPU microseconds
-per call of the worker and its waited children (`change_us`), the wall
+asking the worker for one pass of each row in each round.  Every row
+records, per round, the CPU microseconds per call of the worker and its
+waited children (`change_us`), the wall
 microseconds per call (`change_wall_us`), and the CPU median
 (`median_us`).  Workers get PYTHONHASHSEED=0 (one set order on both
 sides) and OPENBLAS_NUM_THREADS=1 (no BLAS thread spins through a pass).

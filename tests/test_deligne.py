@@ -6,6 +6,7 @@ from modwd import (Cyc, RamifiedAbstract, Seg, UnramifiedChar, cv_map,
                    split_cyclic, tensor_ss, twist_class, zero_class)
 from modwd import deligne
 from modwd.deligne import Character, interval_profile
+from modwd.dsl import parse_class
 from modwd.errors import ContainsCyc, MissingFusionRule, MixedLines
 from modwd.matrixmodel import MatrixDeligne, decompose, matrix_dual, realize
 from modwd.weil import FusionTable, line_of
@@ -111,7 +112,6 @@ def test_twist_commutes_with_cv_on_ramified_orbit(ctx52):
 def test_character_twists_compose_on_ramified_classes(ell, q, order):
     # chi_t (x) psi is named psi.tC, C = dlog t mod g; twists add to C and
     # carry the nu-power of chi_t over chi_C into the segments' twists
-    from modwd.dsl import parse_class
     ctx = make_ctx(ell, q)
     F = ctx.field
     psi = f"irr(psi, dim=2, ord={order}, dual=psiv)"

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modwd import realize, tensor_ss
+from modwd import make_ctx, realize, tensor_ss
 from modwd._linalg import FMat
 from modwd.cli import run
 from modwd.dsl import (format_matrix, load_fusion_table, parse_class,
@@ -53,7 +53,6 @@ def test_parse_error_position(ctx52):
 
 def test_twist_order_must_divide_o_nu():
     # o(nu) = 3 at (7,2): a psi with o(psi) = 2 has no consistent nu-twists
-    from modwd import make_ctx
     ctx = make_ctx(7, 2)
     assert parse_class("{ seg(irr(psi, dim=2, ord=3, dual=psi); r=1) }", ctx)
     for text in ("{ seg(irr(psi, dim=2, ord=2, dual=psi); r=1) }",
