@@ -42,7 +42,9 @@ Rows, all at (5,2) over F(5^2) unless named otherwise:
 - `charpoly_us` at n = 12, 32 and 64 on seeded random matrices.
   `rref_us` at 3 x 3, 12 x 12 and 64 x 64 of full rank, 12 x 12 of rank 3
   (an eigenspace projector) and 12 x 24 [P | I] (what `inverse` reduces),
-  each rank checked.
+  and at 1 x 1, 2 x 4, 5 x 5, 8 x 8 and 9 x 9 of full rank, each rank
+  checked.  Up to 8 x 8 (ROW_LIST_CELLS = 64 cells) `rref` reduces on row
+  lists; from 9 x 9 on in the wide encoding.
 - `matmul_us`: `FMat` products of seeded random matrices, n x n by n x n
   and by n x 1 at n = 3, 12, 32 and 64, over F(5^2), F(3^4) and F(2^6),
   each checked against a sum of outer products in the field's entrywise
@@ -62,16 +64,19 @@ Rows, all at (5,2) over F(5^2) unless named otherwise:
   calls of the builtin `hash` per `check_preservation`, under cProfile.
 - `local_constants_us`: `local_constants(a)` (L, gamma and epsilon) over
   the classes of the `decompose` rows.
-- `criterion_4_s` and `criterion_2_s`: one call checks one interleaved
-  bucket of a (5,2) sweep of an acceptance test, serially, and must find
-  0 failures: `verify._check_rows(0, STRIDE, population)` walks the rows
-  0, STRIDE, 2 STRIDE, ... of the sweep on its full grid.  For
+- `criterion_4_s`, `criterion_2_s` and `lmatrix_s`: one call checks one
+  interleaved bucket of a (5,2) sweep of a Tier-1 test, serially, and must
+  find 0 failures: `verify._check_rows(0, STRIDE, population)` walks the
+  rows 0, STRIDE, 2 STRIDE, ... of the sweep on its full grid.  For
   `criterion_4_s` that is the roundtrip of
   `test_criterion_4_classification_roundtrip` (`verify.SWEEPS["roundtrip"]`),
   2,505 of its 80,139 classes at C4_STRIDE; for `criterion_2_s` the
   preservation sweep of `test_criterion_2_preservation_sweep`
   (`verify.SWEEPS["preservation"]`), 20,150 of its 316,410 pair checks at
-  C2_STRIDE.  A pass takes 1-2 s, so ROUNDS rounds fit.
+  C2_STRIDE; for `lmatrix_s` the L-matrix sweep of
+  `test_l_matrix_agreement_full_population` (`verify.SWEEPS["lmatrix"]`),
+  2,505 of its 80,139 classes at LM_STRIDE.  A pass takes 1-2 s, so ROUNDS
+  rounds fit.
 """
 
 from __future__ import annotations
@@ -99,6 +104,7 @@ MIN_PASS_S = 0.2
 ROUNDS = 20
 C4_STRIDE = 32
 C2_STRIDE = 16
+LM_STRIDE = 32
 
 
 def _git_sha(src: Path):
@@ -179,14 +185,17 @@ def _decompose_inputs():
 
 
 def _rref_inputs(FMat, field, rng):
-    """(shape, rank, count, matrices) of each `rref_us` row: random square
+    """(shape, rank, count, matrices) of each `rref_us` row: random
     matrices of full rank, a rank-3 projector P diag(1, 1, 1, 0, ...) P^-1
     as `_adapted` reduces, and [P | I] as `inverse` reduces."""
-    def invertible(n):
+    def full_rank(n, m):
         while True:
-            P = _rand_fmat(FMat, field, n, n, rng)
-            if P.rank() == n:
+            P = _rand_fmat(FMat, field, n, m, rng)
+            if P.rank() == min(n, m):
                 return P
+
+    def invertible(n):
+        return full_rank(n, n)
 
     def projector():
         P = invertible(12)
@@ -197,7 +206,12 @@ def _rref_inputs(FMat, field, rng):
             ("12x12 rank 3", 3, 500, projector),
             ("12x24 [P|I]", 12, 300, lambda: FMat.hstack(
                 [invertible(12), FMat.identity(field, 12)])),
-            ("64x64", 64, 20, lambda: invertible(64))]
+            ("64x64", 64, 20, lambda: invertible(64)),
+            ("1x1", 1, 5000, lambda: invertible(1)),
+            ("2x4", 2, 4000, lambda: full_rank(2, 4)),
+            ("5x5", 5, 2000, lambda: invertible(5)),
+            ("8x8", 8, 1000, lambda: invertible(8)),
+            ("9x9", 9, 1000, lambda: invertible(9))]
     return [(shape, rank, count, [make() for _ in range(count)])
             for shape, rank, count, make in rows]
 
@@ -329,6 +343,8 @@ def _rows():
         context="(5,2)", budget_s=60.0, stride=C4_STRIDE))
     rows["criterion_2_s"] = (first_bucket("preservation"), [C2_STRIDE], dict(
         context="(5,2)", budget_s=120.0, stride=C2_STRIDE))
+    rows["lmatrix_s"] = (first_bucket("lmatrix"), [LM_STRIDE], dict(
+        context="(5,2)", stride=LM_STRIDE))
     return rows
 
 

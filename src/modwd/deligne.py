@@ -23,8 +23,8 @@ from math import comb
 
 from .errors import ContainsCyc, MixedLines
 from .field import FieldElem
-from .weil import (Line, UnramifiedChar, char_of_log, dual_irr, fuse, irr_dim,
-                   irr_order, line_key, line_of)
+from .weil import (Line, UnramifiedChar, residue, char_of_log, dual_irr,
+                   fuse, irr_dim, irr_order, line_key, line_of)
 
 
 class _Part:
@@ -130,7 +130,8 @@ class DeligneClass:
         return DeligneClass(self.ctx, tuple((i, mult * m) for i, mult in self.parts))
 
     def __eq__(self, other):
-        return isinstance(other, DeligneClass) and self.parts == other.parts
+        return (isinstance(other, DeligneClass) and self.parts == other.parts
+                and (self.ctx is other.ctx or self.ctx == other.ctx))
 
     def __hash__(self):
         return hash(self.parts)
@@ -439,7 +440,10 @@ def det_class(a: DeligneClass) -> Character:
         if isinstance(base, UnramifiedChar):
             log += m * len(twists) * base.log
         else:
-            key = f"det({base.label})"
+            # det(chi_C (x) B) = chi_C^dim det(B) for the label B.tC
+            label, c = residue(base.label)
+            log += m * len(twists) * base.dim * c
+            key = f"det({label})"
             finite[key] = finite.get(key, 0) + m * len(twists)
     return Character(char_of_log(ctx.field, log).t,
                      tuple(sorted(finite.items())))

@@ -132,7 +132,8 @@ class GenericRep:
         return not self.segs
 
     def __eq__(self, other):
-        return isinstance(other, GenericRep) and self.segs == other.segs
+        return (isinstance(other, GenericRep) and self.segs == other.segs
+                and (self.ctx is other.ctx or self.ctx == other.ctx))
 
     def __hash__(self):
         return hash(self.segs)

@@ -2,18 +2,20 @@
 
 A MatrixDeligne is a pair (F, U) over the context field with UF = qFU,
 F invertible and semisimple (inertia acts trivially, so F determines the
-Weil action).  realize() builds the normal-form blocks; decompose() is the
-inverse.  It splits by Frobenius eigenvalue orbits and reads the classes
-off ranks alone: segment multiplicities off the ranks of the path maps
-between eigenspace slices, and cycle lengths off the ranks of powers of
-the nilpotent part of the holonomy H0 around each orbit.  The path maps
-M_j from slice 0 also find the cycle summands, since M_(j+o) = M_j H0:
-where the images of the powers of H0 stop shrinking, the last M_j has
-rank b, the dimension of their slice-0 part, and its pivot columns are
-a basis B0 of that part.  semisimplify() takes the Jordan-Holder
-multiset of that decomposition.
-oracle_tensor_ss() decomposes the tensor of each pair of realized parts
-at generic operator scalings and sums them; sharing no code with
+Weil action).  realize() lays out the normal-form blocks of each part,
+built once per (part, context) by _part_blocks and cached read-only;
+decompose() is the inverse.  It splits by Frobenius eigenvalue orbits
+and reads the classes off ranks alone: segment multiplicities off the
+ranks of the path maps between eigenspace slices, and cycle lengths off
+the ranks of powers of the nilpotent part of the holonomy H0 around each
+orbit.  The path maps M_j from slice 0 also find the cycle summands,
+since M_(j+o) = M_j H0: where the images of the powers of H0 stop
+shrinking, the last M_j has rank b, the dimension of their slice-0 part,
+and its pivot columns are a basis B0 of that part.  A path map into an
+empty slice has rank 0, so a chain stops there without a product.
+semisimplify() takes the Jordan-Holder multiset of that decomposition.
+oracle_tensor_ss() decomposes the tensor of each pair of cached part
+blocks at generic operator scalings and sums them; sharing no code with
 deligne.tensor_ss, it checks every formal tensor rule through matrices.
 
 decompose() and validate() read each property of a non-diagonal F off its
@@ -127,56 +129,42 @@ def _min_poly(F: FMat):
 
 # -- realization ----------------------------------------------------------------
 
-def _cycle_matrix(field, o):
-    a = np.zeros((o, o), dtype=np.intp)
-    for k in range(o):
-        a[(k + 1) % o, k] = 1
-    return FMat(field, a)
+# the (5,2) population of dim <= 12 has 51 distinct parts
+@functools.lru_cache(maxsize=256)
+def _part_blocks(ind, ctx) -> MatrixDeligne:
+    """The read-only (F, U) blocks of one indecomposable, built once.
 
-
-def _shift_matrix(field, r):
-    a = np.zeros((r, r), dtype=np.intp)
-    for j in range(r - 1):
-        a[j + 1, j] = 1
-    return FMat(field, a)
+    Seg(chi_t, r, a): F = diag(t q^-(a+j)), U the lower shift N.
+    Cyc(Z_chi, r): F = diag(q^-i) (x) diag(t q^-k), U = Id (x) C + N (x) Id
+    with C the full cycle of holonomy 1 (the two terms share no entry).
+    """
+    nu, r = ctx.nu_value, ind.r
+    base = ind.irr if isinstance(ind, Seg) else ind.line.base
+    if not isinstance(base, UnramifiedChar):
+        raise RamifiedLine(f"cannot realize {ind!r}")
+    shift = np.eye(r, k=-1, dtype=np.intp)
+    if isinstance(ind, Seg):
+        f, u = [(base.t * nu(ind.a + j)).i for j in range(r)], shift
+    else:
+        o = ind.line.order
+        f = [(nu(i) * (base.t * nu(k))).i for i in range(r) for k in range(o)]
+        cycle = np.roll(np.eye(o, dtype=np.intp), 1, axis=0)
+        u = (np.kron(np.eye(r, dtype=np.intp), cycle)
+             + np.kron(shift, np.eye(o, dtype=np.intp)))
+    m = MatrixDeligne(FMat.diag(ctx.field, f), FMat(ctx.field, u))
+    m.F.a.flags.writeable = m.U.a.flags.writeable = False
+    return m
 
 
 def realize(a: DeligneClass, ctx) -> MatrixDeligne:
-    """Block-diagonal matrix pair for a class supported on unramified lines.
-
-    Seg(chi_t, r, a): F = diag(t q^-(a+j)), U the lower shift.
-    Cyc(Z_chi, r): F = diag(q^-i) (x) diag(t q^-k), U = Id (x) C + N (x) Id
-    with C the full cycle of holonomy 1.
-    """
+    """Block-diagonal matrix pair for a class supported on unramified
+    lines: the blocks of each part (_part_blocks), once per multiplicity."""
     check_dim(a.dim(), "the realization")
     field = ctx.field
-    fb, ub = [], []
-    for ind, mult in a.parts:
-        if isinstance(ind, Seg):
-            if not isinstance(ind.irr, UnramifiedChar):
-                raise RamifiedLine(f"cannot realize {ind!r}")
-            t = ind.irr.t
-            Fb = FMat.diag(field, [(t * ctx.nu_value(ind.a + j)).i
-                                   for j in range(ind.r)])
-            Ub = _shift_matrix(field, ind.r)
-        else:
-            base = ind.line.base
-            if not isinstance(base, UnramifiedChar):
-                raise RamifiedLine(f"cannot realize {ind!r}")
-            o, r = ind.line.order, ind.r
-            Fseg = FMat.diag(field, [ctx.nu_value(i).i for i in range(r)])
-            Fcyc = FMat.diag(field, [(base.t * ctx.nu_value(k)).i for k in range(o)])
-            Fb = Fseg.kron(Fcyc)
-            D = FMat.identity(field, r).kron(_cycle_matrix(field, o))
-            N = _shift_matrix(field, r).kron(FMat.identity(field, o))
-            Ub = D + N
-        for _ in range(mult):
-            fb.append(Fb)
-            ub.append(Ub)
-    if not fb:
-        z = FMat.zeros(field, 0, 0)
-        return MatrixDeligne(z, z)
-    return MatrixDeligne(FMat.block_diag(field, fb), FMat.block_diag(field, ub))
+    blocks = [_part_blocks(ind, ctx) for ind, mult in a.parts
+              for _ in range(mult)]
+    return MatrixDeligne(FMat.block_diag(field, [m.F for m in blocks]),
+                         FMat.block_diag(field, [m.U for m in blocks]))
 
 
 def raw_tensor(m1: MatrixDeligne, m2: MatrixDeligne) -> MatrixDeligne:
@@ -282,6 +270,8 @@ def _path_ranks(steps, c, d, less, top):
     out, M = [d - less], None
     while out[-1] and len(out) <= top + 1:
         step = steps[(c + len(out) - 1) % len(steps)]
+        if not step.nrows:  # an empty slice, so less = b = 0: rank 0 on
+            break
         M = step if M is None else step @ M
         out.append(M.rank() - less)
     return out + [0] * (top + 2 - len(out))
@@ -296,8 +286,12 @@ def _slice0_chain(trans):
     o = len(trans)
     ranks, M, H0, B0, j = [trans[0].ncols], None, None, None, 0
     while ranks[j] and (j < o or j % o or ranks[j] != ranks[j - o]):
-        M = trans[j % o] if M is None else trans[j % o] @ M
+        step = trans[j % o]
         j += 1
+        if not step.nrows:  # an empty slice ends the chain at rank 0
+            ranks.append(0)
+            break
+        M = step if M is None else step @ M
         if j == o:
             H0 = M
         _, pivots = M.rref()
@@ -466,8 +460,8 @@ def oracle_tensor_ss(a: DeligneClass, b: DeligneClass) -> DeligneClass:
             SA, SB = _indec_spectrum(A, ctx), _indec_spectrum(B, ctx)
             if SA and SB:
                 conditions.append((SA, SB))
-    pa, pb = ([(realize(DeligneClass(ctx, ((ind, 1),)), ctx), mult)
-               for ind, mult in cls.parts] for cls in (a, b))
+    pa, pb = ([(_part_blocks(ind, ctx), mult) for ind, mult in cls.parts]
+              for cls in (a, b))
     work, table, inverse = ctx, None, None
     for _ in range(4):
         if table is None:

@@ -113,7 +113,7 @@ def _line_of_char(ctx, T):
             -((T - c) // g) * pow(ctx.q_log // g, -1, o) % o)
 
 
-def _residue(label):
+def residue(label):
     """(B, C) of a label naming chi_C (x) B."""
     base, dot, c = label.rpartition(".t")
     return (base, int(c)) if dot and c.isdecimal() else (label, 0)
@@ -124,8 +124,8 @@ def _char_times_abstract(T, psi: RamifiedAbstract, ctx):
     gives chi_(T + c) (x) B = nu^j chi_c2 (x) B, and the dual of theta is
     chi_(c + d - c2) (x) B' when the dual of psi is chi_d (x) B'."""
     n = ctx.field.order - 1
-    base, c = _residue(psi.label)
-    dual, d = _residue(psi.dual_label)
+    base, c = residue(psi.label)
+    dual, d = residue(psi.dual_label)
     line, j = _line_of_char(ctx, (T + c) % n)
     c2 = line.base.log
     d2 = (c + d - c2) % n

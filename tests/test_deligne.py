@@ -132,6 +132,32 @@ def test_character_twists_compose_on_ramified_classes(ell, q, order):
             twist_class(dual_class(a), chi=UnramifiedChar(t.inverse()))
 
 
+@pytest.mark.parametrize("ell,q", [(5, 2), (7, 2)])
+def test_det_of_character_twists(ell, q):
+    # det(chi a) = chi^(dim a) det(a): a twisted label psi.tC reads as
+    # chi_C^dim det(psi).  Only labels with o(nu) | o(psi) dim psi are
+    # declared, since nu^o(psi) psi = psi forces det(nu)^(o(psi) dim psi) = 1
+    ctx = make_ctx(ell, q)
+    F = ctx.field
+    two = repr(F.from_int(2))
+    checked = 0
+    for order in (d for d in range(1, ctx.o_nu + 1) if ctx.o_nu % d == 0):
+        for dim in (d for d in (1, 2, 3, 4) if order * d % ctx.o_nu == 0):
+            psi = f"irr(psi, dim={dim}, ord={order}, dual=psiv)"
+            for text in (f"{{ seg({psi}; r=1; a=0) }}",
+                         f"{{ seg({psi}; r=2; a=1)*2, cyc(line({psi}); r=1) }}",
+                         f"{{ seg({psi}; r=3; a=0), seg(chi(t={two}); r=1) }}"):
+                a = parse_class(text, ctx)
+                d = det_class(a)
+                for t in F.elements():
+                    if not t.is_zero():
+                        b = twist_class(a, chi=UnramifiedChar(t))
+                        assert det_class(b) == Character(
+                            t ** a.dim() * d.unram_value, d.finite), (text, t)
+                        checked += 1
+    assert checked >= 3 * (F.order - 1) * 3
+
+
 def test_profile_examples():
     assert interval_profile(1, 1, 5) == (((0, 0), 1),)
     assert interval_profile(2, 2, 2) == (((0, 1), 1), ((1, 2), 1))
@@ -436,6 +462,17 @@ def test_part_hash_eq_contract(ell, q):
         (parsed, m), = parse_class(f"{{ {ind!r} }}", ctx).parts
         assert m == 1 and parsed == ind and hash(parsed) == hash(ind)
         assert parsed is not ind
+
+
+def test_classes_of_two_contexts_differ():
+    # the same parts at (5,2) and (5,3) name different classes: the first
+    # twist of chi(t=1) is q^-1, 3 at (5,2) and 2 at (5,3)
+    text = ("{ seg(chi(t=[1,0]@F(5^2)); r=1; a=0), "
+            "seg(chi(t=[1,0]@F(5^2)); r=2; a=0) }")
+    a, b = (parse_class(text, make_ctx(5, q)) for q in (2, 3))
+    assert a.parts == b.parts and a != b and b != a
+    assert len({a, b}) == 2
+    assert a == parse_class(text, make_ctx(5, 2))
 
 
 def test_parts_of_two_contexts_differ(ctx52, ctx32):

@@ -9,6 +9,7 @@ from modwd import (Cyc, Seg, UnramifiedChar, banal_tnb_split, c_map,
                    rs_l_factor, tensor_ss, twist_class, twist_rep, unlinked,
                    v_map)
 from modwd.deligne import Character, dsum
+from modwd.dsl import parse_rep
 from modwd.errors import InvalidGenericRep, MixedLines, RamifiedCuspLine
 from modwd.factors import local_constants
 from modwd.gln import (GLSegment, NonSuperCusp, PairSide, SuperCusp,
@@ -303,3 +304,17 @@ def test_gl_rank(ctx52):
     pi = make_generic([sc_seg(ctx52, 2, 0), stk_seg(ctx52, 1, 3)], ctx52)
     # St(2,chi) on GL_2; St(3, St_1) on GL_(3*4*5)
     assert c_map(pi).dim() == 2 + 3 * 4 * 5
+
+
+def test_reps_of_two_contexts_differ():
+    # the same segments at (5,2) and (5,3) name different representations:
+    # the twists of chi(t=1) are powers of q^-1, 3 at (5,2) and 2 at (5,3)
+    text = ("prod{ st(r=1; cusp=chi(t=[1,0]@F(5^2)); a=0), "
+            "st(r=2; cusp=chi(t=[1,0]@F(5^2)); a=0) }")
+    a, b = (parse_rep(text, make_ctx(5, q)) for q in (2, 3))
+    assert a.segs == b.segs and a != b and b != a
+    assert len({a, b}) == 2
+    assert a == parse_rep(text, make_ctx(5, 2))
+    grids = [enumerate_generic_reps(make_ctx(5, q), max_segments=2, max_len=2)
+             for q in (2, 3)]
+    assert len(set(grids[0]) | set(grids[1])) == len(grids[0]) + len(grids[1])

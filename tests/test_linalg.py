@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modwd import _poly
+from modwd import _linalg, _poly
 from modwd._linalg import FMat, _wide_tables
 from modwd.field import finite_field
 
@@ -234,6 +234,38 @@ def test_rref_matches_reference(ell, k):
         want, want_pivots = ref_rref(F, A.a.tolist(), A.ncols)
         assert R.a.dtype == np.intp and R.a.shape == A.a.shape
         assert np.array_equal(R.a, want) and pivots == want_pivots
+
+
+@pytest.mark.parametrize("ell,k", [(5, 1), (5, 2), (2, 3), (3, 4)])
+def test_row_lists_match_wide_route(ell, k, monkeypatch):
+    """rref on row lists against the wide-encoding route, R and pivots, on
+    every shape of at most ROW_LIST_CELLS cells and the first shape above
+    it for each row count, zero rows and columns included: a random
+    matrix, one of lower rank and one with a zero row and column."""
+    F = finite_field(ell, k)
+    rng = random.Random(f"rows:{ell}:{k}")
+    cells = _linalg.ROW_LIST_CELLS
+    shapes = [(0, m) for m in range(cells + 2)] + [
+        (n, m) for n in range(1, cells + 2) for m in range(cells // n + 2)]
+    for n, m in shapes:
+        mats = [rand_fmat(F, n, m, rng)]
+        if n and m:
+            r = rng.randrange(min(n, m))
+            mats.append(rand_fmat(F, n, r, rng) @ rand_fmat(F, r, m, rng))
+            A = rand_fmat(F, n, m, rng)
+            A.a[rng.randrange(n)] = 0
+            A.a[:, rng.randrange(m)] = 0
+            mats.append(A)
+        for A in mats:
+            before = A.a.copy()
+            got = []
+            for route in (10 ** 9, -1):
+                monkeypatch.setattr(_linalg, "ROW_LIST_CELLS", route)
+                got.append(A.rref())
+            (R, pivots), (W, wide_pivots) = got
+            assert np.array_equal(A.a, before)
+            assert R.a.dtype == np.intp and R.a.shape == (n, m)
+            assert np.array_equal(R.a, W.a) and pivots == wide_pivots
 
 
 @pytest.mark.parametrize("ell,k", EVERY_FIELD)

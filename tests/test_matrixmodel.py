@@ -61,6 +61,59 @@ def test_realize_examples(ctx52):
     assert m.U.a.tolist() == [[0, 0], [1, 0]]
 
 
+def ref_realize(a, ctx):
+    """(F, U) of realize(a) entry by entry, from its docstring: per part
+    and copy, F's diagonal and the positions of U's ones."""
+    nu, diag, ones = ctx.nu_value, [], []
+    for ind, mult in a.parts:
+        for _ in range(mult):
+            lo = len(diag)
+            if isinstance(ind, Seg):
+                diag += [(ind.irr.t * nu(ind.a + j)).i for j in range(ind.r)]
+                ones += [(lo + j + 1, lo + j) for j in range(ind.r - 1)]
+                continue
+            # basis vector i o + k: twist i of the segment, slot k of the cycle
+            o, t = ind.line.order, ind.line.base.t
+            diag += [(nu(i) * t * nu(k)).i for i in range(ind.r)
+                     for k in range(o)]
+            ones += [(lo + i * o + (k + 1) % o, lo + i * o + k)
+                     for i in range(ind.r) for k in range(o)]
+            ones += [(lo + (i + 1) * o + k, lo + i * o + k)
+                     for i in range(ind.r - 1) for k in range(o)]
+    U = np.zeros((len(diag), len(diag)), dtype=np.intp)
+    for ij in ones:
+        U[ij] = 1
+    return np.diag(np.array(diag, dtype=np.intp)).reshape(U.shape), U
+
+
+def test_realize_matches_entrywise_reference(ctx52, ctx32, ctx23):
+    # 500 seeded classes at (5,2) and 100 at (3,2) and (2,3); a caller
+    # writing into a realization does not reach the cached part blocks
+    for ctx, count in ((ctx52, 500), (ctx32, 100), (ctx23, 100)):
+        pool = enumerate_line_classes(ctx, 12)
+        rng = random.Random(f"realize:{ctx.ell},{ctx.q_residue}")
+        for _ in range(count):
+            a = pool[rng.randrange(len(pool))]
+            Fw, Uw = ref_realize(a, ctx)
+            m = realize(a, ctx)
+            assert np.array_equal(m.F.a, Fw) and np.array_equal(m.U.a, Uw)
+            m.F.a[:] = 0
+            m.U.a[:] = 1
+            m = realize(a, ctx)
+            assert np.array_equal(m.F.a, Fw) and np.array_equal(m.U.a, Uw)
+
+
+def test_part_blocks_are_cached_read_only(ctx52):
+    for ind in (Seg(chi(ctx52, 2), 3, 1),
+                Cyc(line_of(chi(ctx52, 1), ctx52)[0], 2)):
+        m = matrixmodel._part_blocks(ind, ctx52)
+        assert matrixmodel._part_blocks(ind, ctx52) is m
+        for arr in (m.F.a, m.U.a):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+    assert matrixmodel._part_blocks.cache_info().maxsize
+
+
 def test_realize_rejects_ramified(ctx52):
     psi = RamifiedAbstract("psi", 2, 2, "psiv")
     with pytest.raises(RamifiedLine):
@@ -247,6 +300,30 @@ def test_slice0_chain_stopping_rule(ctx52, ctx32, ctx23, monkeypatch):
                     assert B0.rank() == b == FMat.hstack([B0, Hk]).rank()
                 else:
                     assert B0 is None
+
+
+def test_chains_stop_at_an_empty_slice(ctx52, ctx23, monkeypatch):
+    # a path map into an empty eigenspace slice has rank 0 without a
+    # product or a reduction, so decompose of a realization reduces and
+    # multiplies no empty matrix
+    rref, matmul = FMat.rref, FMat.__matmul__
+
+    def nonempty_rref(A):
+        assert A.a.size
+        return rref(A)
+
+    def nonempty_matmul(A, B):
+        assert A.a.size and B.a.size
+        return matmul(A, B)
+
+    monkeypatch.setattr(FMat, "rref", nonempty_rref)
+    monkeypatch.setattr(FMat, "__matmul__", nonempty_matmul)
+    for ctx in (ctx52, ctx23):
+        pool = enumerate_line_classes(ctx, 10)
+        rng = random.Random(f"empty:{ctx.ell}")
+        for _ in range(300):
+            a = pool[rng.randrange(len(pool))]
+            assert decompose(realize(a, ctx), ctx) == a
 
 
 def test_decompose_error_precedence(ctx52, ctx23, monkeypatch):
