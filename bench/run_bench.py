@@ -77,6 +77,14 @@ Rows, all at (5,2) over F(5^2) unless named otherwise:
   `test_l_matrix_agreement_full_population` (`verify.SWEEPS["lmatrix"]`),
   2,505 of its 80,139 classes at LM_STRIDE.  A pass takes 1-2 s, so ROUNDS
   rounds fit.
+- `criterion_5_s` and `criterion_6_s`, after them and in the same way:
+  one bucket of the (5,2) tensor oracle sweep of
+  `test_criterion_5_tensor_oracle` (`verify.SWEEPS["tensor"]`), 110 of
+  its 210 checks at C5_STRIDE, and of the (5,2) epsilon sweep of
+  `test_criterion_6_epsilon_invertibility` (`verify.SWEEPS["epsilon"]`),
+  40,073 of its 80,145 checks at C6_STRIDE.  Both sweeps run on one
+  process in the tests, so a stride of 2 makes the two buckets of
+  `verify.run`'s 2 * processes.
 """
 
 from __future__ import annotations
@@ -105,6 +113,8 @@ ROUNDS = 20
 C4_STRIDE = 32
 C2_STRIDE = 16
 LM_STRIDE = 32
+C5_STRIDE = 2
+C6_STRIDE = 2
 
 
 def _git_sha(src: Path):
@@ -345,6 +355,10 @@ def _rows():
         context="(5,2)", budget_s=120.0, stride=C2_STRIDE))
     rows["lmatrix_s"] = (first_bucket("lmatrix"), [LM_STRIDE], dict(
         context="(5,2)", stride=LM_STRIDE))
+    rows["criterion_5_s"] = (first_bucket("tensor"), [C5_STRIDE], dict(
+        context="(5,2)", budget_s=60.0, stride=C5_STRIDE))
+    rows["criterion_6_s"] = (first_bucket("epsilon"), [C6_STRIDE], dict(
+        context="(5,2)", stride=C6_STRIDE))
     return rows
 
 

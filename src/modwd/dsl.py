@@ -179,6 +179,10 @@ class Parser:
             if self.ctx.o_nu % order:  # nu^o(nu) = 1 must fix psi
                 raise ParseError(f"twist order {order} does not divide "
                                  f"o(nu)={self.ctx.o_nu}", p)
+            if order * dim % self.ctx.o_nu:
+                raise ParseError(f"ord*dim={order * dim} is not a multiple of "
+                                 f"o(nu)={self.ctx.o_nu}: nu^o(psi) psi = psi "
+                                 "forces det(nu)^(o(psi) dim psi) = 1", p)
             self.expect_punct(",")
             self.key("dual")
             dual = self.expect_ident()

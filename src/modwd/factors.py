@@ -97,11 +97,11 @@ def gamma_from_counts(char_counts, token_counts, ctx) -> FactorExpr:
                       RationalFraction.make(field, exponents))
 
 
-def _l_of(a: DeligneClass, dual=False) -> RationalFraction:
-    """L(X, a), or L(X, dual(a)) when dual is set, read off the unramified
-    segments: the reciprocal root of nu^a chi_T of length r is the value
-    at its top twist, of log T - (a + r - 1)S, and the top twist of its
-    dual is the inverse of its bottom one, of log aS - T."""
+def _l_map(a: DeligneClass, dual=False) -> dict:
+    """Exponents of L(X, a), or of L(X, dual(a)) when dual is set, read off
+    the unramified segments: the reciprocal root of nu^a chi_T of length r
+    is the value at its top twist, of log T - (a + r - 1)S, and the top
+    twist of its dual is the inverse of its bottom one, of log aS - T."""
     field, S = a.ctx.field, a.ctx.q_log
     exp, n = field.exp, field.order - 1
     exponents = {}
@@ -112,19 +112,18 @@ def _l_of(a: DeligneClass, dual=False) -> RationalFraction:
             else:
                 u = exp[(ind.irr.log - (ind.a + ind.r - 1) * S) % n]
             exponents[u] = exponents.get(u, 0) - m
-    return RationalFraction.make(field, exponents)
+    return exponents
 
 
 def l_factor(a: DeligneClass) -> RationalFraction:
     """det(Id - X Frob | Ker(U)^inertia)^(-1): one Euler factor per
     unramified segment, read off its top twist; cycles and ramified
     segments contribute 1."""
-    return _l_of(a)
+    return RationalFraction.make(a.ctx.field, _l_map(a))
 
 
 def gamma_factor(a: DeligneClass) -> FactorExpr:
-    chars, toks = constituent_counts(a)
-    return gamma_from_counts(chars, toks, a.ctx)
+    return gamma_from_counts(*constituent_counts(a), a.ctx)
 
 
 def epsilon_from(gamma, l, l_dual, ctx) -> FactorExpr:
@@ -152,10 +151,19 @@ def epsilon_from(gamma, l, l_dual, ctx) -> FactorExpr:
     return FactorExpr.from_unit(unit)
 
 
+def constants_from(l, l_dual, chars, toks, ctx):
+    """(L, gamma, epsilon), each built once, from the exponents of L and of
+    the dual's L and the character and token counts of gamma."""
+    l = RationalFraction.make(ctx.field, l)
+    gamma = gamma_from_counts(chars, toks, ctx)
+    return l, gamma, epsilon_from(
+        gamma, l, RationalFraction.make(ctx.field, l_dual), ctx)
+
+
 def local_constants(a: DeligneClass):
     """(L, gamma, epsilon) of a, each computed once."""
-    l, gamma = l_factor(a), gamma_factor(a)
-    return l, gamma, epsilon_from(gamma, l, _l_of(a, dual=True), a.ctx)
+    return constants_from(_l_map(a), _l_map(a, dual=True),
+                          *constituent_counts(a), a.ctx)
 
 
 def epsilon_factor(a: DeligneClass) -> FactorExpr:

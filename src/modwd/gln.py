@@ -10,10 +10,12 @@ case is the Tate factor of the product character, computed directly rather
 than through the correspondence, so the preservation check really does
 cross-validate CV, the semisimple tensor and the kernel bookkeeping.
 
-The Galois side of a pair is L, gamma and epsilon of tensor_ss(C(pi),
-C(pi')), whose L, dual L and constituent counts are sums over pairs of
-C-parts: compare_sides sums cached part pair constants, filled by the
-tensor rule and factors.py's readers, and never builds the tensor.
+Both sides of a pair are the same four maps, the exponents of L and of
+the dual's L and gamma's character and token counts: sums over banal
+segment and support value pairs on the Rankin-Selberg side, and over
+C-part pairs, from cached part pair constants, for the Galois side's
+tensor_ss(C(pi), C(pi')), which is never built.  Sides that agree share
+one L, gamma and epsilon, so one epsilon unit check covers both.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import functools
 from dataclasses import dataclass
 
 from .deligne import (Character, DeligneClass, _tensor_indec_cached, cv_map,
-                      merge, seg, tensor_ss)
+                      cyc, merge, seg, tensor_ss)
 from .errors import InvalidGenericRep, MixedLines, RamifiedCuspLine
-from .factors import (_l_of, constituent_counts, epsilon_from,
-                      gamma_from_counts, l_factor)
+from .factors import (_l_map, constants_from, constituent_counts,
+                      epsilon_from, gamma_from_counts, l_factor)
 from .laurent import FactorExpr, RationalFraction
 from .weil import (Line, UnramifiedChar, char_of_log, dual_irr, fuse,
                    irr_order, line_of)
@@ -327,10 +329,10 @@ def _banal_segments(pi: GenericRep):
                  if isinstance(s.cusp, SuperCusp))
 
 
-def _pair_l(ctx, banal, banal2) -> RationalFraction:
-    """L of the pair from the banal segments of both sides: the roots of
-    a segment pair are nu^k chi_(T + T') for k from top, of log
-    T + T' - kS."""
+def _pair_l(ctx, banal, banal2) -> dict:
+    """Exponents of L of the pair from the banal segments of both sides:
+    the roots of a segment pair are nu^k chi_(T + T') for k from top, of
+    log T + T' - kS."""
     field, S = ctx.field, ctx.q_log
     exp, n = field.exp, field.order - 1
     exponents = {}
@@ -340,12 +342,12 @@ def _pair_l(ctx, banal, banal2) -> RationalFraction:
             for k in range(top, top + min(r, r2)):
                 u = exp[(t + t2 - k * S) % n]
                 exponents[u] = exponents.get(u, 0) - m * m2
-    return RationalFraction.make(field, exponents)
+    return exponents
 
 
-def _pair_gamma(ctx, support, support2) -> FactorExpr:
-    """Product over supercuspidal support pairs of the gamma factors of
-    the product characters."""
+def _pair_gamma(ctx, support, support2) -> dict:
+    """gamma's character counts of the pair: the product characters of
+    the supercuspidal support pairs, as value -> multiplicity."""
     exp = ctx.field.exp
     counts = {}
     for u, cu in support.items():
@@ -353,19 +355,21 @@ def _pair_gamma(ctx, support, support2) -> FactorExpr:
             # exp repeats its Q - 1 powers, so exp[u + v] needs no reduction
             w = exp[u + v]
             counts[w] = counts.get(w, 0) + cu * cv
-    return gamma_from_counts(counts, {}, ctx)
+    return counts
 
 
 def rs_l_factor(pi: GenericRep, pi2: GenericRep) -> RationalFraction:
     """L of the pair: totally non-banal segments contribute 1; a banal
     segment pair St(n, nu^a chi) x St(m, nu^b chi'), m <= n, contributes
     prod_k 1/(1 - value(nu^(n-1+a) chi * nu^(k+b) chi') X)."""
-    return _pair_l(pi.ctx, _banal_segments(pi), _banal_segments(pi2))
+    return RationalFraction.make(pi.ctx.field, _pair_l(
+        pi.ctx, _banal_segments(pi), _banal_segments(pi2)))
 
 
 def rs_gamma_factor(pi: GenericRep, pi2: GenericRep) -> FactorExpr:
-    return _pair_gamma(pi.ctx, _support_value_counts(pi),
-                       _support_value_counts(pi2))
+    return gamma_from_counts(_pair_gamma(pi.ctx, _support_value_counts(pi),
+                                         _support_value_counts(pi2)), {},
+                             pi.ctx)
 
 
 def rs_epsilon_factor(pi: GenericRep, pi2: GenericRep) -> FactorExpr:
@@ -385,8 +389,10 @@ def central_char(pi: GenericRep) -> Character:
 class PairSide:
     """What the preservation check reads off one representation, computed
     once: its C-parameter, its supercuspidal support, and the banal
-    segments of it and of its dual.  The support must be unramified
-    (RamifiedCuspLine), so no C-part pair needs a declared fusion rule."""
+    segments of it and of its dual, from which compare_sides sums both
+    sides' four maps; sides that agree share one epsilon, so one unit
+    check covers both.  The support must be unramified (RamifiedCuspLine),
+    so no C-part pair needs a declared fusion rule."""
 
     __slots__ = ("ctx", "c", "support", "banal", "dual_banal")
 
@@ -412,74 +418,75 @@ class PreservationReport:
     gal_eps: FactorExpr
     v_side_l: RationalFraction = None
 
-    @property
-    def l_match(self):
-        return self.rs_l == self.gal_l
-
-    @property
-    def gamma_match(self):
-        return self.rs_gamma == self.gal_gamma
-
-    @property
-    def eps_match(self):
-        return self.rs_eps == self.gal_eps
+    def _checks(self):
+        return (("L", self.rs_l, self.gal_l),
+                ("gamma", self.rs_gamma, self.gal_gamma),
+                ("epsilon", self.rs_eps, self.gal_eps))
 
     @property
     def all_match(self):
-        return self.l_match and self.gamma_match and self.eps_match
+        return self.mismatch() is None
 
     def mismatch(self):
         """The name of the first identity that fails, or None."""
-        for name, ok in (("L", self.l_match), ("gamma", self.gamma_match),
-                         ("epsilon", self.eps_match)):
-            if not ok:
-                return name
-        return None
+        return next((name for name, rs, gal in self._checks() if rs != gal),
+                    None)
 
     def lines(self):
-        yield f"L   rs={self.rs_l!r}"
-        yield f"L   gal={self.gal_l!r}  [{'MATCH' if self.l_match else 'MISMATCH'}]"
-        yield f"L   v-side={self.v_side_l!r}"
-        yield f"GAMMA rs={self.rs_gamma!r}"
-        yield f"GAMMA gal={self.gal_gamma!r}  [{'MATCH' if self.gamma_match else 'MISMATCH'}]"
-        yield f"EPS rs={self.rs_eps!r}"
-        yield f"EPS gal={self.gal_eps!r}  [{'MATCH' if self.eps_match else 'MISMATCH'}]"
+        for tag, (_, rs, gal) in zip(("L  ", "GAMMA", "EPS"), self._checks()):
+            yield f"{tag} rs={rs!r}"
+            yield f"{tag} gal={gal!r}  [{'MATCH' if rs == gal else 'MISMATCH'}]"
+            if tag == "L  ":
+                yield f"L   v-side={self.v_side_l!r}"
+
+
+def _unramified_part(key, ctx):
+    """The C-part of an unramified representation with this key."""
+    (_, log), kind, r, a = key
+    chi = char_of_log(ctx.field, log)
+    return cyc(chi, r, ctx) if kind else seg(chi, r, a, ctx)
 
 
 @functools.lru_cache(maxsize=8192)
-def _part_pair_constants(A, B, ctx):
-    """What the pair of C-parts (A, B) adds to the Galois side: the
-    exponent maps of L(A (x) B) and of its dual's L, and its constituent
-    counts (unramified character values, ramified (label, twist) pairs),
-    each as (key, count) pairs of the class merge(A (x) B)."""
-    a = merge(_tensor_indec_cached(A, B, ctx), ctx)
+def _part_pair_constants(key, key2, ctx):
+    """What the pair of C-parts (A, B) with these keys adds to the Galois
+    side: the exponents of L(A (x) B) and of its dual's L, and its
+    constituent counts, each as (key, count) pairs of merge(A (x) B).  A
+    key names an unramified part within ctx, so a lookup hashes and
+    compares int tuples, not parts."""
+    a = merge(_tensor_indec_cached(_unramified_part(key, ctx),
+                                   _unramified_part(key2, ctx), ctx), ctx)
     chars, toks = constituent_counts(a)
-    return (_l_of(a).roots, _l_of(a, dual=True).roots, tuple(chars.items()),
-            tuple(toks.items()))
+    return (tuple(_l_map(a).items()), tuple(_l_map(a, dual=True).items()),
+            tuple(chars.items()), tuple(toks.items()))
 
 
 def compare_sides(side: PairSide, side2: PairSide) -> PreservationReport:
-    """Both sides of the three preservation identities: the pair factors,
-    and local_constants(tensor_ss(c, c2)) of the C-parameters, read once
-    off the sums of m_A m2_B times the constants of each part pair (A, B).
-    Either epsilon raises EpsilonNotUnit when it is not a unit."""
+    """Both sides of the three preservation identities as the same four
+    maps: the pair factors' sums over segment and support value pairs, and
+    local_constants(tensor_ss(c, c2)) as the sums of m_A m2_B times the
+    constants of each C-part pair (A, B).  Sides whose maps agree share
+    one L, gamma and epsilon, so one unit check covers both; otherwise
+    each side's are built, the Rankin-Selberg side's first.  Epsilon
+    raises EpsilonNotUnit when it is not a unit."""
     ctx = side.ctx
-    rs_l = _pair_l(ctx, side.banal, side2.banal)
-    rs_gamma = _pair_gamma(ctx, side.support, side2.support)
-    rs_eps = epsilon_from(rs_gamma, rs_l,
-                          _pair_l(ctx, side.dual_banal, side2.dual_banal), ctx)
-    sums = ({}, {}, {}, {})
+    rs = (_pair_l(ctx, side.banal, side2.banal),
+          _pair_l(ctx, side.dual_banal, side2.dual_banal),
+          _pair_gamma(ctx, side.support, side2.support), {})
+    gal = ({}, {}, {}, {})
     for A, m in side.c.parts:
         for B, m2 in side2.c.parts:
             w = m * m2
-            for acc, items in zip(sums, _part_pair_constants(A, B, ctx)):
-                for key, e in items:
+            for acc, kv in zip(gal, _part_pair_constants(A.key, B.key, ctx)):
+                for key, e in kv:
                     acc[key] = acc.get(key, 0) + w * e
-    l, l_dual, chars, toks = sums
-    gal_l = RationalFraction.make(ctx.field, l)
-    gal_gamma = gamma_from_counts(chars, toks, ctx)
-    gal_eps = epsilon_from(gal_gamma, gal_l,
-                           RationalFraction.make(ctx.field, l_dual), ctx)
+    # no map holds a zero entry (L's exponents are negative, the counts
+    # positive), so this is equality with zeros dropped, as make drops them
+    if rs == gal:
+        l, gamma, eps = constants_from(*gal, ctx)
+        return PreservationReport(l, l, gamma, gamma, eps, eps)
+    rs_l, rs_gamma, rs_eps = constants_from(*rs, ctx)
+    gal_l, gal_gamma, gal_eps = constants_from(*gal, ctx)
     return PreservationReport(rs_l, gal_l, rs_gamma, gal_gamma, rs_eps,
                               gal_eps)
 

@@ -215,7 +215,8 @@ def witness(ell, q):
 def preservation(ell, q, max_segments, max_len, max_k=1):
     """All pairs (i, j >= i) of grid representations: L, gamma and epsilon
     agree on both sides, token-exactly, with the comparison
-    check_preservation makes, both epsilon unit checks included.  A
+    check_preservation makes: both sides are the same four maps, and sides
+    that agree share one epsilon, so one unit check covers both.  A
     failure is (rep text, rep text, tag): `modwd pair` replays it."""
     ctx = make_ctx(ell, q)
     reps = enumerate_generic_reps(ctx, max_segments, max_len, max_k)

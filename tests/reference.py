@@ -1,14 +1,18 @@
 """References kept apart from the code they check: the group law on local
 constants, apart from factors.epsilon_from, so the epsilon tests compare
-against a formula that does not go through it; and the line of a
-character by walking its twist orbit, apart from weil.line_of's closed
-form.
+against a formula that does not go through it; the line of a character by
+walking its twist orbit, apart from weil.line_of's closed form; and the
+preservation report with each side's L, gamma and epsilon built on its
+own, apart from compare_sides' comparison of the two sides' maps.
 
 A local constant is unit * prod_a (1 - aX)^(e_a).  Products and quotients
 add or subtract the exponent maps and multiply the units; the substitution
 X -> q^-1 X^-1 sends (1 - aX)^e to (-a q^-1 X^-1)^e (1 - q a^-1 X)^e.
 """
 
+from modwd import gln
+from modwd.deligne import tensor_ss
+from modwd.factors import local_constants
 from modwd.laurent import FactorExpr, RationalFraction, UnitExpr
 
 
@@ -63,3 +67,16 @@ def line_by_orbit_walk(ctx, t):
         v = v * q_inv
     _, i, base = min(orbit)
     return base, -i % ctx.o_nu
+
+
+def two_sided_report(pi, pi2):
+    """compare_sides(PairSide(pi), PairSide(pi2)) with each side built on
+    its own, the Rankin-Selberg side first: the pair factors of pi and pi2,
+    epsilon from the L of their built duals, then local_constants of the
+    built tensor of the C-parameters.  The pair rules are looked up in gln
+    on each call, so a test can replace them."""
+    rs_l, rs_gamma = gln.rs_l_factor(pi, pi2), gln.rs_gamma_factor(pi, pi2)
+    rs_eps = gln.rs_epsilon_factor(pi, pi2)
+    gal = local_constants(tensor_ss(gln.c_map(pi), gln.c_map(pi2)))
+    return gln.PreservationReport(rs_l, gal[0], rs_gamma, gal[1], rs_eps,
+                                  gal[2])

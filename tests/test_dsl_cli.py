@@ -63,20 +63,34 @@ def test_twist_order_must_divide_o_nu():
         load_fusion_table("DECL irr(psi, dim=2, ord=2, dual=psi)\n", ctx)
 
 
+def test_label_ord_times_dim_is_a_multiple_of_o_nu(ctx52):
+    # nu^o(psi) psi = psi forces det(nu)^(o(psi) dim psi) = 1; o(nu) = 4
+    for dim, order in ((1, 4), (2, 2), (4, 1), (3, 4)):
+        assert parse_class(f"{{ seg(irr(psi, dim={dim}, ord={order}, "
+                           "dual=psiv); r=1) }", ctx52)
+    for atom in ("irr(psi, dim=1, ord=1, dual=psiv)",
+                 "irr(psia, dim=1, ord=2, dual=psiav)",
+                 "irr(psi, dim=3, ord=2, dual=psiv)"):
+        with pytest.raises(ParseError, match=r"forces det\(nu\)\^"):
+            parse_class(f"{{ seg({atom}; r=1) }}", ctx52)
+        with pytest.raises(ParseError, match="not a multiple of o"):
+            load_fusion_table(f"DECL {atom}\n", ctx52)
+
+
 def test_fusion_file(ctx52):
     text = """
 # abstract pair with a declared fusion
-DECL irr(psia, dim=1, ord=2, dual=psiav)
+DECL irr(psia, dim=1, ord=4, dual=psiav)
 DECL irr(psib, dim=2, ord=2, dual=psibv)
 FUSE psia psib -> (0,chi(t=1)) (1,chi(t=1))
 """
     table = load_fusion_table(text, ctx52)
-    a = parse_class("{ seg(irr(psia, dim=1, ord=2, dual=psiav); r=1) }", ctx52)
+    a = parse_class("{ seg(irr(psia, dim=1, ord=4, dual=psiav); r=1) }", ctx52)
     b = parse_class("{ seg(irr(psib, dim=2, ord=2, dual=psibv); r=1) }", ctx52)
     out = tensor_ss(a, b, table)
     assert out.dim() == 2
     # dimension-violating entries are rejected with the line number
-    bad = ("DECL irr(psia, dim=1, ord=2, dual=psiav)\n"
+    bad = ("DECL irr(psia, dim=1, ord=4, dual=psiav)\n"
            "DECL irr(psib, dim=2, ord=2, dual=psibv)\n"
            "FUSE psia psib -> (0,chi(t=1))")
     with pytest.raises(ParseError):

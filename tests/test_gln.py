@@ -10,12 +10,14 @@ from modwd import (Cyc, Seg, UnramifiedChar, banal_tnb_split, c_map,
                    v_map)
 from modwd.deligne import Character, dsum
 from modwd.dsl import parse_rep
-from modwd.errors import InvalidGenericRep, MixedLines, RamifiedCuspLine
+from modwd.errors import (EpsilonNotUnit, InvalidGenericRep, MixedLines,
+                          RamifiedCuspLine)
 from modwd.factors import local_constants
 from modwd.gln import (GLSegment, NonSuperCusp, PairSide, SuperCusp,
                        compare_sides)
 from modwd.verify import enumerate_generic_reps
 from modwd.weil import RamifiedAbstract, line_of
+from reference import two_sided_report
 
 
 def chi(ctx, v):
@@ -197,24 +199,6 @@ def test_preservation_banal_and_duals(ctx52):
                                       with_v_side=False).all_match
 
 
-@pytest.mark.parametrize("ell, q", [(5, 2), (3, 2), (2, 3), (3, 4), (7, 2)])
-def test_galois_side_matches_tensor_reference(ell, q):
-    # compare_sides sums cached part-pair constants; the reference reads
-    # local_constants off the built tensor of the C-parameters.  (7,2) is
-    # the one context here with an odd o > 1 (o = 3)
-    ctx = make_ctx(ell, q)
-    reps = enumerate_generic_reps(ctx, max_segments=3, max_len=4, max_k=1)
-    sides = [PairSide(pi) for pi in reps]
-    rng = random.Random(f"galois:{ell},{q}")
-    for _ in range(2000):
-        side, side2 = rng.choice(sides), rng.choice(sides)
-        report = compare_sides(side, side2)
-        got = (report.gal_l, report.gal_gamma, report.gal_eps)
-        want = local_constants(tensor_ss(side.c, side2.c))
-        assert got == want, (side.c, side2.c)
-        assert list(map(repr, got)) == list(map(repr, want))
-
-
 def test_part_pair_cache_does_not_hide_the_tensor_rule(ctx52, monkeypatch):
     # a tensor rule that drops the last piece of a segment (x) segment
     # product reaches compare_sides once the caches are cleared
@@ -240,6 +224,93 @@ def test_part_pair_cache_does_not_hide_the_tensor_rule(ctx52, monkeypatch):
     finally:
         for cache in caches:
             cache.cache_clear()
+
+
+def _outcome(route, pi, pi2):
+    """What a route says of the pair: the first failing identity and the
+    six factors, as objects and as text, or the EpsilonNotUnit message."""
+    try:
+        r = route(pi, pi2)
+    except EpsilonNotUnit as exc:
+        return "epsilon-not-unit", str(exc)
+    fields = (r.rs_l, r.gal_l, r.rs_gamma, r.gal_gamma, r.rs_eps, r.gal_eps)
+    return r.mismatch(), fields, [repr(f) for f in fields]
+
+
+def _compared(pi, pi2):
+    return compare_sides(PairSide(pi), PairSide(pi2))
+
+
+def _names_of_both_routes(ell, q, pairs, seed):
+    """The outcome names over seeded pairs of the criterion-2 grid, once
+    both routes agree on every pair."""
+    ctx = make_ctx(ell, q)
+    reps = enumerate_generic_reps(ctx, max_segments=3, max_len=4, max_k=1)
+    rng = random.Random(f"{seed}:{ell},{q}")
+    names = set()
+    for _ in range(pairs):
+        pi, pi2 = rng.choice(reps), rng.choice(reps)
+        got = _outcome(_compared, pi, pi2)
+        assert got == _outcome(two_sided_report, pi, pi2), (pi, pi2)
+        names.add(got[0])
+    return names
+
+
+@pytest.mark.parametrize("ell, q", [(5, 2), (3, 2), (2, 3), (3, 4), (7, 2)])
+def test_galois_side_matches_tensor_reference(ell, q):
+    # compare_sides sums cached part-pair constants and builds L, gamma and
+    # epsilon once when both sides' maps agree; the reference reads
+    # local_constants off the built tensor of the C-parameters and builds
+    # the Rankin-Selberg side on its own.  (7,2) is the one context here
+    # with an odd o > 1 (o = 3)
+    assert _names_of_both_routes(ell, q, 2000, "galois") == {None}
+
+
+def _losing_last_root(ctx, banal, banal2):
+    # gln._pair_l with the root rule short of its last root
+    S, exp, n = ctx.q_log, ctx.field.exp, ctx.field.order - 1
+    exponents = {}
+    for r, a, t, m in banal:
+        for r2, b, t2, m2 in banal2:
+            top = max(r, r2) - 1 + a + b
+            for k in range(top, top + min(r, r2) - 1):
+                u = exp[(t + t2 - k * S) % n]
+                exponents[u] = exponents.get(u, 0) - m * m2
+    return exponents
+
+
+def _shifting_one_value(support_value_counts):
+    # the least support value log of each representation moves up by one
+    def shifted(pi):
+        counts = support_value_counts(pi)
+        if counts:
+            u, n = min(counts), pi.ctx.field.order - 1
+            v = (u + 1) % n
+            counts[v] = counts.get(v, 0) + counts.pop(u)
+        return counts
+    return shifted
+
+
+@pytest.mark.parametrize("mutant, name, contexts", [
+    ("root", "L", ((5, 2), (3, 2), (2, 3), (3, 4))),
+    # at (5,2) nearly every shifted pair has an epsilon that is no unit,
+    # and its message expands fractions of degree in the hundreds
+    ("support", "gamma", ((3, 2), (2, 3), (3, 4)))], ids=["root", "support"])
+def test_rs_mutants_are_named_by_both_routes(monkeypatch, mutant, name,
+                                             contexts):
+    # a Rankin-Selberg rule broken in the code reaches both routes, which
+    # agree on every pair and name the broken identity on some
+    from modwd import gln
+
+    if mutant == "root":
+        monkeypatch.setattr(gln, "_pair_l", _losing_last_root)
+    else:
+        monkeypatch.setattr(gln, "_support_value_counts",
+                            _shifting_one_value(gln._support_value_counts))
+    names = set()
+    for ell, q in contexts:
+        names |= _names_of_both_routes(ell, q, 300, mutant)
+    assert name in names, names
 
 
 def test_pair_side_dual_segments(ctx52, ctx32, ctx23, ctx34):
