@@ -5,7 +5,9 @@ A class is a normalized multiset of indecomposables: segments
 (bijective operator, which exists only because the twist orbit is finite).
 Krull-Schmidt makes the multiset well defined, so all operations here are
 multiset combinatorics plus the modular interval profile of a tensor of
-two shift operators.
+two shift operators.  The tensor has one rule: a cycle enters as the twist
+orbit of the segments it glues, the segment rule (interval profile times
+fusion) runs, and cv_map glues the full orbits back into cycles.
 
 Indecomposables are canonical by construction: seg() and cyc() are the
 only code that reduces twists and picks line representatives, and every
@@ -288,59 +290,37 @@ def interval_profile(n, m, ell):
 
 # -- semisimple tensor product ------------------------------------------------
 
-def _orbit_cycle_counts(entries, twists, ctx):
-    """Distribute nu^t * entry over full twist orbits.
-
-    entries: fusion output ((k, irr), ...); twists: iterable of ambient
-    twist offsets.  Returns [(Line, number of full orbits)]; the multiset
-    is always nu-stable because the ambient twists run over a full orbit.
-    """
-    per_line = {}
-    for t in twists:
-        for k, theta in entries:
-            line, shift = line_of(theta, ctx)
-            o = line.order
-            counts = per_line.setdefault(line.key, (line, [0] * o))[1]
-            counts[(t + k + shift) % o] += 1
-    out = []
-    for line, counts in per_line.values():
-        mu = counts[0]
-        if any(c != mu for c in counts):
-            # a semisimplified tensor against a full orbit is twist-stable;
-            # a declared fusion entry violating this cannot be correct
-            raise ValueError(
-                f"fusion output is not twist-stable on {line!r}")
-        out.append((line, mu))
-    return out
-
-
 @functools.lru_cache(maxsize=8192)
 def _tensor_indec_cached(A, B, ctx):
     return tuple(_tensor_indec(A, B, ctx, None))
 
 
 def _tensor_indec(A, B, ctx, table):
-    """Tensor of two indecomposables as a list of (indec, mult)."""
-    profile = interval_profile(A.r, B.r, ctx.ell)
+    """Tensor of two indecomposables as a list of (indec, mult).
+
+    A cycle enters as the twist orbit of the segments it glues, so every
+    pair takes the one segment rule, the interval profile times the fusion
+    of the irreducibles, and cv_map glues the full orbits of a product with
+    a cycle back into cycles.  Each interval is glued on its own: its
+    pieces are twist-stable, so a segment left over names a wrong declared
+    fusion, which two intervals of one length could even out."""
+    if isinstance(A, Cyc) and isinstance(B, Seg):
+        A, B = B, A  # fuse takes the segment's irreducible first
+    (psi, twists), (psi2, twists2) = (
+        (P.irr, (P.a,)) if isinstance(P, Seg)
+        else (P.line.base, range(P.line.order)) for P in (A, B))
+    entries = fuse(psi, psi2, ctx, table)
     out = []
-    a_seg, b_seg = isinstance(A, Seg), isinstance(B, Seg)
-    if a_seg and b_seg:
-        entries = fuse(A.irr, B.irr, ctx, table)
-        for (c, d), pm in profile:
-            for k, theta in entries:
-                out.append((seg(theta, d - c + 1, A.a + B.a + c + k, ctx), pm))
-        return out
-    if a_seg or b_seg:
-        S, C = (A, B) if a_seg else (B, A)
-        entries = fuse(S.irr, C.line.base, ctx, table)
-        orbits = _orbit_cycle_counts(entries, [S.a + j for j in range(C.line.order)], ctx)
-    else:
-        entries = fuse(A.line.base, B.line.base, ctx, table)
-        twists = [i + j for i in range(A.line.order) for j in range(B.line.order)]
-        orbits = _orbit_cycle_counts(entries, twists, ctx)
-    for (c, d), pm in profile:
-        for line, mu in orbits:
-            out.append((cyc(line, d - c + 1, ctx), pm * mu))
+    for (c, d), pm in interval_profile(A.r, B.r, ctx.ell):
+        pieces = [(seg(theta, d - c + 1, i + j + c + k, ctx), pm)
+                  for k, theta in entries for i in twists for j in twists2]
+        if isinstance(B, Cyc):  # after the swap: iff a cycle took part
+            pieces = cv_map(merge(pieces, ctx)).parts
+            for ind, _ in pieces:
+                if isinstance(ind, Seg):
+                    raise ValueError("fusion output is not twist-stable on "
+                                     f"{line_of(ind.irr, ctx)[0]!r}")
+        out += pieces
     return out
 
 
@@ -348,8 +328,9 @@ def tensor_ss(a: DeligneClass, b: DeligneClass, table=None) -> DeligneClass:
     """Semisimple tensor product, bilinear over direct sums.
 
     On indecomposables it is the interval profile tensored with the fusion
-    of the irreducible parts; any pair involving a cycle lands entirely in
-    cycles (the operator stays bijective at generic scalings).
+    of the irreducible parts, a cycle taking part as its twist orbit; any
+    pair involving a cycle lands entirely in cycles (the operator stays
+    bijective at generic scalings).
     """
     ctx = a.ctx
     out = []

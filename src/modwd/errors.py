@@ -62,7 +62,15 @@ class NotSemisimple(ModwdError):
 
 
 class EpsilonNotUnit(ModwdError):
-    pass
+    """Carries the non-unit epsilon, printed only when the message is read:
+    its fraction can have degree in the hundreds."""
+
+    def __init__(self, eps):
+        super().__init__(eps)
+        self.eps = eps
+
+    def __str__(self):
+        return f"epsilon is not a unit: {self.eps!r}"
 
 
 class RamifiedCuspLine(ModwdError):

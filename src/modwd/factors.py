@@ -146,8 +146,8 @@ def epsilon_from(gamma, l, l_dual, ctx) -> FactorExpr:
         exponents[b] = exponents.get(b, 0) - e
     unit = UnitExpr(F, scalar, x_power, gamma.unit.tokens)
     if any(exponents.values()):
-        eps = FactorExpr(F, unit, RationalFraction.make(F, exponents))
-        raise EpsilonNotUnit(f"epsilon is not a unit: {eps!r}")
+        raise EpsilonNotUnit(
+            FactorExpr(F, unit, RationalFraction.make(F, exponents)))
     return FactorExpr.from_unit(unit)
 
 

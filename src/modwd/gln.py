@@ -465,10 +465,10 @@ def compare_sides(side: PairSide, side2: PairSide) -> PreservationReport:
     """Both sides of the three preservation identities as the same four
     maps: the pair factors' sums over segment and support value pairs, and
     local_constants(tensor_ss(c, c2)) as the sums of m_A m2_B times the
-    constants of each C-part pair (A, B).  Sides whose maps agree share
-    one L, gamma and epsilon, so one unit check covers both; otherwise
-    each side's are built, the Rankin-Selberg side's first.  Epsilon
-    raises EpsilonNotUnit when it is not a unit."""
+    constants of each C-part pair (A, B).  The Rankin-Selberg side's L,
+    gamma and epsilon are built first, and the Galois side shares them
+    when its maps agree, so one unit check covers both.  Epsilon raises
+    EpsilonNotUnit when it is not a unit."""
     ctx = side.ctx
     rs = (_pair_l(ctx, side.banal, side2.banal),
           _pair_l(ctx, side.dual_banal, side2.dual_banal),
@@ -480,13 +480,11 @@ def compare_sides(side: PairSide, side2: PairSide) -> PreservationReport:
             for acc, kv in zip(gal, _part_pair_constants(A.key, B.key, ctx)):
                 for key, e in kv:
                     acc[key] = acc.get(key, 0) + w * e
+    rs_l, rs_gamma, rs_eps = constants_from(*rs, ctx)
     # no map holds a zero entry (L's exponents are negative, the counts
     # positive), so this is equality with zeros dropped, as make drops them
-    if rs == gal:
-        l, gamma, eps = constants_from(*gal, ctx)
-        return PreservationReport(l, l, gamma, gamma, eps, eps)
-    rs_l, rs_gamma, rs_eps = constants_from(*rs, ctx)
-    gal_l, gal_gamma, gal_eps = constants_from(*gal, ctx)
+    gal_l, gal_gamma, gal_eps = (
+        (rs_l, rs_gamma, rs_eps) if rs == gal else constants_from(*gal, ctx))
     return PreservationReport(rs_l, gal_l, rs_gamma, gal_gamma, rs_eps,
                               gal_eps)
 

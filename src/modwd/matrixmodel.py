@@ -418,29 +418,15 @@ def _indec_spectrum(ind, ctx):
 
 
 def _admissible_pair(field, conditions):
-    """Deterministic sweep over increasing discrete logs for (lam, mu)
-    outside the bad hyperplanes; None when the field is exhausted."""
-    top = field.order - 1
-    for s in range(2 * top - 1):
-        for i in range(max(0, s - top + 1), min(s, top - 1) + 1):
-            lam, mu = field.exp[i], field.exp[s - i]
-            ok = True
-            for SA, SB in conditions:
-                vals = set()
-                for a in SA:
-                    for b in SB:
-                        v = field.add_idx(field.mul_idx(lam, a),
-                                          field.mul_idx(mu, b))
-                        if v == 0 or v in vals:
-                            ok = False
-                            break
-                        vals.add(v)
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
-                return lam, mu
+    """(lam, 1) for the first lam in discrete-log order with the lam a + b,
+    a in SA and b in SB, nonzero and distinct for each condition (SA, SB);
+    None when the field has none.  A class does not see a global rescale
+    (matrix_dual), so only the ratio of the two scalings matters."""
+    for lam in field.exp[:field.order - 1]:
+        if all(len({field.add_idx(field.mul_idx(lam, a), b)
+                    for a in SA for b in SB} - {0}) == len(SA) * len(SB)
+               for SA, SB in conditions):
+            return lam, 1
     return None
 
 
@@ -448,8 +434,9 @@ def oracle_tensor_ss(a: DeligneClass, b: DeligneClass) -> DeligneClass:
     """Realize each part, scale operators by one admissible (lam, mu) and
     decompose the tensor of each pair of parts, m_i n_j times for parts of
     multiplicities m_i and n_j (tensor is bilinear over direct sums): the
-    class tensor_ss must match.  Extends the field when no admissible pair
-    exists in the context field."""
+    class tensor_ss must match.  Only the ratio lam/mu is searched, so mu
+    is 1.  Extends the field when no admissible ratio exists in the
+    context field."""
     ctx = a.ctx
     if a.is_zero() or b.is_zero():
         return zero_class(ctx)

@@ -485,3 +485,72 @@ def test_parts_of_two_contexts_differ(ctx52, ctx32):
     (c, _), = parse_class("{ cyc(line(chi(t=1)); r=1) }", ctx52).parts
     (d, _), = parse_class("{ cyc(line(chi(t=1)); r=1) }", ctx32).parts
     assert c.key == d.key and c != d
+
+
+def _declared_labels(ctx):
+    """A declared label of each (ord, dim), dim <= 4, that the DSL admits:
+    ord divides o(nu), which divides ord * dim."""
+    return [RamifiedAbstract(f"psi{o}{d}", d, o, f"psi{o}{d}v")
+            for o in range(1, ctx.o_nu + 1) if ctx.o_nu % o == 0
+            for d in range(1, 5) if o * d % ctx.o_nu == 0]
+
+
+@pytest.mark.parametrize("ell,q", [(5, 2), (7, 2), (3, 4)])
+def test_tensor_laws_on_declared_lines(ell, q):
+    # the cycle rules on declared lines, which the matrix oracle cannot
+    # realize: every ordered pair of parts with r <= 3 on two unramified
+    # lines and on the declared labels, a label meeting only characters,
+    # so that no fusion table is needed
+    ctx = make_ctx(ell, q)
+    g = UnramifiedChar(ctx.field.elem(ctx.field.gen_idx))
+    lines = {line_of(psi, ctx)[0]
+             for psi in [UnramifiedChar(ctx.field.one), g]}
+    assert len(lines) == 2
+
+    def parts_on(psi):
+        line = line_of(psi, ctx)[0]
+        return [normalize([ind], ctx) for r in (1, 2, 3) for ind in
+                [Cyc(line, r), *(Seg(line.base, r, a)
+                                 for a in range(line.order))]]
+
+    unram = [a for line in lines for a in parts_on(line.base)]
+    ram = [a for psi in _declared_labels(ctx) for a in parts_on(psi)]
+    pairs = [(a, b) for a in unram + ram for b in unram
+             ] + [(a, b) for a in unram for b in ram]
+    declared_cycles = 0
+    for a, b in pairs:
+        ab = tensor_ss(a, b)
+        assert ab.dim() == a.dim() * b.dim() and ab == tensor_ss(b, a)
+        assert dual_class(ab) == tensor_ss(dual_class(a), dual_class(b))
+        assert tensor_ss(twist_class(a, nu_power=1), b) == \
+            twist_class(ab, nu_power=1)
+        assert tensor_ss(twist_class(a, chi=g), b) == twist_class(ab, chi=g)
+        declared_cycles += any(
+            isinstance(ind, Cyc) and isinstance(ind.line.base, RamifiedAbstract)
+            for ind, _ in ab.parts)
+    assert declared_cycles
+
+
+@pytest.mark.parametrize("ell,q,order,r,r2", [(5, 2, 2, 1, 1),
+                                               (3, 2, 1, 3, 2)])
+def test_tensor_rejects_declared_fusion_off_the_orbit(ell, q, order, r, r2):
+    # psi (x) phi declared as four copies of chi_1 at one twist: against
+    # the twists of a cycle of phi or of psi this is not twist-stable on
+    # the line of chi_1, whose orbit is longer.  At (3,2), [0,2] (x) [0,1]
+    # splits into two intervals of length 3, whose counts even out
+    ctx = make_ctx(ell, q)
+    psi = RamifiedAbstract("psi", 2, order, "psiv")
+    phi = RamifiedAbstract("phi", 2, order, "phiv")
+    table = FusionTable(ctx)
+    table.add(psi, phi, ((0, chi(ctx, 1)),) * 4)
+    msg = "fusion output is not twist-stable on " + repr(
+        line_of(chi(ctx, 1), ctx)[0])
+    segs = [normalize([Seg(psi, r, 0)], ctx), normalize([Seg(phi, r2, 0)], ctx)]
+    cycs = [normalize([Cyc(line_of(psi, ctx)[0], r)], ctx),
+            normalize([Cyc(line_of(phi, ctx)[0], r2)], ctx)]
+    assert tensor_ss(*segs, table).dim() == 4 * r * r2
+    for a, b in [cycs, (segs[0], cycs[1]), (cycs[0], segs[1])]:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError) as exc:
+                tensor_ss(x, y, table)
+            assert str(exc.value) == msg

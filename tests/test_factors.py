@@ -222,20 +222,42 @@ def test_epsilon_matches_group_formula_with_tokens(ctx52):
     assert seen > 100
 
 
+def _not_unit_inputs(ctx):
+    """(gamma, L, the epsilon of gamma, L, L): L of the class in place of
+    its dual's leaves (1 - aX)/(1 - q a^-1 X) factors that do not cancel."""
+    a = normalize([(Seg(chi(ctx, 2), 2, 1), 1),
+                   (Seg(RamifiedAbstract("psi", 2, 2, "psiv"), 1, 0), 1)],
+                  ctx)
+    g, l = gamma_factor(a), l_factor(a)
+    want = group_epsilon(g, l, l, ctx)
+    assert not want.frac.is_one()
+    return g, l, want
+
+
 def test_epsilon_not_unit_names_the_fraction(ctx52):
-    # L of the class in place of its dual's leaves (1 - aX)/(1 - q a^-1 X)
-    # factors that do not cancel
     from modwd.errors import EpsilonNotUnit
     from modwd.factors import epsilon_from
-    a = normalize([(Seg(chi(ctx52, 2), 2, 1), 1),
-                   (Seg(RamifiedAbstract("psi", 2, 2, "psiv"), 1, 0), 1)],
-                  ctx52)
-    g, l = gamma_factor(a), l_factor(a)
-    want = group_epsilon(g, l, l, ctx52)
-    assert not want.frac.is_one()
+    g, l, want = _not_unit_inputs(ctx52)
     with pytest.raises(EpsilonNotUnit) as exc:
         epsilon_from(g, l, l, ctx52)
     assert str(exc.value) == "epsilon is not a unit: " + repr(want)
+
+
+def test_epsilon_not_unit_prints_only_when_read(ctx52, monkeypatch):
+    # the raise expands no fraction: with the expansion broken it still
+    # raises EpsilonNotUnit, carrying the epsilon as an object
+    from modwd import laurent
+    from modwd.errors import EpsilonNotUnit
+    from modwd.factors import epsilon_from
+    g, l, want = _not_unit_inputs(ctx52)
+
+    def expand(field, roots):
+        raise AssertionError("a fraction was expanded")
+
+    monkeypatch.setattr(laurent, "_expand", expand)
+    with pytest.raises(EpsilonNotUnit) as exc:
+        epsilon_from(g, l, l, ctx52)
+    assert exc.value.eps == want
 
 
 def test_l_matrix_agreement_full_population():
