@@ -77,14 +77,17 @@ Rows, all at (5,2) over F(5^2) unless named otherwise:
   `test_l_matrix_agreement_full_population` (`verify.SWEEPS["lmatrix"]`),
   2,505 of its 80,139 classes at LM_STRIDE.  A pass takes 1-2 s, so ROUNDS
   rounds fit.
-- `criterion_5_s` and `criterion_6_s`, after them and in the same way:
-  one bucket of the (5,2) tensor oracle sweep of
+- `criterion_5_s`, `criterion_6_s` and `criterion_3_s`, after them and
+  in the same way: one bucket of the (5,2) tensor oracle sweep of
   `test_criterion_5_tensor_oracle` (`verify.SWEEPS["tensor"]`), 110 of
-  its 210 checks at C5_STRIDE, and of the (5,2) epsilon sweep of
+  its 210 checks at C5_STRIDE, of the (5,2) epsilon sweep of
   `test_criterion_6_epsilon_invertibility` (`verify.SWEEPS["epsilon"]`),
-  40,073 of its 80,145 checks at C6_STRIDE.  Both sweeps run on one
-  process in the tests, so a stride of 2 makes the two buckets of
-  `verify.run`'s 2 * processes.
+  40,073 of its 80,145 checks at C6_STRIDE, and of the multiplicativity
+  sweep of `test_criterion_3_multiplicativity`
+  (`verify.SWEEPS["multiplicativity"]`, at (5,2), (3,2) and (2,3), the
+  other caller of `l_factor_matrix`), 68 of its 135 checks at C3_STRIDE.
+  The three sweeps run on one process in the tests, so a stride of 2
+  makes the two buckets of `verify.run`'s 2 * processes.
 """
 
 from __future__ import annotations
@@ -115,6 +118,7 @@ C2_STRIDE = 16
 LM_STRIDE = 32
 C5_STRIDE = 2
 C6_STRIDE = 2
+C3_STRIDE = 2
 
 
 def _git_sha(src: Path):
@@ -359,6 +363,9 @@ def _rows():
         context="(5,2)", budget_s=60.0, stride=C5_STRIDE))
     rows["criterion_6_s"] = (first_bucket("epsilon"), [C6_STRIDE], dict(
         context="(5,2)", stride=C6_STRIDE))
+    rows["criterion_3_s"] = (first_bucket("multiplicativity"), [C3_STRIDE],
+                             dict(context="(5,2), (3,2), (2,3)", budget_s=10.0,
+                                  stride=C3_STRIDE))
     return rows
 
 

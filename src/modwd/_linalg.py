@@ -18,7 +18,7 @@ matrices up to 10 x 10 (8 x 8: 40 vs 56 us) and tie on rank 2 at 8 x 8
 oracle and the roundtrip reduce they win up to 100 cells.  Hence 64.
 Outer products and all other operations use the field's elementwise
 add_arr and mul_arr, which index its O(Q) tables with the intp index
-arrays directly.  Row reduction, kernels, characteristic polynomials (via
+arrays directly.  Row reduction, characteristic polynomials (via
 Hessenberg form) and polynomial evaluation are enough for the whole
 matrix model.
 """
@@ -279,15 +279,6 @@ class FMat:
 
     def rank(self):
         return len(self.rref()[1])
-
-    def kernel(self):
-        """Columns form a basis of the right kernel."""
-        R, pivots = self.rref()
-        free = np.setdiff1d(np.arange(self.ncols), pivots)
-        out = np.zeros((self.ncols, free.size), dtype=np.intp)
-        out[free, np.arange(free.size)] = 1
-        out[pivots] = self.field.np_neg[R.a[:len(pivots), free]]
-        return FMat(self.field, out)
 
     def inverse(self):
         F = self.field

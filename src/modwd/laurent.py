@@ -14,9 +14,7 @@ of fractions that check_multiplicativity takes.
 
 The numerator prod_{e>0} (1 - aX)^e and the denominator
 prod_{e<0} (1 - aX)^-e are coprime polynomials with constant term 1.  They
-are expanded into _poly index lists only to print, and to compare with the
-matrix route, which computes det(Id - X Frob) from a characteristic
-polynomial and never looks for roots.
+are expanded into _poly index lists only to print.
 """
 
 from __future__ import annotations
@@ -82,10 +80,6 @@ class RationalFraction:
     @property
     def den(self) -> list:
         return _expand(self.field, [(a, -e) for a, e in self.roots if e < 0])
-
-    def expanded(self):
-        """(num, den), the form the matrix route computes."""
-        return self.num, self.den
 
     def __eq__(self, other):
         return (isinstance(other, RationalFraction)

@@ -1,3 +1,10 @@
+import os
+
+# one OpenBLAS thread per process, set before anything imports numpy: the
+# sweeps' pool workers would otherwise run two threads each on FMat's float
+# products and spin against each other
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import pytest
 from hypothesis import settings
 

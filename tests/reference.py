@@ -3,14 +3,20 @@ constants, apart from factors.epsilon_from, so the epsilon tests compare
 against a formula that does not go through it; the line of a character by
 walking its twist orbit, apart from weil.line_of's closed form; and the
 preservation report with each side's L, gamma and epsilon built on its
-own, apart from compare_sides' comparison of the two sides' maps.
+own, apart from compare_sides' comparison of the two sides' maps; and L
+of a matrix realization by the characteristic polynomial of Frobenius on
+Ker(U), apart from factors.l_factor_matrix's slice ranks in the basis of
+matrixmodel._adapted, which decompose shares.
 
 A local constant is unit * prod_a (1 - aX)^(e_a).  Products and quotients
 add or subtract the exponent maps and multiply the units; the substitution
 X -> q^-1 X^-1 sends (1 - aX)^e to (-a q^-1 X^-1)^e (1 - q a^-1 X)^e.
 """
 
-from modwd import gln
+import numpy as np
+
+from modwd import _poly, gln
+from modwd._linalg import FMat
 from modwd.deligne import tensor_ss
 from modwd.factors import local_constants
 from modwd.laurent import FactorExpr, RationalFraction, UnitExpr
@@ -80,3 +86,28 @@ def two_sided_report(pi, pi2):
     gal = local_constants(tensor_ss(gln.c_map(pi), gln.c_map(pi2)))
     return gln.PreservationReport(rs_l, gal[0], rs_gamma, gal[1], rs_eps,
                                   gal[2])
+
+
+def ref_kernel(A):
+    """Kernel basis by the entry-by-entry loop over the free columns of
+    rref(A)."""
+    F = A.field
+    R, pivots = A.rref()
+    free = [c for c in range(A.ncols) if c not in pivots]
+    out = np.zeros((A.ncols, len(free)), dtype=np.intp)
+    for j, fc in enumerate(free):
+        out[fc, j] = 1
+        for i, pc in enumerate(pivots):
+            out[pc, j] = F.neg_idx(int(R.a[i, fc]))
+    return out
+
+
+def l_by_charpoly(m):
+    """(num, den) = ([1], det(Id - X M)) as _poly index lists, with M the
+    Frobenius on a basis of Ker(U): det(Id - XM) = X^d charpoly(1/X), and
+    the monic charpoly makes its constant 1."""
+    K = FMat(m.F.field, ref_kernel(m.U))
+    if K.ncols == 0:
+        return [1], [1]
+    M = K.solve_in_basis(m.F @ K)
+    return [1], _poly.pnorm(M.charpoly()[::-1])

@@ -1,14 +1,19 @@
+import random
+
 import pytest
 
 from modwd import (Cyc, RamifiedAbstract, Seg, UnramifiedChar,
                    check_multiplicativity, epsilon_factor, euler_factor,
-                   gamma_factor, is_unit, l_factor, l_factor_matrix, normalize,
-                   raw_tensor, realize, tensor_ss)
+                   gamma_factor, is_unit, l_factor, l_factor_matrix,
+                   make_ctx, normalize, raw_tensor, realize, tensor_ss,
+                   zero_class)
+from modwd.errors import ModwdError, NeedsLargerField
 from modwd.laurent import RationalFraction, UnitExpr
 from modwd.matrixmodel import MatrixDeligne, decompose
 from modwd._linalg import FMat
+from modwd.verify import enumerate_line_classes, transport
 from modwd.weil import line_of
-from reference import factor, group_epsilon, mul, subst_qinv
+from reference import factor, group_epsilon, l_by_charpoly, mul, subst_qinv
 
 
 def chi(ctx, v):
@@ -134,15 +139,53 @@ def test_l_factor_matrix_examples(ctx52):
         normalize([Seg(chi(ctx52, 2), 3, 0)], ctx52),
     ]
     for a in cases:
-        assert l_factor_matrix(realize(a, ctx52), ctx52) == \
-            l_factor(a).expanded()
-    # U invertible -> 1
+        assert l_factor_matrix(realize(a, ctx52), ctx52) == l_factor(a)
+    # U invertible -> 1, and so on the empty realization
     m = realize(normalize([Cyc(line, 2)], ctx52), ctx52)
-    assert l_factor_matrix(m, ctx52) == ([1], [1])
+    assert l_factor_matrix(m, ctx52).is_one()
+    assert l_factor_matrix(realize(zero_class(ctx52), ctx52), ctx52).is_one()
     # U = 0, F = diag(t) -> 1/(1 - tX)
     t = F.from_int(2)
     m = MatrixDeligne(FMat.diag(F, [t.i]), FMat.zeros(F, 1, 1))
-    assert l_factor_matrix(m, ctx52) == euler_factor([t]).expanded()
+    assert l_factor_matrix(m, ctx52) == euler_factor([t])
+
+
+@pytest.mark.parametrize("ell,q", [(5, 2), (2, 3)])
+def test_l_factor_matrix_matches_charpoly_reference(ell, q):
+    # the slice-rank L against the characteristic polynomial of Frobenius
+    # on Ker(U), a route that shares nothing with decompose's adapted
+    # basis, on 2,000 seeded line classes of dim <= 12
+    ctx = make_ctx(ell, q)
+    pool = enumerate_line_classes(ctx, 12)
+    rng = random.Random(f"l-reference:{ell}:{q}")
+    for _ in range(2000):
+        m = realize(pool[rng.randrange(len(pool))], ctx)
+        got = l_factor_matrix(m, ctx)
+        assert l_by_charpoly(m) == (got.num, got.den)
+
+
+# F(2)^x is {1}, so at (2,3) F is the identity and only U is conjugated
+@pytest.mark.parametrize("ell,q,least", [(5, 2, 150), (3, 2, 150), (2, 3, 0)])
+def test_l_factor_matrix_on_transported_realizations(ell, q, least):
+    # conjugated and operator-rescaled realizations: where F is not
+    # diagonal, the eigenspaces come from the spectral basis
+    ctx = make_ctx(ell, q)
+    _, rows, _, _ = transport(ell, q, 200)
+    assert sum(not mc.F.is_diagonal() for _, mc in rows) >= least
+    for a, mc in rows:
+        assert l_factor_matrix(mc, ctx) == l_factor(a)
+
+
+def test_l_factor_matrix_needs_eigenvalues_in_the_field(ctx52):
+    # F the companion matrix of x^2 - g for a non-square g of F(5^2), U = 0:
+    # Ker(U) is everything, and its characteristic polynomial has no root
+    F = ctx52.field
+    g = F.exp[1]
+    m = MatrixDeligne(FMat(F, [[0, g], [1, 0]]), FMat.zeros(F, 2, 2))
+    assert l_by_charpoly(m) == ([1], [1, 0, F.neg_idx(g)])
+    with pytest.raises(NeedsLargerField) as exc:
+        l_factor_matrix(m, ctx52)
+    assert isinstance(exc.value, ModwdError)
 
 
 def test_check_multiplicativity_examples(ctx52, ctx23):
@@ -162,8 +205,10 @@ def test_check_multiplicativity_examples(ctx52, ctx23):
 def test_l_matrix_agrees_on_raw_tensor(ctx52):
     a = normalize([Seg(chi(ctx52, 1), 3, 0)], ctx52)
     b = normalize([Seg(chi(ctx52, 1), 2, 0)], ctx52)
-    mat = l_factor_matrix(raw_tensor(realize(a, ctx52), realize(b, ctx52)), ctx52)
-    assert mat == l_factor(tensor_ss(a, b)).expanded()
+    m = raw_tensor(realize(a, ctx52), realize(b, ctx52))
+    mat = l_factor_matrix(m, ctx52)
+    assert mat == l_factor(tensor_ss(a, b))
+    assert l_by_charpoly(m) == (mat.num, mat.den)
 
 
 def test_epsilon_duality_identity(ctx52):
@@ -261,8 +306,8 @@ def test_epsilon_not_unit_prints_only_when_read(ctx52, monkeypatch):
 
 
 def test_l_matrix_agreement_full_population():
-    # formal L must equal the matrix-route L on every unramified-line
-    # class of dimension <= 12
+    # formal L must equal the slice-rank L of the realization on every
+    # unramified-line class of dimension <= 12
     from modwd.verify import run_named
     for s in run_named("lmatrix", "full"):
         assert s.passed, s.line()

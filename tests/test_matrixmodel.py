@@ -234,21 +234,21 @@ def count_calls(monkeypatch, owner, names):
 
 def test_transported_decompose_checks_each_property_once(ctx52, monkeypatch):
     # invertibility, semisimplicity and the split all come from one m_F,
-    # and the split from its Lagrange projectors: no inverse, no kernel, no
-    # radical, no charpoly, and ranks only of path maps, which are the
+    # and the split from its Lagrange projectors: no inverse, no radical,
+    # no charpoly, and ranks only of path maps, which are the
     # classification itself
     c1, c2 = chi(ctx52, 1), chi(ctx52, 2)
     a = normalize([(Seg(c1, 3, 0), 1), (Seg(c1, 1, 2), 2), (Seg(c2, 2, 1), 1)],
                   ctx52)
     mc = transported(a, ctx52, random.Random(7), 3)
     linalg = count_calls(monkeypatch, FMat,
-                         ("charpoly", "rank", "kernel", "inverse"))
+                         ("charpoly", "rank", "inverse"))
     poly = count_calls(monkeypatch, _poly, ("radical",))
     mm = count_calls(monkeypatch, matrixmodel, ("_min_poly",))
     assert decompose(mc, ctx52) == a
     assert not linalg["charpoly"]
     assert mm["_min_poly"] == ["_checked_min_poly"]
-    assert not linalg["kernel"] and not linalg["inverse"]
+    assert not linalg["inverse"]
     assert linalg["rank"] and set(linalg["rank"]) == {"_path_ranks"}
     assert not poly["radical"]
 
