@@ -174,11 +174,9 @@ def epsilon_factor(a: DeligneClass) -> FactorExpr:
 def l_factor_matrix(m: MatrixDeligne, ctx) -> RationalFraction:
     """The same determinant read off a matrix realization: in _adapted's
     basis F is the scalar v on each eigenspace V_v and U maps V_v into
-    V_(qv), distinct targets for distinct v, so Ker(U) is the sum of the
+    V_(v/q), distinct targets for distinct v, so Ker(U) is the sum of the
     Ker(U|V_v), of dimension |V_v| - rank U[:, V_v], and L has the
-    exponent rank U[:, V_v] - |V_v| at v."""
-    if not m.dim:
-        return RationalFraction.one(ctx.field)
+    exponent rank U[:, V_v] - |V_v| at v (an empty pair has no v: L = 1)."""
     ranges, G = _adapted(m, ctx)
     exponents = {}
     for v, (lo, hi) in ranges.items():

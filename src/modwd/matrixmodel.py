@@ -5,17 +5,18 @@ F invertible and semisimple (inertia acts trivially, so F determines the
 Weil action).  realize() lays out the normal-form blocks of each part,
 built once per (part, context) by _part_blocks and cached read-only;
 decompose() is the inverse.  It splits by Frobenius eigenvalue orbits
-and reads the classes off ranks alone: segment multiplicities off the
-ranks of the path maps between eigenspace slices, and cycle lengths off
-the ranks of powers of the nilpotent part of the holonomy H0 around each
-orbit.  The path maps M_j from slice 0 also find the cycle summands,
-since M_(j+o) = M_j H0: where the images of the powers of H0 stop
-shrinking, the last M_j has rank b, the dimension of their slice-0 part,
-and its pivot columns are a basis B0 of that part.  A path map into an
-empty slice has rank 0, so a chain stops there without a product.
-semisimplify() takes the Jordan-Holder multiset of that decomposition.
-oracle_tensor_ss() decomposes the tensor of each pair of cached part
-blocks at generic operator scalings and sums them; sharing no code with
+(walked in discrete-log space) and reads the classes off ranks alone:
+segment multiplicities off the ranks of the path maps between eigenspace
+slices, and cycle lengths off the ranks of powers of the nilpotent part
+of the holonomy H0 around each orbit.  The path maps M_j from slice 0
+also find the cycle summands, since M_(j+o) = M_j H0: where the images
+of the powers of H0 stop shrinking, the last M_j has rank b, the
+dimension of their slice-0 part, and its pivot columns are a basis B0 of
+that part.  A path map into an empty slice has rank 0, so a chain stops
+there without a product.  semisimplify() takes the Jordan-Holder
+multiset of that decomposition.  oracle_tensor_ss() decomposes the
+tensor of each pair of cached part blocks, one factor's operator scaled
+by a generic ratio, and sums them; sharing no code with
 deligne.tensor_ss, it checks every formal tensor rule through matrices.
 
 decompose() and validate() read each property of a non-diagonal F off its
@@ -61,28 +62,22 @@ def validate(m: MatrixDeligne, ctx) -> bool:
 
 def _checked_min_poly(m: MatrixDeligne, ctx):
     """The relation, invertibility and semisimplicity checks; returns
-    _min_poly(F) for the caller to reuse, or None when F is empty or
-    diagonal (and so already semisimple).  F is singular iff m_F(0) = 0."""
+    _min_poly(F) for the caller to reuse, or None when F is diagonal (and
+    so already semisimple).  F is singular iff m_F(0) = 0."""
     F, U = m.F, m.U
     if F.nrows != F.ncols or U.a.shape != F.a.shape:
         raise ValueError("F and U must be square of equal size")
-    n = F.nrows
-    if n == 0:
-        return None
-    diagonal = F.is_diagonal()
-    if diagonal:
+    if F.is_diagonal():
         # F = diag(f), so UF = qFU reads U_ij f_j = q f_i U_ij entrywise
         f, mul = np.diagonal(F.a), F.field.mul_arr
-        related = np.array_equal(mul(U.a, f[None, :]),
-                                 mul(mul(U.a, f[:, None]), ctx.q_img.i))
-    else:
-        related = (U @ F) == (F @ U).scale(ctx.q_img)
-    if not related:
-        raise RelationViolated("UF != qFU")
-    if diagonal:
-        if any(int(F.a[i, i]) == 0 for i in range(n)):
+        if not np.array_equal(mul(U.a, f[None, :]),
+                              mul(mul(U.a, f[:, None]), ctx.q_img.i)):
+            raise RelationViolated("UF != qFU")
+        if not f.all():
             raise FNotInvertible("zero Frobenius eigenvalue")
         return None
+    if (U @ F) != (F @ U).scale(ctx.q_img):
+        raise RelationViolated("UF != qFU")
     mf, powers = _min_poly(F)
     if mf[0] == 0:
         raise FNotInvertible("Frobenius matrix is singular")
@@ -168,11 +163,18 @@ def realize(a: DeligneClass, ctx) -> MatrixDeligne:
 
 
 def raw_tensor(m1: MatrixDeligne, m2: MatrixDeligne) -> MatrixDeligne:
-    """(F1 (x) F2, U1 (x) Id + Id (x) U2); the relation holds automatically."""
+    """(F1 (x) F2, U1 (x) Id + Id (x) U2); the relation holds automatically.
+    U[i, k, j, l] = U1[i, j] [k = l] + [i = j] U2[k, l]: the first term is
+    copied in, the second added in the field where i = j (U1 has diagonal
+    entries at o = 1), so the identities cost no field products."""
     field = m1.F.field
-    I1 = FMat.identity(field, m1.dim)
-    I2 = FMat.identity(field, m2.dim)
-    return MatrixDeligne(m1.F.kron(m2.F), m1.U.kron(I2) + I1.kron(m2.U))
+    n1, n2 = m1.dim, m2.dim
+    U = np.zeros((n1, n2, n1, n2), dtype=np.intp)
+    d1, d2 = np.arange(n1), np.arange(n2)
+    U[:, d2, :, d2] = m1.U.a
+    U[d1, :, d1, :] = field.add_arr(U[d1, :, d1, :], m2.U.a)
+    return MatrixDeligne(m1.F.kron(m2.F),
+                         FMat(field, U.reshape(n1 * n2, n1 * n2)))
 
 
 def matrix_dual(m: MatrixDeligne) -> MatrixDeligne:
@@ -194,9 +196,10 @@ def _adapted(m: MatrixDeligne, ctx, mp=None):
     if m.F.is_diagonal():
         f = m.F.a.diagonal()
         perm = np.argsort(f, kind="stable")
-        fs = f[perm]
-        bounds = [0, *(np.flatnonzero(fs[1:] != fs[:-1]) + 1).tolist(), len(f)]
-        ranges = {int(fs[lo]): (lo, hi) for lo, hi in zip(bounds, bounds[1:])}
+        # run ends of the sorted diagonal, keyed in increasing order
+        ranges, lo = {}, 0
+        for v, hi in {v: i for i, v in enumerate(f[perm].tolist(), 1)}.items():
+            ranges[v], lo = (lo, hi), hi
         return ranges, FMat(m.F.field, m.U.a.take(perm, 0).take(perm, 1))
     ranges, P, Pinv = _spectral_basis(m.F, mp)
     return ranges, Pinv @ m.U @ P
@@ -245,22 +248,21 @@ def _spectral_basis(F: FMat, mp=None):
 
 def _lines_of_values(vals, ctx, field):
     """Group eigenvalue indices into q-multiplication orbits; returns
-    (canonical t0, orbit value at each twist c) per line."""
-    out = []
-    seen = set()
+    (canonical t0, orbit value at each twist c) per line, by log t0.  The
+    orbit of L = log v is L + iS mod Q - 1 for S = log q; t0 = exp[L0] for
+    its least L0, and twist c holds t0 q^-c = exp[(L0 - cS) mod Q - 1]."""
+    exp, n, S, o = field.exp, field.order - 1, ctx.q_log, ctx.o_nu
+    out, seen = [], set()
     for v in vals:
-        if v in seen:
+        L = field.log[v]
+        if L in seen:
             continue
-        # orbit[i] = v q^i, so the value t0 q^-c at twist c of t0 = orbit[k]
-        # is orbit[k - c]
-        orbit = [v]
-        for _ in range(ctx.o_nu - 1):
-            orbit.append(field.mul_idx(orbit[-1], ctx.q_img.i))
+        orbit = [(L + i * S) % n for i in range(o)]
         seen.update(orbit)
-        t0 = min(orbit, key=field.dlog_idx)
-        k = orbit.index(t0)
-        out.append((t0, [orbit[k - c] for c in range(ctx.o_nu)]))
-    return sorted(out, key=lambda p: field.dlog_idx(p[0]))
+        L0 = min(orbit)
+        out.append((L0, [exp[(L0 - c * S) % n] for c in range(o)]))
+    out.sort()
+    return [(exp[L0], slice_vals) for L0, slice_vals in out]
 
 
 def _path_ranks(steps, c, d, less, top):
@@ -317,24 +319,25 @@ def decompose(m: MatrixDeligne, ctx, check=True) -> DeligneClass:
     shrink until the first multiple j of o with rank M_j = rank M_(j-o),
     and H0 is bijective on im M_j from there on: that image is the
     slice-0 part of the cycle summands, of dimension b.
+
+    The transition blocks G[V_(v/q), V_v] are disjoint, so U only shifts
+    eigenspaces iff they hold every nonzero entry of G.
     """
     field = m.F.field
-    n = m.F.nrows
-    if n == 0:
-        return zero_class(ctx)
     mp = _checked_min_poly(m, ctx) if check else None
     ranges, G = _adapted(m, ctx, mp)
     o = ctx.o_nu
-    lines, shifted = [], np.zeros_like(G.a)
-    for t0, slice_vals in _lines_of_values(list(ranges), ctx, field):
+    lines, inside = [], 0
+    for t0, slice_vals in _lines_of_values(ranges, ctx, field):
         spans = [ranges.get(v, (0, 0)) for v in slice_vals]
         trans = []
         for c in range(o):
             (lo, hi), (lo2, hi2) = spans[c], spans[(c + 1) % o]
-            shifted[lo2:hi2, lo:hi] = G.a[lo2:hi2, lo:hi]
-            trans.append(FMat(field, G.a[lo2:hi2, lo:hi]))
+            T = G.a[lo2:hi2, lo:hi]
+            inside += np.count_nonzero(T)
+            trans.append(FMat(field, T))
         lines.append((t0, trans))
-    if not np.array_equal(shifted, G.a):
+    if inside != np.count_nonzero(G.a):
         raise RelationViolated("operator does not shift eigenspaces")
     out = []
     for t0, trans in lines:
@@ -374,7 +377,7 @@ def decompose(m: MatrixDeligne, ctx, check=True) -> DeligneClass:
                 out.append((Cyc(line, s), mult))
     # slice-indexed parts on canonical bases are canonical
     cls = merge(out, ctx)
-    if cls.dim() != n:
+    if cls.dim() != m.dim:
         raise RuntimeError("decomposition lost dimension; input not in the model")
     return cls
 
@@ -431,12 +434,12 @@ def _admissible_pair(field, conditions):
 
 
 def oracle_tensor_ss(a: DeligneClass, b: DeligneClass) -> DeligneClass:
-    """Realize each part, scale operators by one admissible (lam, mu) and
-    decompose the tensor of each pair of parts, m_i n_j times for parts of
-    multiplicities m_i and n_j (tensor is bilinear over direct sums): the
-    class tensor_ss must match.  Only the ratio lam/mu is searched, so mu
-    is 1.  Extends the field when no admissible ratio exists in the
-    context field."""
+    """Realize each part, scale the operators of a's parts by lam for the
+    admissible pair (lam, 1) and decompose the tensor of each pair of
+    parts, m_i n_j times for parts of multiplicities m_i and n_j (tensor is
+    bilinear over direct sums): the class tensor_ss must match.  With no
+    admissible lam in the context field, the parts are embedded in an
+    extension."""
     ctx = a.ctx
     if a.is_zero() or b.is_zero():
         return zero_class(ctx)
@@ -451,11 +454,9 @@ def oracle_tensor_ss(a: DeligneClass, b: DeligneClass) -> DeligneClass:
               for cls in (a, b))
     work, table, inverse = ctx, None, None
     for _ in range(4):
-        if table is None:
-            conds = conditions
-        else:
-            conds = [(tuple(table[x] for x in SA), tuple(table[x] for x in SB))
-                     for SA, SB in conditions]
+        conds = conditions if table is None else [
+            (tuple(table[x] for x in SA), tuple(table[x] for x in SB))
+            for SA, SB in conditions]
         pair = _admissible_pair(work.field, conds)
         if pair is not None:
             break
@@ -465,12 +466,13 @@ def oracle_tensor_ss(a: DeligneClass, b: DeligneClass) -> DeligneClass:
         work = nxt
     else:
         raise NeedsLargerField("no admissible scaling pair found")
-    lam, mu = pair
-    # the identity table when the field was not extended
-    emb = np.array(table or range(ctx.field.order), dtype=np.intp)
-    pa, pb = ([(MatrixDeligne(FMat(work.field, emb[m.F.a]),
-                              FMat(work.field, emb[m.U.a]).scale(s)), mult)
-               for m, mult in parts] for parts, s in ((pa, lam), (pb, mu)))
+    if table is not None:
+        emb = np.array(table, dtype=np.intp)
+        pa, pb = ([(MatrixDeligne(FMat(work.field, emb[m.F.a]),
+                                  FMat(work.field, emb[m.U.a])), mult)
+                   for m, mult in parts] for parts in (pa, pb))
+    lam = pair[0]
+    pa = [(MatrixDeligne(m.F, m.U.scale(lam)), mult) for m, mult in pa]
     out = []
     for ma, ka in pa:
         for mb, kb in pb:

@@ -6,7 +6,11 @@ preservation report with each side's L, gamma and epsilon built on its
 own, apart from compare_sides' comparison of the two sides' maps; and L
 of a matrix realization by the characteristic polynomial of Frobenius on
 Ker(U), apart from factors.l_factor_matrix's slice ranks in the basis of
-matrixmodel._adapted, which decompose shares.
+matrixmodel._adapted, which decompose shares; the tensor of two matrix
+pairs by Kronecker products with identity matrices in the field, apart
+from matrixmodel.raw_tensor's index assignment; and the lines of a set of
+Frobenius eigenvalues by multiplying each around its q-orbit, apart from
+matrixmodel._lines_of_values' walk in discrete-log space.
 
 A local constant is unit * prod_a (1 - aX)^(e_a).  Products and quotients
 add or subtract the exponent maps and multiply the units; the substitution
@@ -20,6 +24,7 @@ from modwd._linalg import FMat
 from modwd.deligne import tensor_ss
 from modwd.factors import local_constants
 from modwd.laurent import FactorExpr, RationalFraction, UnitExpr
+from modwd.matrixmodel import MatrixDeligne
 
 
 def factor(frac, unit=None):
@@ -111,3 +116,32 @@ def l_by_charpoly(m):
         return [1], [1]
     M = K.solve_in_basis(m.F @ K)
     return [1], _poly.pnorm(M.charpoly()[::-1])
+
+
+def raw_tensor_by_kron(m1, m2):
+    """(F1 (x) F2, U1 (x) Id + Id (x) U2) with every Kronecker product and
+    the sum taken in the field."""
+    field = m1.F.field
+    I1 = FMat.identity(field, m1.dim)
+    I2 = FMat.identity(field, m2.dim)
+    return MatrixDeligne(m1.F.kron(m2.F), m1.U.kron(I2) + I1.kron(m2.U))
+
+
+def lines_by_mul_walk(vals, ctx, field):
+    """(t0, [t0 q^-c for c < o]) for each q-orbit of the eigenvalue indices
+    vals, by increasing discrete log of t0, the orbit's value of least
+    discrete log: orbit[i] = v q^i, so t0 q^-c = orbit[k - c] for t0 =
+    orbit[k]."""
+    out = []
+    seen = set()
+    for v in vals:
+        if v in seen:
+            continue
+        orbit = [v]
+        for _ in range(ctx.o_nu - 1):
+            orbit.append(field.mul_idx(orbit[-1], ctx.q_img.i))
+        seen.update(orbit)
+        t0 = min(orbit, key=field.dlog_idx)
+        k = orbit.index(t0)
+        out.append((t0, [orbit[k - c] for c in range(ctx.o_nu)]))
+    return sorted(out, key=lambda p: field.dlog_idx(p[0]))

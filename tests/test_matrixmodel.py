@@ -9,13 +9,16 @@ from modwd import (Cyc, Seg, UnramifiedChar, dual_class, normalize,
                    tensor_ss, validate)
 from modwd import _poly, matrixmodel
 from modwd._linalg import FMat
-from modwd.deligne import cyc
+from modwd.deligne import cyc, zero_class
 from modwd.errors import (FNotInvertible, NeedsLargerField, NotSemisimple,
                           RamifiedLine, RelationViolated)
+from modwd.factors import l_factor_matrix
 from modwd.field import finite_field, make_ctx
+from modwd.laurent import RationalFraction
 from modwd.matrixmodel import MatrixDeligne, decompose, matrix_dual
 from modwd.verify import enumerate_line_classes
 from modwd.weil import RamifiedAbstract, line_of
+from reference import lines_by_mul_walk, raw_tensor_by_kron
 
 
 def chi(ctx, v):
@@ -191,12 +194,17 @@ def test_decompose_computes_min_poly_once(ctx52, monkeypatch):
     assert not linalg["charpoly"]
 
 
+def moved(m, rng):
+    """m conjugated by a random invertible P, so that F and U are dense."""
+    P = rand_invertible(m.F.field, m.dim, rng)
+    Pi = P.inverse()
+    return MatrixDeligne(P @ m.F @ Pi, P @ m.U @ Pi)
+
+
 def transported(a, ctx, rng, lam=1):
     """realize(a) moved by a random invertible P, with U scaled by lam."""
     m = realize(a, ctx)
-    P = rand_invertible(ctx.field, m.dim, rng)
-    Pi = P.inverse()
-    return MatrixDeligne(P @ m.F @ Pi, P @ m.U.scale(lam) @ Pi)
+    return moved(MatrixDeligne(m.F, m.U.scale(lam)), rng)
 
 
 def test_adapted_projector_basis(ctx52, ctx32):
@@ -491,6 +499,96 @@ def test_raw_tensor(ctx52):
         t = raw_tensor(MatrixDeligne(a.F, a.U.scale(lam)),
                        MatrixDeligne(b.F, b.U.scale(mu)))
         assert validate(t, ctx52)
+
+
+@pytest.mark.parametrize("ell,q", [(5, 2), (3, 2), (2, 3), (3, 4)])
+def test_raw_tensor_matches_kron(ell, q):
+    """raw_tensor equals the Kronecker products with identities taken in
+    the field, on every ordered pair of realized parts, each operator
+    scaled at random, as realized and moved to dense matrices."""
+    ctx = make_ctx(ell, q)
+    F = ctx.field
+    rng = random.Random(f"raw_tensor:{ell}:{q}")
+    c1 = UnramifiedChar(F.one)
+    line = line_of(c1, ctx)[0]
+    blocks = [realize(normalize([ind], ctx), ctx)
+              for ind in (Seg(c1, 1, 0), Seg(c1, 3, 1), Cyc(line, 1),
+                          Cyc(line, 2))]
+    diagonal_terms = 0
+    for b1 in blocks:
+        for b2 in blocks:
+            m1, m2 = (MatrixDeligne(m.F, m.U.scale(rng.randrange(1, F.order)))
+                      for m in (b1, b2))
+            # at o = 1 a cycle's U has diagonal entries, where both terms
+            # of the tensor's U meet
+            diagonal_terms += bool(np.diagonal(m1.U.a).any()
+                                   and np.diagonal(m2.U.a).any())
+            for pair in ((m1, m2), (moved(m1, rng), moved(m2, rng))):
+                assert raw_tensor(*pair) == raw_tensor_by_kron(*pair)
+    assert bool(diagonal_terms) == (ctx.o_nu == 1)
+
+
+@pytest.mark.parametrize("ell,q,o", [(5, 2, 4), (3, 2, 2), (7, 2, 3),
+                                     (13, 3, 3), (11, 2, 10), (2, 3, 1),
+                                     (3, 4, 1)])
+def test_lines_of_values_matches_mul_walk(ell, q, o):
+    """The walk in discrete-log space gives the lines of the walk by field
+    products, on every single nonzero value and on seeded value sets."""
+    ctx = make_ctx(ell, q)
+    F = ctx.field
+    assert ctx.o_nu == o
+    nonzero = range(1, F.order)
+    for v in nonzero:
+        assert (matrixmodel._lines_of_values([v], ctx, F)
+                == lines_by_mul_walk([v], ctx, F))
+    rng = random.Random(f"lines:{ell}:{q}")
+    for _ in range(40):
+        vals = rng.sample(nonzero, rng.randrange(1, min(len(nonzero), 16) + 1))
+        assert (matrixmodel._lines_of_values(vals, ctx, F)
+                == lines_by_mul_walk(vals, ctx, F))
+
+
+@pytest.mark.parametrize("ell,q", [(3, 4), (3, 2), (7, 2), (5, 2)])
+def test_shift_guard(ell, q):
+    """Without check, decompose rejects an entry of U outside the
+    transitions V_v -> V_(v/q): inside one slice (o > 1), skipping a slice
+    (V_v -> V_(v/q^2), the same slice at o = 2) and across lines, on the
+    realization and on a dense conjugate."""
+    ctx = make_ctx(ell, q)
+    F, o = ctx.field, ctx.o_nu
+    c1 = UnramifiedChar(F.one)
+    g = UnramifiedChar(F.elem(F.gen_idx))
+    assert line_of(g, ctx)[0] != line_of(c1, ctx)[0]
+    a = normalize([Cyc(line_of(c1, ctx)[0], 1), Seg(g, 1, 0)], ctx)
+    m = realize(a, ctx)
+    rng = random.Random(f"shift:{ell}:{q}")
+    assert decompose(m, ctx, check=False) == a
+    assert decompose(moved(m, rng), ctx, check=False) == a
+    f = np.diagonal(m.F.a).tolist()
+    one = f.index(1)
+    entries = {"across lines": (f.index(g.t.i), one)}
+    if o > 1:
+        entries["inside a slice"] = (one, one)
+        entries["skipping a slice"] = (f.index(ctx.nu_value(2).i), one)
+    for what, (r, c) in entries.items():
+        assert m.U.a[r, c] == 0, what
+        U = m.U.a.copy()
+        U[r, c] = rng.randrange(1, F.order)
+        bad = MatrixDeligne(m.F, FMat(F, U))
+        for inp in (bad, moved(bad, rng)):
+            with pytest.raises(RelationViolated):
+                decompose(inp, ctx, check=False)
+
+
+def test_empty_pair(ctx52):
+    F = ctx52.field
+    m = MatrixDeligne(FMat.zeros(F, 0, 0), FMat.zeros(F, 0, 0))
+    ranges, G = matrixmodel._adapted(m, ctx52)
+    assert ranges == {} and G.a.shape == (0, 0)
+    zero = zero_class(ctx52)
+    assert decompose(m, ctx52) == decompose(m, ctx52, check=False) == zero
+    assert semisimplify(m, ctx52) == zero
+    assert l_factor_matrix(m, ctx52) == RationalFraction.one(F)
 
 
 def test_oracle_matches_formal_small(ctx52, ctx32, ctx23):
