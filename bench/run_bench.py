@@ -44,7 +44,8 @@ Rows, all at (5,2) over F(5^2) unless named otherwise:
   (an eigenspace projector) and 12 x 24 [P | I] (what `inverse` reduces),
   and at 1 x 1, 2 x 4, 5 x 5, 8 x 8 and 9 x 9 of full rank, each rank
   checked.  Up to 8 x 8 (ROW_LIST_CELLS = 64 cells) `rref` reduces on row
-  lists; from 9 x 9 on in the wide encoding.
+  lists; from 9 x 9 on in the wide encoding.  `rank_us` times `FMat.rank`
+  on the same matrices.
 - `matmul_us`: `FMat` products of seeded random matrices, n x n by n x n
   and by n x 1 at n = 3, 12, 32 and 64, over F(5^2), F(3^4) and F(2^6),
   each checked against a sum of outer products in the field's entrywise
@@ -88,6 +89,16 @@ Rows, all at (5,2) over F(5^2) unless named otherwise:
   other caller of `l_factor_matrix`), 68 of its 135 checks at C3_STRIDE.
   The three sweeps run on one process in the tests, so a stride of 2
   makes the two buckets of `verify.run`'s 2 * processes.
+- `criterion_7_s`, `criterion_8_s` and `criterion_1_s` last, with the
+  same stride of 2: one bucket of the (5,2) correspondence sweep of
+  `test_criterion_7_correspondence_properties`
+  (`verify.SWEEPS["correspondence"]`), of the profile-law sweep of
+  `test_criterion_8_profile_laws` (`verify.SWEEPS["profile"]`, ell = 2,
+  3, 5 and 7) and of the non-preservation witness of
+  `test_criterion_1_non_preservation_witness` (`verify.SWEEPS["witness"]`).
+  The witness compares its one pair while building its population, so
+  its row builds the population in every call.  None of these three
+  reaches `_linalg` or `matrixmodel`.
 """
 
 from __future__ import annotations
@@ -119,6 +130,9 @@ LM_STRIDE = 32
 C5_STRIDE = 2
 C6_STRIDE = 2
 C3_STRIDE = 2
+C7_STRIDE = 2
+C8_STRIDE = 2
+C1_STRIDE = 2
 
 
 def _git_sha(src: Path):
@@ -245,9 +259,10 @@ def _kernel_rows():
             dict(field="F(5^2)", matrices=count))
     for shape, rank, count, mats in _rref_inputs(FMat, field, rng):
         for A in mats:
-            _check(len(A.rref()[1]) == rank, f"rank of {shape}")
-        rows[f"rref_us/{shape}"] = (FMat.rref, mats,
-                                    dict(field="F(5^2)", matrices=count))
+            _check(len(A.rref()[1]) == rank == A.rank(), f"rank of {shape}")
+        info = dict(field="F(5^2)", matrices=count)
+        rows[f"rref_us/{shape}"] = (FMat.rref, mats, info)
+        rows[f"rank_us/{shape}"] = (FMat.rank, mats, info)
     for ell, k in ((5, 2), (3, 4), (2, 6)):
         field = finite_field(ell, k)
         rng = random.Random(f"{SEED}:matmul:{ell},{k}")
@@ -316,14 +331,16 @@ def _rows():
         _check(report.all_match, f"{pair[0]!r} x {pair[1]!r}")
         return report
 
-    def first_bucket(name):
+    def first_bucket(name, build_each_call=False):
         """The check of one bucket of the first sweep of SWEEPS[name] on
-        its full grid, given the stride."""
+        its full grid, given the stride; the population is built once, or
+        in each call."""
         sweep, _, full, _ = SWEEPS[name][0]
-        population = sweep(*full)
+        population = None if build_each_call else sweep(*full)
 
         def check(stride):
-            checked, failures = _check_rows(0, stride, population)
+            checked, failures = _check_rows(0, stride,
+                                            population or sweep(*full))
             _check(not failures, failures[:1])
             return checked
         return check
@@ -366,6 +383,13 @@ def _rows():
     rows["criterion_3_s"] = (first_bucket("multiplicativity"), [C3_STRIDE],
                              dict(context="(5,2), (3,2), (2,3)", budget_s=10.0,
                                   stride=C3_STRIDE))
+    rows["criterion_7_s"] = (first_bucket("correspondence"), [C7_STRIDE],
+                             dict(context="(5,2)", stride=C7_STRIDE))
+    rows["criterion_8_s"] = (first_bucket("profile"), [C8_STRIDE],
+                             dict(ells=[2, 3, 5, 7], stride=C8_STRIDE))
+    rows["criterion_1_s"] = (first_bucket("witness", build_each_call=True),
+                             [C1_STRIDE], dict(context="(5,2)", budget_s=1.0,
+                                               stride=C1_STRIDE))
     return rows
 
 

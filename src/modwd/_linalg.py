@@ -1,26 +1,24 @@
 """Exact dense linear algebra over a FiniteField.
 
-Matrices hold numpy arrays of element indices, which are base-ell digit
-strings in the polynomial basis.  Products are float64 BLAS products of
-digits.  Over a prime field an index is its residue, so A @ B is the float
-product mod ell.  Over F_{ell^k} A @ B is the float product of the digits
-of A by the regular representation of B (each entry b becomes the k x k
-matrix of x -> bx on F_ell^k), mod ell.  Every float sum is at most
-k * inner_dim * (ell-1)^2, which the product asserts is below 2^53, so
-none rounds.  Row reduction takes one of two routes by size.  Up to
-ROW_LIST_CELLS cells it runs on Python row lists with the field's list
-tables (_rref_rows), which skips numpy's per-call cost; above, it clears
-each pivot column from the whole matrix in one table update in the
-field's wide encoding (_wide_tables).  Per call over F(5^2) (one process,
-2-vCPU x86-64), row lists beat the wide route on random full-rank
-matrices up to 10 x 10 (8 x 8: 40 vs 56 us) and tie on rank 2 at 8 x 8
-(19 vs 19 us), losing from 9 x 9 on (23 vs 20 us); on the matrices the
-oracle and the roundtrip reduce they win up to 100 cells.  Hence 64.
-Outer products and all other operations use the field's elementwise
-add_arr and mul_arr, which index its O(Q) tables with the intp index
-arrays directly.  Row reduction, characteristic polynomials (via
-Hessenberg form) and polynomial evaluation are enough for the whole
-matrix model.
+Matrices are numpy arrays of element indices, base-ell digit strings in
+the polynomial basis.  The kernels matmul and pivot_columns take (field,
+index array); FMat wraps an array with its field.  Over a prime field an
+index is its residue, so A @ B is the float64 BLAS product mod ell.  Over
+F_{ell^k} it is the float product of the digits of A by the regular
+representation of B (each entry b becomes the k x k matrix of x -> bx on
+F_ell^k), mod ell.  Every float sum is at most k * inner_dim * (ell-1)^2,
+asserted below 2^53, so none rounds.  Row reduction runs on Python row
+lists with the field's list tables up to ROW_LIST_CELLS cells, skipping
+numpy's per-call cost, and above in the field's wide encoding
+(_wide_tables), one table update per pivot.  Per rref over F(5^2) (one
+process, 2-vCPU x86-64), row lists beat the wide route on random
+full-rank matrices up to 10 x 10 (8 x 8: 40 vs 56 us); on rank 2 they tie
+at 8 x 8 (19 vs 19 us) and lose from 9 x 9 on (23 vs 20 us); on the
+matrices the oracle and the roundtrip reduce they win up to 100 cells.
+Hence 64.  pivot_columns, which gives every rank, eliminates forward
+only: no row is scaled, nothing above a pivot is cleared, no R is built.
+Only inverse, solve_in_basis and the spectral projectors read R, from
+FMat.rref.  The rest index the field's O(Q) tables with the arrays.
 """
 
 from __future__ import annotations
@@ -36,12 +34,6 @@ _EXACT_BITS = 53
 
 # rref reduces matrices of at most this many cells on Python row lists
 ROW_LIST_CELLS = 64
-
-
-def _mod(x, ell):
-    """Least non-negative residues of an integer array (numpy's floor
-    division by a scalar is faster than its remainder on large arrays)."""
-    return x - ell * (x // ell)
 
 
 @functools.lru_cache(maxsize=8)
@@ -70,7 +62,6 @@ def _regular_product(field, A, B):
     # np.dot: a matmul ufunc call costs about a microsecond more
     P = np.dot(digits.take(A, axis=1).transpose(1, 0, 2).reshape(n, k * inner),
                regular.take(B, axis=1).view(np.float64).reshape(k * inner, m * k))
-    # P is integral below 2^53, so floor(P / ell) is exact
     P -= ell * np.floor(P / ell)
     return P.reshape(n * m, k).dot(powers).astype(np.intp).reshape(n, m)
 
@@ -121,6 +112,80 @@ def _rref_rows(F, rows, m):
                     ri[j] = narrow[wide[ri[j]] + wide[exp[f + lx]]]
         pivots.append(c)
     return FMat(F, rows), pivots
+
+
+def matmul(F, A, B):
+    """Index array of A @ B."""
+    (n, inner), (inner2, m) = A.shape, B.shape
+    if inner != inner2:
+        raise ValueError("shape mismatch in matmul")
+    if inner == 0 or n == 0 or m == 0:
+        return np.zeros((n, m), dtype=np.intp)
+    if inner == 1:
+        # outer products, common in the oracle: one table gather, 2.3 to
+        # 5.7 times faster than the BLAS routes at n = 2..64 (medians of
+        # 7 interleaved timings, 2-vCPU x86-64, OpenBLAS 0.3.31)
+        return F.mul_arr(A, B)
+    # a float sum P adds at most k * inner products of two digits, so P
+    # is integral below 2^53 and floor(P / ell) is exact
+    assert F.k * inner * (F.ell - 1) ** 2 < 2 ** _EXACT_BITS, \
+        "digit products would round in float64"
+    if F.k == 1:
+        P = A.astype(np.float64) @ B.astype(np.float64)
+        P -= F.ell * np.floor(P / F.ell)
+        return P.astype(np.intp)
+    return _regular_product(F, A, B)
+
+
+def pivot_columns(F, A):
+    """The pivot columns of rref(A): column c's pivot row is the first
+    row without a pivot that is nonzero at c, and it clears c from the
+    rows after it."""
+    (n, m), top = A.shape, F.order - 1
+    if n * m <= ROW_LIST_CELLS:
+        exp, log, wide, narrow, neg = F.exp, F.log, F._wide, F._narrow, F._neg
+        # the rows without a pivot yet
+        rows, pivots = A.tolist(), []
+        for c in range(m):
+            for p, row in enumerate(rows):
+                if row[c]:
+                    break
+            else:
+                continue
+            del rows[p]
+            s = top - log[row[c]]
+            nz = [(j, log[x]) for j in range(c + 1, m) if (x := row[j])]
+            # the rows before p are zero at c
+            for ri in rows[p:]:
+                if f := ri[c]:
+                    f = (log[neg[f]] + s) % top
+                    for j, lx in nz:
+                        ri[j] = narrow[wide[ri[j]] + wide[exp[f + lx]]]
+            pivots.append(c)
+        return pivots
+    WN, LW, LNW, EW = _wide_tables(F)
+    # W holds the rows without a pivot yet, from column c on, with the
+    # next pivot row swapped to the top
+    W, pivots = F._np_wide[A], []
+    for c in range(m):
+        if not W.shape[0]:
+            break
+        nz = W[:, 0].nonzero()[0]
+        if not nz.size:
+            W = W[:, 1:]
+            continue
+        pivots.append(c)
+        if nz[0]:
+            W[[0, nz[0]]] = W[[nz[0], 0]]
+        if nz.size == 1:
+            W = W[1:, 1:]
+            continue
+        # log(-W[i, 0] / W[0, 0]) for the rows below, log 0 at zeros
+        f, lp = LNW[W[1:, 0]], LW[W[0, 0]]
+        if lp:
+            f = LW[EW[f + (top - lp)]]
+        W = WN[W[1:, 1:] + EW[f[:, None] + LW[W[0, 1:]]]]
+    return pivots
 
 
 class FMat:
@@ -207,26 +272,7 @@ class FMat:
         return FMat(self.field, self.field.mul_arr(self.a, s))
 
     def __matmul__(self, other):
-        F = self.field
-        n, inner = self.a.shape
-        inner2, m = other.a.shape
-        if inner != inner2:
-            raise ValueError("shape mismatch in matmul")
-        if inner == 0 or n == 0 or m == 0:
-            return FMat(F, np.zeros((n, m), dtype=np.intp))
-        if inner == 1:
-            # outer products, common in the oracle: one table gather, 2.3 to
-            # 5.7 times faster than the BLAS routes at n = 2..64 (medians of
-            # 7 interleaved timings, 2-vCPU x86-64, OpenBLAS 0.3.31)
-            return FMat(F, F.mul_arr(self.a, other.a))
-        # a float sum adds at most k * inner products of two digits
-        assert F.k * inner * (F.ell - 1) ** 2 < 2 ** _EXACT_BITS, \
-            "digit products would round in float64"
-        A, B = self.a, other.a
-        if F.k == 1:
-            prod = A.astype(np.float64) @ B.astype(np.float64)
-            return FMat(F, _mod(prod.astype(np.int64), F.ell).astype(np.intp))
-        return FMat(F, _regular_product(F, A, B))
+        return FMat(self.field, matmul(self.field, self.a, other.a))
 
     def kron(self, other):
         F = self.field
@@ -278,7 +324,7 @@ class FMat:
         return FMat(F, F._np_narrow[W]), pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(pivot_columns(self.field, self.a))
 
     def inverse(self):
         F = self.field
@@ -331,8 +377,8 @@ class FMat:
             f = F.mul_arr(H[rows, j], F.inv_idx(int(H[j + 1, j])))
             H[rows] = F.add_arr(H[rows], F.mul_arr(F.np_neg[f][:, None],
                                                    H[j + 1][None, :]))
-            H[:, j + 1] = F.add_arr(H[:, j + 1], (
-                FMat(F, H[:, rows]) @ FMat(F, f[:, None])).a[:, 0])
+            H[:, j + 1] = F.add_arr(H[:, j + 1],
+                                    matmul(F, H[:, rows], f[:, None])[:, 0])
         # recurrence on leading principal minors of the Hessenberg form
         polys = [[1]]
         for k in range(1, n + 1):

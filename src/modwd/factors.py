@@ -30,7 +30,7 @@ from .deligne import DeligneClass, Seg, tensor_ss, seg
 from .errors import EpsilonNotUnit
 from .field import FieldElem
 from .laurent import FactorExpr, RationalFraction, UnitExpr
-from ._linalg import FMat
+from ._linalg import pivot_columns
 from .matrixmodel import MatrixDeligne, _adapted, raw_tensor, realize
 from .weil import UnramifiedChar
 
@@ -180,9 +180,9 @@ def l_factor_matrix(m: MatrixDeligne, ctx) -> RationalFraction:
     ranges, G = _adapted(m, ctx)
     exponents = {}
     for v, (lo, hi) in ranges.items():
-        cols = G.a[:, lo:hi]
+        C = G[:, lo:hi]
         # the rows U reaches from V_v, so that the reduction is small
-        exponents[v] = FMat(G.field, cols[cols.any(1)]).rank() - (hi - lo)
+        exponents[v] = len(pivot_columns(ctx.field, C[C.any(1)])) - hi + lo
     return RationalFraction.make(ctx.field, exponents)
 
 

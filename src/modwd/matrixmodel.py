@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _poly
-from ._linalg import FMat
+from ._linalg import FMat, matmul, pivot_columns
 from .deligne import (Cyc, DeligneClass, Seg, cyc, merge, normalize,
                       zero_class)
 from .errors import (FNotInvertible, NeedsLargerField, NotSemisimple,
@@ -76,12 +76,14 @@ def _checked_min_poly(m: MatrixDeligne, ctx):
         if not f.all():
             raise FNotInvertible("zero Frobenius eigenvalue")
         return None
-    if (U @ F) != (F @ U).scale(ctx.q_img):
+    field = F.field
+    if not np.array_equal(matmul(field, U.a, F.a), field.mul_arr(matmul(
+            field, F.a, U.a), ctx.q_img.i)):
         raise RelationViolated("UF != qFU")
     mf, powers = _min_poly(F)
     if mf[0] == 0:
         raise FNotInvertible("Frobenius matrix is singular")
-    _require_squarefree(F.field, mf)
+    _require_squarefree(field, mf)
     return mf, powers
 
 
@@ -107,8 +109,8 @@ def _min_poly(F: FMat):
     for d in range(n + 1):
         v = np.zeros(nn + n + 1, dtype=np.intp)
         v[:nn], v[nn + d] = powers[d], 1
-        c = FMat(field, field.np_neg[v[pivots]][None, :])
-        v = field.add_arr(v, (c @ FMat(field, W)).a[0])
+        v = field.add_arr(v, matmul(field, field.np_neg[v[pivots]][None, :],
+                                    W)[0])
         nz = np.flatnonzero(v[:nn])
         if not nz.size:
             return v[nn:nn + d + 1].tolist(), np.stack(powers[:d], axis=1)
@@ -117,8 +119,8 @@ def _min_poly(F: FMat):
         W = np.vstack([field.add_arr(W, field.mul_arr(
             field.np_neg[W[:, p]][:, None], v[None, :])), v])
         pivots.append(p)
-        M = M @ F if d else F
-        powers.append(M.a.ravel())
+        M = matmul(field, M, F.a) if d else F.a
+        powers.append(M.ravel())
     raise RuntimeError("no dependency among the first n + 1 powers")
 
 
@@ -190,9 +192,9 @@ def matrix_dual(m: MatrixDeligne) -> MatrixDeligne:
 def _adapted(m: MatrixDeligne, ctx, mp=None):
     """(ranges, G): ranges maps each Frobenius eigenvalue index to the
     (lo, hi) column range of its eigenspace, and G is U in that adapted
-    basis.  A diagonal F only needs the permutation that sorts its
-    diagonal; otherwise see _spectral_basis, which takes mp, _min_poly(F)
-    when the caller has it and has checked it squarefree."""
+    basis, an index array.  A diagonal F only needs the permutation that
+    sorts its diagonal; otherwise see _spectral_basis, which takes mp,
+    _min_poly(F) when the caller has it and has checked it squarefree."""
     if m.F.is_diagonal():
         f = m.F.a.diagonal()
         perm = np.argsort(f, kind="stable")
@@ -200,14 +202,14 @@ def _adapted(m: MatrixDeligne, ctx, mp=None):
         ranges, lo = {}, 0
         for v, hi in {v: i for i, v in enumerate(f[perm].tolist(), 1)}.items():
             ranges[v], lo = (lo, hi), hi
-        return ranges, FMat(m.F.field, m.U.a.take(perm, 0).take(perm, 1))
+        return ranges, m.U.a.take(perm, 0).take(perm, 1)
     ranges, P, Pinv = _spectral_basis(m.F, mp)
-    return ranges, Pinv @ m.U @ P
+    return ranges, matmul(m.F.field, matmul(m.F.field, Pinv, m.U.a), P)
 
 
 def _spectral_basis(F: FMat, mp=None):
     """(ranges, P, Pinv) for a non-diagonal F: P is a basis of eigenvectors
-    grouped by eigenvalue as in ranges, and Pinv its inverse.
+    grouped by eigenvalue as in ranges, and Pinv its inverse (arrays).
 
     F is semisimple iff m_F is squarefree, and when m_F then splits with
     roots v, the Lagrange polynomial L_v = m_F / ((x - v) m_F'(v)) gives
@@ -234,16 +236,16 @@ def _spectral_basis(F: FMat, mp=None):
         quo = _poly.pdivmod(field, mf, [field.neg_idx(v), 1])[0]
         L[:len(quo), j] = _poly.pscale(
             field, quo, field.inv_idx(_poly.peval(field, quo, v)))
-    E = (FMat(field, powers) @ FMat(field, L)).a
+    E = matmul(field, powers, L)
     cols, rows, ranges, lo = [], [], {}, 0
     for j, v in enumerate(vals):
-        Ev = FMat(field, E[:, j].reshape(n, n))
-        R, pivots = Ev.rref()
-        cols.append(Ev.a[:, pivots])
+        Ev = E[:, j].reshape(n, n)
+        R, pivots = FMat(field, Ev).rref()
+        cols.append(Ev[:, pivots])
         rows.append(R.a[:len(pivots)])
         ranges[v] = (lo, lo + len(pivots))
         lo += len(pivots)
-    return ranges, FMat(field, np.hstack(cols)), FMat(field, np.vstack(rows))
+    return ranges, np.hstack(cols), np.vstack(rows)
 
 
 def _lines_of_values(vals, ctx, field):
@@ -265,41 +267,41 @@ def _lines_of_values(vals, ctx, field):
     return [(exp[L0], slice_vals) for L0, slice_vals in out]
 
 
-def _path_ranks(steps, c, d, less, top):
-    """Ranks, less `less`, of the products steps[c+j-1] @ ... @ steps[c]
-    (indices mod len(steps)) for j = 0 .. top + 1, the empty product being
-    the identity of size d; zero from the first zero on."""
+def _path_ranks(field, steps, c, d, less, top):
+    """Ranks, less `less`, of the products steps[c+j-1] @ ... @ steps[c] of
+    index arrays (indices mod len(steps)) for j = 0 .. top + 1, the empty
+    product being the identity of size d; zero from the first zero on."""
     out, M = [d - less], None
     while out[-1] and len(out) <= top + 1:
         step = steps[(c + len(out) - 1) % len(steps)]
-        if not step.nrows:  # an empty slice, so less = b = 0: rank 0 on
+        if not step.shape[0]:  # an empty slice, so less = b = 0: rank 0 on
             break
-        M = step if M is None else step @ M
-        out.append(M.rank() - less)
+        M = step if M is None else matmul(field, step, M)
+        out.append(len(pivot_columns(field, M)) - less)
     return out + [0] * (top + 2 - len(out))
 
 
-def _slice0_chain(trans):
-    """(ranks, H0, B0): the ranks of the slice-0 path maps M_j =
-    trans[j-1] @ ... @ trans[0] (indices mod o = len(trans)) for j = 0, 1,
-    ... up to the first zero or the first multiple j of o with rank M_j =
-    rank M_(j-o); the holonomy H0 = M_o, when the chain reaches it; and
+def _slice0_chain(field, trans):
+    """(ranks, H0, B0), index arrays in and out: the ranks of the slice-0
+    path maps M_j = trans[j-1] @ ... @ trans[0] (indices mod o) for j = 0,
+    1, ... up to the first zero or the first multiple j of o with rank M_j
+    = rank M_(j-o); the holonomy H0 = M_o, when the chain reaches it; and
     the pivot columns B0 of the last M_j when its rank is not zero."""
     o = len(trans)
-    ranks, M, H0, B0, j = [trans[0].ncols], None, None, None, 0
+    ranks, M, H0, B0, j = [trans[0].shape[1]], None, None, None, 0
     while ranks[j] and (j < o or j % o or ranks[j] != ranks[j - o]):
         step = trans[j % o]
         j += 1
-        if not step.nrows:  # an empty slice ends the chain at rank 0
+        if not step.shape[0]:  # an empty slice ends the chain at rank 0
             ranks.append(0)
             break
-        M = step if M is None else step @ M
+        M = step if M is None else matmul(field, step, M)
         if j == o:
             H0 = M
-        _, pivots = M.rref()
+        pivots = pivot_columns(field, M)
         ranks.append(len(pivots))
     if ranks[j]:
-        B0 = FMat(M.field, M.a[:, pivots])
+        B0 = M[:, pivots]
     return ranks, H0, B0
 
 
@@ -321,7 +323,8 @@ def decompose(m: MatrixDeligne, ctx, check=True) -> DeligneClass:
     slice-0 part of the cycle summands, of dimension b.
 
     The transition blocks G[V_(v/q), V_v] are disjoint, so U only shifts
-    eigenspaces iff they hold every nonzero entry of G.
+    eigenspaces iff they hold every nonzero entry of G.  The path chains
+    run on index arrays: ranks by pivot_columns, products by matmul.
     """
     field = m.F.field
     mp = _checked_min_poly(m, ctx) if check else None
@@ -333,16 +336,16 @@ def decompose(m: MatrixDeligne, ctx, check=True) -> DeligneClass:
         trans = []
         for c in range(o):
             (lo, hi), (lo2, hi2) = spans[c], spans[(c + 1) % o]
-            T = G.a[lo2:hi2, lo:hi]
+            T = G[lo2:hi2, lo:hi]
             inside += np.count_nonzero(T)
-            trans.append(FMat(field, T))
+            trans.append(T)
         lines.append((t0, trans))
-    if inside != np.count_nonzero(G.a):
+    if inside != np.count_nonzero(G):
         raise RelationViolated("operator does not shift eigenspaces")
     out = []
     for t0, trans in lines:
-        dims = [T.ncols for T in trans]
-        ranks, H0, B0 = _slice0_chain(trans)
+        dims = [T.shape[1] for T in trans]
+        ranks, H0, B0 = _slice0_chain(field, trans)
         b = ranks[-1]
         # every transition maps the cycle summands isomorphically, so they
         # add b to the rank of every path map, and b cancels in the second
@@ -350,7 +353,8 @@ def decompose(m: MatrixDeligne, ctx, check=True) -> DeligneClass:
         jmax = sum(dims) - o * b
         R = [[r - b for r in ranks[:jmax + 2]]
              + [0] * (jmax + 2 - len(ranks))]
-        R += [_path_ranks(trans, c, dims[c], b, jmax) for c in range(1, o)]
+        R += [_path_ranks(field, trans, c, dims[c], b, jmax)
+              for c in range(1, o)]
         base_char = UnramifiedChar(field.elem(t0))
         for c in range(o):
             for r in range(1, jmax + 1):
@@ -361,13 +365,13 @@ def decompose(m: MatrixDeligne, ctx, check=True) -> DeligneClass:
                     out.append((Seg(base_char, r, c), mult))
         if not b:
             continue
-        Hb = B0.solve_in_basis(H0 @ B0)
+        Hb = FMat(field, B0).solve_in_basis(FMat(field, matmul(field, H0, B0)))
         # over a finite field the radical of chi_Hb is separable, so on the
         # generalized eigenspace of each eigenvalue y it is (Hb - y) times
         # a unit commuting with Hb: its powers have the ranks of the powers
         # of the nilpotent part of Hb
         Nb = Hb.poly_eval(_poly.radical(field, Hb.charpoly()))
-        rs = _path_ranks([Nb], 0, b, 0, b)
+        rs = _path_ranks(field, [Nb.a], 0, b, 0, b)
         line = line_of(base_char, ctx)[0]
         for s in range(1, b + 1):
             mult = rs[s - 1] - 2 * rs[s] + rs[s + 1]

@@ -1,7 +1,8 @@
 """The FMat product and row reduction against scalar references built
 from the field's exp/log and digit arithmetic, over prime and extension
 fields; products on both sides of the switch between the table gather of
-outer products and the BLAS routes."""
+outer products and the BLAS routes; pivot_columns against rref's pivots
+on both sides of the switch between row lists and the wide encoding."""
 
 import random
 
@@ -267,6 +268,36 @@ def test_row_lists_match_wide_route(ell, k, monkeypatch):
             assert np.array_equal(A.a, before)
             assert R.a.dtype == np.intp and R.a.shape == (n, m)
             assert np.array_equal(R.a, W.a) and pivots == wide_pivots
+
+
+@pytest.mark.parametrize("ell,k", [(2, 1), (3, 1), (5, 2), (2, 3), (3, 4)])
+def test_pivot_columns_match_rref(ell, k):
+    """pivot_columns against the pivots of rref, and FMat.rank against
+    their count, on every shape up to 9 x 9 (8 x 8 is the last row-list
+    shape, 8 x 9 and 9 x 9 are reduced wide) and on larger ones up to
+    64 x 64: a random matrix, one of random lower rank, and a sparse one
+    with a zero row and column, whose pivots skip columns."""
+    F = finite_field(ell, k)
+    rng = random.Random(f"pivots:{ell}:{k}")
+    shapes = [(n, m) for n in range(10) for m in range(10)] + [
+        (0, 64), (64, 0), (1, 64), (64, 1), (12, 12), (16, 33), (40, 17),
+        (64, 64)]
+    for n, m in shapes:
+        r = rng.randrange(min(n, m) + 1)
+        mats = [rand_fmat(F, n, m, rng),
+                rand_fmat(F, n, r, rng) @ rand_fmat(F, r, m, rng)]
+        if n and m:
+            keep = np.array([[rng.random() < 0.3 for _ in range(m)]
+                             for _ in range(n)])
+            A = FMat(F, rand_fmat(F, n, m, rng).a * keep)
+            A.a[rng.randrange(n)] = 0
+            A.a[:, rng.randrange(m)] = 0
+            mats.append(A)
+        for A in mats:
+            before = A.a.copy()
+            pivots = _linalg.pivot_columns(F, A.a)
+            assert np.array_equal(A.a, before)
+            assert pivots == A.rref()[1] and A.rank() == len(pivots)
 
 
 @pytest.mark.parametrize("ell,k", EVERY_FIELD)
