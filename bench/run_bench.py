@@ -81,16 +81,16 @@ Rows, all at (5,2) over F(5^2) unless named otherwise:
 - `criterion_5_s`, `criterion_6_s` and `criterion_3_s`, after them and
   in the same way: one bucket of the (5,2) tensor oracle sweep of
   `test_criterion_5_tensor_oracle` (`verify.SWEEPS["tensor"]`), 110 of
-  its 210 checks at C5_STRIDE, of the (5,2) epsilon sweep of
+  its 210 checks, of the (5,2) epsilon sweep of
   `test_criterion_6_epsilon_invertibility` (`verify.SWEEPS["epsilon"]`),
-  40,073 of its 80,145 checks at C6_STRIDE, and of the multiplicativity
-  sweep of `test_criterion_3_multiplicativity`
-  (`verify.SWEEPS["multiplicativity"]`, at (5,2), (3,2) and (2,3), the
-  other caller of `l_factor_matrix`), 68 of its 135 checks at C3_STRIDE.
-  The three sweeps run on one process in the tests, so a stride of 2
+  40,073 of its 80,145 checks, and of the multiplicativity sweep of
+  `test_criterion_3_multiplicativity` (`verify.SWEEPS["multiplicativity"]`,
+  at (5,2), (3,2) and (2,3), the other caller of `l_factor_matrix`), 68
+  of its 135 checks, each at BUCKET_STRIDE.
+  The three sweeps run on one process in the tests, so BUCKET_STRIDE = 2
   makes the two buckets of `verify.run`'s 2 * processes.
-- `criterion_7_s`, `criterion_8_s` and `criterion_1_s` last, with the
-  same stride of 2: one bucket of the (5,2) correspondence sweep of
+- `criterion_7_s`, `criterion_8_s` and `criterion_1_s` last, at the same
+  BUCKET_STRIDE: one bucket of the (5,2) correspondence sweep of
   `test_criterion_7_correspondence_properties`
   (`verify.SWEEPS["correspondence"]`), of the profile-law sweep of
   `test_criterion_8_profile_laws` (`verify.SWEEPS["profile"]`, ell = 2,
@@ -127,12 +127,8 @@ ROUNDS = 20
 C4_STRIDE = 32
 C2_STRIDE = 16
 LM_STRIDE = 32
-C5_STRIDE = 2
-C6_STRIDE = 2
-C3_STRIDE = 2
-C7_STRIDE = 2
-C8_STRIDE = 2
-C1_STRIDE = 2
+# the stride of the six one-process sweeps, criteria 5, 6, 3, 7, 8 and 1
+BUCKET_STRIDE = 2
 
 
 def _git_sha(src: Path):
@@ -339,8 +335,8 @@ def _rows():
         population = None if build_each_call else sweep(*full)
 
         def check(stride):
-            checked, failures = _check_rows(0, stride,
-                                            population or sweep(*full))
+            pop = sweep(*full) if population is None else population
+            checked, failures = _check_rows(0, stride, pop)
             _check(not failures, failures[:1])
             return checked
         return check
@@ -376,20 +372,16 @@ def _rows():
         context="(5,2)", budget_s=120.0, stride=C2_STRIDE))
     rows["lmatrix_s"] = (first_bucket("lmatrix"), [LM_STRIDE], dict(
         context="(5,2)", stride=LM_STRIDE))
-    rows["criterion_5_s"] = (first_bucket("tensor"), [C5_STRIDE], dict(
-        context="(5,2)", budget_s=60.0, stride=C5_STRIDE))
-    rows["criterion_6_s"] = (first_bucket("epsilon"), [C6_STRIDE], dict(
-        context="(5,2)", stride=C6_STRIDE))
-    rows["criterion_3_s"] = (first_bucket("multiplicativity"), [C3_STRIDE],
-                             dict(context="(5,2), (3,2), (2,3)", budget_s=10.0,
-                                  stride=C3_STRIDE))
-    rows["criterion_7_s"] = (first_bucket("correspondence"), [C7_STRIDE],
-                             dict(context="(5,2)", stride=C7_STRIDE))
-    rows["criterion_8_s"] = (first_bucket("profile"), [C8_STRIDE],
-                             dict(ells=[2, 3, 5, 7], stride=C8_STRIDE))
-    rows["criterion_1_s"] = (first_bucket("witness", build_each_call=True),
-                             [C1_STRIDE], dict(context="(5,2)", budget_s=1.0,
-                                               stride=C1_STRIDE))
+    for name, sweep, info in (
+            ("criterion_5_s", "tensor", dict(context="(5,2)", budget_s=60.0)),
+            ("criterion_6_s", "epsilon", dict(context="(5,2)")),
+            ("criterion_3_s", "multiplicativity",
+             dict(context="(5,2), (3,2), (2,3)", budget_s=10.0)),
+            ("criterion_7_s", "correspondence", dict(context="(5,2)")),
+            ("criterion_8_s", "profile", dict(ells=[2, 3, 5, 7])),
+            ("criterion_1_s", "witness", dict(context="(5,2)", budget_s=1.0))):
+        rows[name] = (first_bucket(sweep, build_each_call=sweep == "witness"),
+                      [BUCKET_STRIDE], dict(info, stride=BUCKET_STRIDE))
     return rows
 
 

@@ -10,15 +10,15 @@ F_ell^k), mod ell.  Every float sum is at most k * inner_dim * (ell-1)^2,
 asserted below 2^53, so none rounds.  Row reduction runs on Python row
 lists with the field's list tables up to ROW_LIST_CELLS cells, skipping
 numpy's per-call cost, and above in the field's wide encoding
-(_wide_tables), one table update per pivot.  Per rref over F(5^2) (one
-process, 2-vCPU x86-64), row lists beat the wide route on random
-full-rank matrices up to 10 x 10 (8 x 8: 40 vs 56 us); on rank 2 they tie
-at 8 x 8 (19 vs 19 us) and lose from 9 x 9 on (23 vs 20 us); on the
-matrices the oracle and the roundtrip reduce they win up to 100 cells.
-Hence 64.  pivot_columns, which gives every rank, eliminates forward
-only: no row is scaled, nothing above a pivot is cleared, no R is built.
-Only inverse, solve_in_basis and the spectral projectors read R, from
-FMat.rref.  The rest index the field's O(Q) tables with the arrays.
+(_wide_tables), one table update per pivot.  pivot_columns, which gives
+every rank, eliminates forward only: no row is scaled, nothing above a
+pivot is cleared, no R is built.  Only inverse, solve_in_basis and the
+spectral projectors read R, from FMat.rref.  Per rref over F(5^2) on a
+2-vCPU x86-64, row lists win on random full-rank matrices up to 10 x 10
+but lose on rank 2 from 9 x 9 on; on what rref reduces in the oracle and
+roundtrip workloads (530 of 2,422 matrices at most 64 cells, mostly n x
+2n solves at n <= 4) they take 8.2 us each, the wide route 11.6.  Hence
+64.  The rest index the field's O(Q) tables with the arrays.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from . import _poly
 # float64 holds every integer below 2**53 exactly
 _EXACT_BITS = 53
 
-# rref reduces matrices of at most this many cells on Python row lists
+# rref and pivot_columns run on Python row lists up to this many cells
 ROW_LIST_CELLS = 64
 
 

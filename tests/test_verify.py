@@ -174,3 +174,43 @@ def test_benchmark_tracing_installs():
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _spy_kernels(monkeypatch):
+    """Count calls of _linalg's kernels, the module functions under every
+    name a modwd module binds them to and the FMat methods, by kernel."""
+    from modwd import _linalg
+    counts = {}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return spy
+
+    kernels = {_linalg.matmul: "matmul",
+               _linalg.pivot_columns: "pivot_columns"}
+    for mod in [m for k, m in sys.modules.items() if k.startswith("modwd")]:
+        for attr, value in list(vars(mod).items()):
+            if callable(value) and value in kernels:
+                monkeypatch.setattr(mod, attr, counted(kernels[value], value))
+    for name in ("__init__", "rref", "charpoly"):
+        monkeypatch.setattr(_linalg.FMat, name,
+                            counted(name, getattr(_linalg.FMat, name)))
+    return counts
+
+
+def test_pairs_workload_never_reaches_linalg(monkeypatch):
+    # perfbench's smoke test sees FMat methods only; this sees the index
+    # array kernels too.  The roundtrip workload shows the spies see them.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+    counts = _spy_kernels(monkeypatch)
+    roundtrip = workloads.Roundtrip(1)
+    assert roundtrip.check(roundtrip.case(0))[0]
+    assert counts["matmul"] and counts["pivot_columns"]
+    counts.clear()
+    pairs = workloads.Pairs(1)
+    for index in range(40):
+        assert pairs.check(pairs.case(index))[0]
+    assert counts == {}
